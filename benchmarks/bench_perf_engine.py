@@ -17,19 +17,13 @@ Re-recording the gate after an intentional engine change: see
 ``docs/benchmarks.md`` ("Re-recording the perf gate").
 """
 
-import json
-from pathlib import Path
-
 from repro.experiments.perf import (
-    BATCHED_SPEEDUP_TARGET,
     PRE_REFACTOR_BASELINE_S,
     build_scenarios,
     format_report,
-    measure_batched_speedup,
     run_suite,
     write_report,
 )
-from repro.ioutil import atomic_write_text
 
 from _report import emit, run_once
 
@@ -37,22 +31,6 @@ from _report import emit, run_once
 #: container as PRE_REFACTOR_BASELINE_S — the machine-speed calibration
 #: anchor for the reported pcaps-200 speedup.
 POST_REFACTOR_FIFO_200_S = 0.114
-
-#: Noise control for the batched-replicate gate: each side's wall time is
-#: the best of this many interleaved rounds.
-GATE_MEASUREMENT_ROUNDS = 3
-
-#: The batched-replicate gate is a *no-regression floor*, not the roadmap's
-#: ``BATCHED_SPEEDUP_TARGET`` (1.5×). At replicate width 8 the measured
-#: paired ratio on CPython is ~1.0×: per-request Python glue — generator
-#: suspension, per-replicate cache bookkeeping, the per-block sampling
-#: tails that bit-identity forces to stay per-block — costs ~27µs of the
-#: ~45µs request budget on both sides, while stacking only amortizes the
-#: ~10µs of numpy dispatch (the ratio climbs with width: ~1.2× at 32
-#: replicates; see docs/batching.md). The floor asserts batching never
-#: costs more than measurement noise relative to sequential; the target
-#: rides along in ``extra_info`` so the shortfall stays visible.
-BATCHED_SPEEDUP_FLOOR = 0.85
 
 
 def test_engine_throughput(benchmark):
@@ -91,47 +69,3 @@ def test_engine_throughput(benchmark):
     assert pcaps.blocked_retries == 0
     assert pcaps.select_calls <= pcaps.tasks
 
-
-def test_batched_replicate_throughput(benchmark):
-    """Batched multi-seed replicate gate: pcaps-200 × 8 seeds.
-
-    The measurement is paired (sequential and batched alternate within
-    each round, best-of-rounds per side) because this container's wall
-    clock wanders by tens of percent between consecutive runs — unpaired
-    one-shot timings of the two modes mostly measure machine weather.
-    The enforced assertion is the no-regression floor; the unmet roadmap
-    target is recorded alongside it (see BATCHED_SPEEDUP_FLOOR above and
-    docs/batching.md).
-    """
-    paired = run_once(
-        benchmark, measure_batched_speedup, rounds=GATE_MEASUREMENT_ROUNDS
-    )
-    emit(
-        "Batched replicates — pcaps-200 x 8",
-        [
-            f"sequential best-of-{paired['rounds']}: "
-            f"{paired['sequential_s']:.2f}s "
-            f"({paired['sequential_trials_per_min']:.1f} trials/min)",
-            f"batched    best-of-{paired['rounds']}: "
-            f"{paired['batched_s']:.2f}s "
-            f"({paired['batched_trials_per_min']:.1f} trials/min)",
-            f"speedup {paired['speedup']:.2f}x "
-            f"(floor {BATCHED_SPEEDUP_FLOOR}, "
-            f"target {BATCHED_SPEEDUP_TARGET})",
-        ],
-    )
-    # Fold the batched measurement into the BENCH_engine.json written by
-    # test_engine_throughput, so one artifact carries both.
-    path = Path("BENCH_engine.json")
-    if path.exists():
-        doc = json.loads(path.read_text())
-        doc["batched_replicates"] = paired
-        atomic_write_text(path, json.dumps(doc, indent=1) + "\n")
-    benchmark.extra_info["gate"] = {
-        "batched_speedup": paired["speedup"],
-        "floor": BATCHED_SPEEDUP_FLOOR,
-        "target": BATCHED_SPEEDUP_TARGET,
-        "batched_trials_per_min": paired["batched_trials_per_min"],
-        "sequential_trials_per_min": paired["sequential_trials_per_min"],
-    }
-    assert paired["speedup"] >= BATCHED_SPEEDUP_FLOOR

@@ -282,7 +282,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         workers=args.workers,
         supervisor=_supervisor_from_args(args),
         exporter=exporter,
-        batch_replicates=getattr(args, "batch_replicates", 1),
     )
     print(
         f"campaign {spec.name!r}: {len(runner.keyed_trials(spec))} trials "
@@ -468,7 +467,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     from repro.experiments.perf import (
         build_scenarios,
         format_report,
-        measure_batched_speedup,
         measure_campaign_throughput,
         run_scenario,
         smoke_scenarios,
@@ -493,19 +491,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         if not args.quiet:
             print("running campaign-throughput (smoke preset) ...", flush=True)
         campaign = measure_campaign_throughput()
-    batched = None
-    if args.batch_replicates > 1:
-        # Smoke mode keeps the paired measurement seconds-scale.
-        num_jobs = 50 if args.smoke else 200
-        if not args.quiet:
-            print(
-                f"running batched-replicate pairing (pcaps-{num_jobs} x "
-                f"{args.batch_replicates}) ...",
-                flush=True,
-            )
-        batched = measure_batched_speedup(
-            num_jobs=num_jobs, replicates=args.batch_replicates
-        )
     print(format_report(measurements))
     if campaign is not None:
         print(
@@ -513,20 +498,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
             f"trials/min ({campaign['trials']} trials in "
             f"{campaign['wall_s']:.1f}s, preset {campaign['preset']!r})"
         )
-    if batched is not None:
-        print(
-            f"batched replicates ({batched['scenario']}): "
-            f"{batched['batched_trials_per_min']:.1f} trials/min batched "
-            f"vs {batched['sequential_trials_per_min']:.1f} sequential "
-            f"({batched['speedup']:.2f}x, target "
-            f"{batched['target_speedup']}x)"
-        )
-    write_report(
-        measurements,
-        args.output,
-        campaign_throughput=campaign,
-        batched_replicates=batched,
-    )
+    write_report(measurements, args.output, campaign_throughput=campaign)
     print(f"wrote {args.output}")
     return 0
 
@@ -1125,11 +1097,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-campaign", action="store_true",
         help="skip the campaign-throughput (trials/min) measurement",
     )
-    p.add_argument(
-        "--batch-replicates", type=int, default=0, metavar="N",
-        help="also measure batched-vs-sequential replicate throughput "
-        "at width N (paired best-of-rounds on pcaps; 0 = skip)",
-    )
     p.add_argument("--quiet", action="store_true")
     _add_obs_args(p)
     p.set_defaults(func=_cmd_perf)
@@ -1161,13 +1128,6 @@ def build_parser() -> argparse.ArgumentParser:
             c.add_argument(
                 "--workers", type=int, default=None,
                 help="process-pool size (default: CPU count; 0/1 = inline)",
-            )
-            c.add_argument(
-                "--batch-replicates", type=int, default=1, metavar="N",
-                help="advance up to N replicate trials (same config, "
-                "different seed/trace offset) together through one "
-                "batched stepper per pool task; records stay "
-                "per-replicate and bit-identical (default: 1 = off)",
             )
             c.add_argument(
                 "--quiet", action="store_true", help="suppress per-trial lines"

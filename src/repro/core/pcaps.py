@@ -33,7 +33,6 @@ from repro.simulator.interfaces import (
     ProbabilisticPolicy,
     StageChoice,
     StageScheduler,
-    drive_select,
 )
 from repro.simulator.state import ClusterView, FrontierArrays
 
@@ -157,9 +156,6 @@ class PCAPSScheduler(StageScheduler):
     def select(
         self, view: ClusterView
     ) -> StageChoice | NothingGrowable | None:
-        return drive_select(self.select_gen(view))
-
-    def select_gen(self, view: ClusterView):
         reading = view.carbon
         full = view.frontier_arrays(include_saturated=True)
         # Stages already running P' tasks cannot grow: mask them out of the
@@ -173,7 +169,7 @@ class PCAPSScheduler(StageScheduler):
         attempts = self.max_resamples if self.defer_scope == "sample" else 1
         no_machines_busy = view.busy_executors == 0
         for _ in range(attempts):
-            chosen, importance = yield from self.policy.sample_with_importance_gen(
+            chosen, importance = self.policy.sample_with_importance(
                 view, growable
             )
             threshold = psi(

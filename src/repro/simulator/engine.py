@@ -715,25 +715,7 @@ class SimulationStepper:
             self.step()
 
     def step(self) -> float:
-        """Drain one timestamp's events and run the assignment pass.
-
-        A thin trampoline over :meth:`_step_gen`: score requests yielded
-        by the scheduler's generator path are resolved inline through the
-        identical ``_softmax(_raw_scores(...))`` calls the pre-generator
-        engine made, so a solo stepper's schedules stay byte-identical.
-        Batched drivers (:class:`repro.batch.BatchedStepper`) drive
-        ``_step_gen`` directly and resolve requests across replicates.
-        """
-        gen = self._step_gen()
-        try:
-            request = next(gen)
-            while True:
-                request = gen.send(request.resolve())
-        except StopIteration as stop:
-            return stop.value
-
-    def _step_gen(self):
-        """Generator form of :meth:`step`; yields ``ScoreRequest``s."""
+        """Drain one timestamp's events and run the assignment pass."""
         sim = self.sim
         config = sim.config
         events = self.events
@@ -881,12 +863,8 @@ class SimulationStepper:
                 break
             obs_select = self._obs_select
             if sim.measure_latency or obs_select is not None:
-                # Under a batched driver the elapsed time includes the
-                # rounds spent suspended on other replicates' requests;
-                # solo (trampoline) runs resolve inline, so the timing
-                # matches the pre-generator engine.
                 t0 = _wallclock.perf_counter()
-                choice = yield from sim.scheduler.select_gen(view)
+                choice = sim.scheduler.select_gen(view)
                 elapsed = _wallclock.perf_counter() - t0
                 if sim.measure_latency:
                     self.sched_time += elapsed
@@ -894,7 +872,7 @@ class SimulationStepper:
                 if obs_select is not None:
                     obs_select.record(elapsed)
             else:
-                choice = yield from sim.scheduler.select_gen(view)
+                choice = sim.scheduler.select_gen(view)
             if choice is None:
                 trace.deferrals += 1
                 if obs_events is not None:

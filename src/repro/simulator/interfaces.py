@@ -71,72 +71,6 @@ def _sample_index(rng: np.random.Generator, p: np.ndarray) -> int:
     return int(rng.choice(len(p), p=p))
 
 
-@dataclass
-class ScoreRequest:
-    """A select generator's request to score-and-sample one frontier.
-
-    The generator-based select paths (:meth:`StageScheduler.select_gen`)
-    yield one of these at the exact point the sync path would start
-    computing ``softmax(raw_scores(view, frontier))``, then receive the
-    outcome back via ``send``. Driving a generator inline with
-    :func:`drive_select` resolves each request through the identical
-    operation sequence as the pre-generator sync path, so a solo run's
-    floats (and therefore its RNG draws and its schedule fingerprint)
-    are unchanged.
-
-    A batched driver (:class:`repro.batch.BatchedStepper`) instead
-    collects the concurrent requests of N independent replicates and
-    resolves them together, stacking the operations that are exactly
-    position-independent and probe-guarding the rest.
-
-    Two kinds, matching the two sampling entry points:
-
-    - ``"sample"`` (from :meth:`sample_with_importance_gen`): the reply
-      is the full outcome — ``(ReadyStage, importance)`` — including the
-      action-mask renormalization over :attr:`candidates` and the RNG
-      draw from the requesting policy's own generator;
-    - ``"select"`` (from :meth:`ProbabilisticPolicy.select_gen`): the
-      reply is the sampled frontier index (an ``int``).
-    """
-
-    policy: "ProbabilisticPolicy"
-    view: ClusterView
-    frontier: FrontierArrays
-    kind: str = "sample"
-    #: ``"sample"`` only: the non-empty, sorted row indices the draw may
-    #: pick (the action mask). The softmax and the importance normalizer
-    #: still span every row of :attr:`frontier`.
-    candidates: np.ndarray | None = None
-
-    def resolve(self):
-        """Resolve solo, exactly as the pre-generator sync path would."""
-        policy, view, frontier = self.policy, self.view, self.frontier
-        probs = policy._softmax(policy._raw_scores(view, frontier))
-        if self.kind == "select":
-            return _sample_index(policy._rng, probs)
-        # Only unfiltered matrices repeat across calls (mid-pass filtered
-        # retries are one-shot); caching them would evict the reusable
-        # entry.
-        if frontier.parent_data is None:
-            policy._dist_cache = (frontier.data, probs)
-        return policy._finish_sample(frontier, probs, self.candidates)
-
-
-def drive_select(gen):
-    """Run a select generator to completion, resolving requests inline.
-
-    The sync trampoline: equivalent to the pre-generator select methods
-    call for call, because :meth:`ScoreRequest.resolve` is the same
-    ``_softmax(_raw_scores(...))`` expression the sync path inlined.
-    """
-    try:
-        request = next(gen)
-        while True:
-            request = gen.send(request.resolve())
-    except StopIteration as stop:
-        return stop.value
-
-
 class NothingGrowable(enum.Enum):
     """Type of :data:`NOTHING_GROWABLE`."""
 
@@ -196,16 +130,17 @@ class StageScheduler(abc.ABC):
         a deferral.
         """
 
-    def select_gen(self, view: ClusterView):
-        """Generator twin of :meth:`select` (see :class:`ScoreRequest`).
+    def select_gen(
+        self, view: ClusterView
+    ) -> StageChoice | NothingGrowable | None:
+        """The engine's call into :meth:`select`; never override it.
 
-        The default never yields: schedulers without a vectorized scoring
-        path have nothing to batch, so the engine's ``yield from`` simply
-        returns the sync decision. Probabilistic policies override this
-        with a generator that yields its score requests.
+        It only forwards. It exists because the benchmark's traced run
+        (``perfbench/bench_trace.py``) counts its ``sched.select`` layer by
+        wrapping this name on each scheduler class: were the engine to call
+        :meth:`select` directly, that layer would count 0 calls.
         """
         return self.select(view)
-        yield  # pragma: no cover - unreachable; marks a generator function
 
     def reset(self) -> None:
         """Clear any per-experiment state (default: stateless)."""
@@ -239,7 +174,7 @@ class ProbabilisticPolicy(StageScheduler):
         self._seed = seed
         self._rng = np.random.default_rng(seed)
         # (matrix object, probs) of the last columnar frontier scored; see
-        # sample_with_importance_gen.
+        # sample_with_importance.
         self._dist_cache: tuple | None = None
 
     def reset(self) -> None:
@@ -269,51 +204,13 @@ class ProbabilisticPolicy(StageScheduler):
         """
         raise NotImplementedError
 
-    def _cached_raw_scores(self, frontier: FrontierArrays) -> np.ndarray | None:
-        """Previously computed raw scores for this frontier, or ``None``.
-
-        Subclasses with a score cache (see
-        :class:`~repro.schedulers.decima.DecimaScheduler`) override this
-        probe; the batched resolver consults it so cache hits take the
-        identical shortcut in batched and solo runs.
-        """
-        return None
-
-    def _store_raw_scores(self, frontier: FrontierArrays, raw: np.ndarray) -> None:
-        """Record freshly computed raw scores (cache-store twin of
-        :meth:`_cached_raw_scores`; default: no cache)."""
-
     def _raw_scores(
         self, view: ClusterView, frontier: FrontierArrays
     ) -> np.ndarray:
         """Hook between the sampling entry points and
-        :meth:`scores_from_arrays`, split into the cache probe / compute /
-        cache store steps the batched resolver replays individually."""
-        cached = self._cached_raw_scores(frontier)
-        if cached is not None:
-            return cached
-        raw = self.scores_from_arrays(view, frontier)
-        self._store_raw_scores(frontier, raw)
-        return raw
-
-    def stack_key(self):
-        """Grouping key for stacked scoring, or ``None`` if unsupported.
-
-        Requests whose policies return equal keys may be scored together
-        by one :meth:`scores_from_stacked` call; the key must therefore
-        capture every hyperparameter the score expression reads.
-        """
-        return None
-
-    def scores_from_stacked(self, frontiers: list[FrontierArrays]) -> list[np.ndarray]:
-        """Score several frontiers (equal :meth:`stack_key`) in one pass.
-
-        Only called by the batched resolver, and only when every frontier
-        comes from a policy with the same :meth:`stack_key`. Must return
-        per-frontier arrays bit-identical to calling
-        :meth:`scores_from_arrays` on each frontier alone.
-        """
-        raise NotImplementedError
+        :meth:`scores_from_arrays`; subclasses may interpose caching (see
+        :class:`~repro.schedulers.decima.DecimaScheduler`)."""
+        return self.scores_from_arrays(view, frontier)
 
     def parallelism_limit(self, view: ClusterView, choice: ReadyStage) -> int:
         """Parallelism limit for a chosen stage (default: all its tasks)."""
@@ -360,55 +257,23 @@ class ProbabilisticPolicy(StageScheduler):
         return index, probs
 
     def sample_with_importance(
-        self, view: ClusterView
+        self, view: ClusterView, candidates: np.ndarray | None = None
     ) -> tuple[ReadyStage, float] | None:
         """Sample an assignable stage plus its Definition 4.2 importance.
 
         The distribution is computed over the *full* frontier ``A_t``
         (including stages whose tasks are all in flight — they carry
         probability mass and anchor the normalization) while sampling is
-        restricted to assignable stages, mirroring Decima's action mask.
-        Returns ``None`` when nothing is assignable.
-        """
-        return drive_select(self.sample_with_importance_gen(view))
-
-    def _finish_sample(
-        self,
-        full: FrontierArrays,
-        probs: np.ndarray,
-        candidates: np.ndarray,
-    ) -> tuple[ReadyStage, float]:
-        """The action-mask sampling tail shared by every resolution path:
-        renormalize the candidate slice, draw, compute the Definition 4.2
-        importance over the whole frontier. One function on purpose — its
-        float-operation order is part of the bit-identity contract."""
-        weights = probs[candidates]
-        total = weights.sum()
-        if total <= 0:
-            weights = np.full(len(candidates), 1.0 / len(candidates))
-        else:
-            weights = weights / total
-        pick = int(candidates[_sample_index(self._rng, weights)])
-        peak = probs.max()
-        importance = float(probs[pick] / peak) if peak > 0 else 1.0
-        return full.entry(pick), importance
-
-    def sample_with_importance_gen(
-        self, view: ClusterView, candidates: np.ndarray | None = None
-    ):
-        """Generator form of :meth:`sample_with_importance`.
-
-        ``candidates`` narrows the draw to those row indices of
+        restricted to ``candidates``, mirroring Decima's action mask.
+        ``candidates`` are row indices of
         ``view.frontier_arrays(include_saturated=True)`` (PCAPS passes the
         stages below their parallelism limit); the default is every row
         with free slots. Returns ``None`` when there are no candidates.
 
-        Yields one :class:`ScoreRequest` on a distribution-cache miss;
-        cache hits (deferral streaks re-sampling an unchanged frontier,
-        PCAPS redraws) never yield, so a batched run sees exactly the
-        requests a solo run would compute. The cache is keyed on the
-        frontier matrix alone: the candidate mask only selects which rows
-        the draw may pick, never what the distribution is.
+        The columnar path caches the distribution per frontier matrix
+        object, so deferral streaks re-sampling an unchanged frontier and
+        PCAPS redraws only advance the RNG. The candidate mask selects
+        which rows the draw may pick, never what the distribution is.
         """
         if self.vectorized:
             full = view.frontier_arrays(include_saturated=True)
@@ -423,9 +288,13 @@ class ProbabilisticPolicy(StageScheduler):
                 # carbon steps): the distribution is unchanged; only the
                 # RNG advances.
                 return self._finish_sample(full, cache[1], candidates)
-            return (
-                yield ScoreRequest(self, view, full, "sample", candidates)
-            )
+            probs = self._softmax(self._raw_scores(view, full))
+            # Only unfiltered matrices repeat across calls (mid-pass
+            # filtered retries are one-shot); caching them would evict the
+            # reusable entry.
+            if full.parent_data is None:
+                self._dist_cache = (full.data, probs)
+            return self._finish_sample(full, probs, candidates)
         full = view.ready_stages(include_saturated=True)
         if candidates is None:
             candidates = [i for i, r in enumerate(full) if r.slots > 0]
@@ -443,10 +312,28 @@ class ProbabilisticPolicy(StageScheduler):
         importance = float(probs[pick] / peak) if peak > 0 else 1.0
         return full[pick], importance
 
-    def select(self, view: ClusterView) -> StageChoice | None:
-        return drive_select(self.select_gen(view))
+    def _finish_sample(
+        self,
+        full: FrontierArrays,
+        probs: np.ndarray,
+        candidates: np.ndarray,
+    ) -> tuple[ReadyStage, float]:
+        """The columnar action-mask tail of :meth:`sample_with_importance`:
+        renormalize the candidate slice, draw, compute the Definition 4.2
+        importance over the whole frontier. Cache hits and misses share it,
+        so both take the same float operations in the same order."""
+        weights = probs[candidates]
+        total = weights.sum()
+        if total <= 0:
+            weights = np.full(len(candidates), 1.0 / len(candidates))
+        else:
+            weights = weights / total
+        pick = int(candidates[_sample_index(self._rng, weights)])
+        peak = probs.max()
+        importance = float(probs[pick] / peak) if peak > 0 else 1.0
+        return full.entry(pick), importance
 
-    def select_gen(self, view: ClusterView):
+    def select(self, view: ClusterView) -> StageChoice | None:
         if self.vectorized:
             frontier = view.frontier_arrays()
             mask = frontier.slots > 0
@@ -454,8 +341,8 @@ class ProbabilisticPolicy(StageScheduler):
                 return None
             if not mask.all():
                 frontier = frontier.compress(mask)
-            index = yield ScoreRequest(self, view, frontier, "select")
-            chosen = frontier.entry(index)
+            probs = self._softmax(self._raw_scores(view, frontier))
+            chosen = frontier.entry(_sample_index(self._rng, probs))
         else:
             ready = view.ready_stages()
             ready = [r for r in ready if r.slots > 0]

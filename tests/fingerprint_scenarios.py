@@ -4,10 +4,11 @@ Single home of the seven pinned-seed scenarios (one per scheduler family)
 and of the SHA-256 fingerprint helpers every bit-identity suite pins
 against — ``test_fingerprints`` (engine contract), ``test_obs_fingerprints``
 (instrumentation neutrality), ``test_streaming_equivalence`` (streaming
-summaries), ``test_checkpoint`` (restore determinism), and ``test_batch``
-(batched replicate engine). Suites import from here instead of re-declaring
-the table, so a scenario added or adjusted once is exercised by every
-contract at once.
+summaries), and ``test_checkpoint`` (restore determinism). Suites import
+from here instead of re-declaring the table, so a scenario added or
+adjusted once is exercised by every contract at once. Run as a script, it
+prints each scenario's fingerprint for comparison across checkouts (see
+:func:`main`).
 """
 
 from __future__ import annotations
@@ -77,9 +78,8 @@ def schedule_fingerprint(result) -> str:
     ``repr()`` of the floats preserves every bit, so two results share a
     fingerprint iff the engine made the identical decisions at the
     identical times — the bit-identity contract the stepper, the shared
-    ready cache, the batched replicate engine, and the disruption
-    machinery (with an empty schedule) all pin against
-    ``Simulation.run()``.
+    ready cache, and the disruption machinery (with an empty schedule) all
+    pin against ``Simulation.run()``.
     """
     digest = hashlib.sha256()
     for t in result.trace.tasks:
@@ -140,3 +140,25 @@ def stream_config_for(config: ExperimentConfig) -> ServiceConfig:
         ),
         epoch_events=64,  # several epochs even on tiny scenarios
     )
+
+
+def main() -> None:
+    """Print ``scenario sha256`` for each pinned scenario.
+
+    The suites that import this module compare a run with another run of
+    the same code, so none of them can show that a change to the engine
+    left schedules alone. Comparing this output across two checkouts
+    can::
+
+        PYTHONPATH=<checkout>/src python tests/fingerprint_scenarios.py
+
+    The hashes are deliberately not pinned in a test: workload synthesis
+    draws from numpy's ``Generator``, whose streams numpy does not promise
+    to keep across versions.
+    """
+    for scenario_id, config in zip(SCENARIO_IDS, PINNED_SCENARIOS):
+        print(scenario_id, run_fingerprint(config))
+
+
+if __name__ == "__main__":
+    main()

@@ -306,6 +306,27 @@ class TestCampaignRunner:
             r.key: r.metrics for r in inline.records
         }
 
+    def test_resume_is_interchangeable_between_inline_and_pool(self, tmp_path):
+        """A store half-filled by one mode finishes in the other without
+        re-running anything, ending at the same records either way."""
+        full = tiny_spec()
+        half = tiny_spec(axes={"scheduler": ("fifo", "pcaps"), "seed": (0,)})
+
+        def comparable(store):
+            return {
+                r.key: (r.campaign, r.config, r.status, r.metrics, r.attempts)
+                for r in store.records()
+            }
+
+        reference = ResultStore(tmp_path / "ref.jsonl")
+        CampaignRunner(reference, workers=0).run(full)
+        for name, first, second in (("a", 0, 2), ("b", 2, 0)):
+            store = ResultStore(tmp_path / f"{name}.jsonl")
+            CampaignRunner(store, workers=first).run(half)
+            run = CampaignRunner(store, workers=second).run(full)
+            assert run.stats.hits == 2 and run.stats.misses == 2
+            assert comparable(store) == comparable(reference)
+
     def test_collect_reads_store_only(self, tmp_path):
         runner = CampaignRunner(ResultStore(tmp_path / "r.jsonl"), workers=0)
         assert runner.collect(tiny_spec()) == []

@@ -13,10 +13,19 @@ properties:
   :class:`~repro.disrupt.schedule.DisruptionSchedule` installed (and the
   no-op capacity verbs exercised) still replays bit-identically — the
   disruption machinery is invisible until a schedule actually fires.
+
+Run as a script, ``fingerprint_scenarios.py`` prints the same fingerprints
+for comparing two checkouts; one test checks that output.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.disrupt import (
     DisruptionEvent,
     DisruptionSchedule,
@@ -38,6 +47,25 @@ class TestPinnedFingerprints:
     def test_scenarios_cover_seven_schedulers(self):
         assert len(PINNED_SCENARIOS) == 7
         assert len(set(SCENARIO_IDS)) == 7
+
+    def test_script_prints_every_scenario_fingerprint(self):
+        """``python tests/fingerprint_scenarios.py`` — the cross-checkout
+        comparison — prints ``scenario sha256`` lines equal to the
+        fingerprints computed in process."""
+        script = Path(__file__).with_name("fingerprint_scenarios.py")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, str(script)],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
+        ).stdout
+        assert out.splitlines() == [
+            f"{scenario} {run_fingerprint(config)}"
+            for scenario, config in zip(SCENARIO_IDS, PINNED_SCENARIOS)
+        ]
 
     @pytest.mark.parametrize("config", PINNED_SCENARIOS, ids=SCENARIO_IDS)
     def test_rerun_is_bit_identical(self, config):

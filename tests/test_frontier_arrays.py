@@ -246,6 +246,69 @@ class TestVectorizedPathEquivalence:
         assert policy._dist_cache is None
 
 
+class CountingDecima(DecimaScheduler):
+    def __init__(self):
+        super().__init__(seed=0)
+        self.scorings = 0
+
+    def scores_from_arrays(self, view, frontier):
+        self.scorings += 1
+        return super().scores_from_arrays(view, frontier)
+
+
+class TestDecimaScoreCache:
+    """Decima's ``_raw_scores`` cache returns exactly the floats a fresh
+    ``scores_from_arrays`` would, computing only when it must."""
+
+    def _frontier(self):
+        chain = JobRuntime(0, chain_dag(), arrival_time=0.0)
+        fan = JobRuntime(1, fan_dag(), arrival_time=1.0)
+        fan.stages[0].launch(1)
+        fan.record_task_finish(0, now=1.0)  # stages 1-3 ready
+        jobs = {0: chain, 1: fan}
+        view = build_view(jobs, active=jobs)
+        full = view.frontier_arrays()
+        # The SRPT denominator (max remaining work) belongs to one job.
+        heavy = full.remaining_work == full.remaining_work.max()
+        assert heavy.any() and not heavy.all()
+        return view, full, heavy
+
+    def assert_fresh(self, view, frontier, raw):
+        fresh = DecimaScheduler(seed=0).scores_from_arrays(view, frontier)
+        assert raw.tobytes() == fresh.tobytes()
+
+    def test_same_matrix_is_scored_once(self):
+        view, full, _ = self._frontier()
+        policy = CountingDecima()
+        first = policy._raw_scores(view, full)
+        second = policy._raw_scores(view, full)
+        assert policy.scorings == 1
+        self.assert_fresh(view, full, second)
+        assert second is first
+
+    def test_filter_keeping_the_denominator_slices_the_parent(self):
+        view, full, heavy = self._frontier()
+        keep = heavy.copy()
+        keep[np.flatnonzero(~heavy)[1:]] = True  # drop one light row
+        sub = full.compress(keep)
+        policy = CountingDecima()
+        policy._raw_scores(view, full)
+        raw = policy._raw_scores(view, sub)
+        assert policy.scorings == 1
+        self.assert_fresh(view, sub, raw)
+
+    def test_filter_dropping_the_denominator_rescores(self):
+        view, full, heavy = self._frontier()
+        sub = full.compress(~heavy)
+        policy = CountingDecima()
+        policy._raw_scores(view, full)
+        raw = policy._raw_scores(view, sub)
+        assert policy.scorings == 2
+        self.assert_fresh(view, sub, raw)
+        # The cache stays anchored to the unfiltered matrix.
+        assert policy._score_cache[0] is full.data
+
+
 # -- the hypothesis property test --------------------------------------
 
 

@@ -169,11 +169,8 @@ class RecordingScheduler(StageScheduler):
         self.inner.reset()
         self.selects.clear()
 
-    def select(self, view):  # pragma: no cover - the engine drives select_gen
-        raise NotImplementedError
-
-    def select_gen(self, view):
-        choice = yield from self.inner.select_gen(view)
+    def select(self, view):
+        choice = self.inner.select(view)
         self.selects.append((view.time, view.busy_executors, choice))
         return choice
 

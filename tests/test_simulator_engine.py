@@ -1,22 +1,33 @@
 """Integration-level tests of the event engine."""
 
+import inspect
+
 import pytest
 
 from repro.carbon.api import CarbonIntensityAPI
+from repro.core.pcaps import PCAPSScheduler
 from repro.dag.graph import JobDAG, Stage, chain_dag, diamond_dag
+from repro.experiments.runner import workload_for
+from repro.schedulers.decima import DecimaScheduler
 from repro.schedulers.fifo import FIFOScheduler, KubernetesDefaultScheduler
+from repro.schedulers.weighted_fair import WeightedFairScheduler
 from repro.simulator.engine import ClusterConfig, Simulation, simulate
-from repro.simulator.interfaces import StageScheduler, StaticProvisioner
+from repro.simulator.interfaces import (
+    NOTHING_GROWABLE,
+    StageChoice,
+    StageScheduler,
+    StaticProvisioner,
+)
 from repro.workloads.arrivals import JobSubmission
 
 from conftest import (
     assert_valid_schedule,
-    make_trace,
     run_sim,
     single_job,
     staggered_jobs,
     total_work,
 )
+from fingerprint_scenarios import PINNED_SCENARIOS, build_simulation
 
 
 class TestClusterConfig:
@@ -277,6 +288,85 @@ class TestLatencyMeasurement:
     def test_latency_not_recorded_by_default(self, flat_trace, tiny_dag):
         result = run_sim(FIFOScheduler(), single_job(tiny_dag), flat_trace)
         assert result.scheduler_invocations == 0
+
+    @pytest.mark.parametrize(
+        "scheduler_cls, scenario",
+        [
+            (FIFOScheduler, "fifo"),
+            (KubernetesDefaultScheduler, "k8s-default"),
+            (WeightedFairScheduler, "weighted-fair"),
+            (DecimaScheduler, "decima"),
+            # The provisioner paths: quota-gated passes still route here.
+            (FIFOScheduler, "greenhadoop"),
+            (DecimaScheduler, "cap-decima"),
+            (PCAPSScheduler, "pcaps"),
+        ],
+    )
+    def test_every_select_goes_through_select_gen(
+        self, monkeypatch, scheduler_cls, scenario
+    ):
+        """The benchmark's traced run counts selects by wrapping
+        ``select_gen`` on each scheduler class (resolved with
+        ``inspect.getattr_static``); the engine must route every select
+        through that name, or the ``sched.select`` layer under-counts."""
+        calls = []
+        original = inspect.getattr_static(scheduler_cls, "select_gen")
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scheduler_cls, "select_gen", counting)
+        (config,) = [c for c in PINNED_SCENARIOS if c.scheduler == scenario]
+        sim = build_simulation(config)
+        assert type(sim.scheduler) is scheduler_cls
+        sim.measure_latency = True
+        result = sim.run(workload_for(config))
+        assert result.scheduler_invocations > 0
+        assert len(calls) == result.scheduler_invocations
+
+
+class TestSelectGen:
+    """``select_gen`` is a plain forwarder to ``select`` that no scheduler
+    overrides, so wrapping it on a class sees exactly that class's
+    decisions."""
+
+    @pytest.mark.parametrize(
+        "reply",
+        [StageChoice(job_id=3, stage_id=1), None, NOTHING_GROWABLE],
+        ids=["choice", "deferral", "nothing-growable"],
+    )
+    def test_forwards_every_reply_kind_unchanged(self, reply):
+        class Fixed(StageScheduler):
+            def select(self, view):
+                seen.append(view)
+                return reply
+
+        seen = []
+        view = object()
+        assert not inspect.isgeneratorfunction(StageScheduler.select_gen)
+        assert Fixed().select_gen(view) is reply
+        assert seen == [view]
+
+    def test_no_scheduler_overrides_select_gen(self):
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        # Import every module defining a scheduler before walking the tree.
+        assert {
+            FIFOScheduler, KubernetesDefaultScheduler, WeightedFairScheduler,
+            DecimaScheduler, PCAPSScheduler,
+        } <= set(subclasses(StageScheduler))
+        base = inspect.getattr_static(StageScheduler, "select_gen")
+        overriding = [
+            cls.__qualname__
+            for cls in subclasses(StageScheduler)
+            if cls.__module__.startswith("repro.")
+            and inspect.getattr_static(cls, "select_gen") is not base
+        ]
+        assert overriding == []
 
 
 class TestRepeatedRuns:

@@ -10,7 +10,7 @@ from repro.simulator.interfaces import (
     StageChoice,
     StaticProvisioner,
 )
-from repro.simulator.state import ClusterView, JobRuntime, ReadyStage
+from repro.simulator.state import ClusterView, JobRuntime
 
 
 class UniformPolicy(ProbabilisticPolicy):
@@ -29,6 +29,20 @@ class SkewedPolicy(ProbabilisticPolicy):
 
     def scores(self, view, ready):
         return np.array([float(r.stage_id) for r in ready])
+
+
+class ColumnarSkewedPolicy(SkewedPolicy):
+    """:class:`SkewedPolicy` on the columnar path, counting its scorings."""
+
+    vectorized = True
+
+    def __init__(self, seed=0, temperature=1.0):
+        super().__init__(seed=seed, temperature=temperature)
+        self.scorings = 0
+
+    def scores_from_arrays(self, view, frontier):
+        self.scorings += 1
+        return frontier.stage_ids.astype(float)
 
 
 def view_with(stages, busy=0, total=4, launched=None):
@@ -116,6 +130,90 @@ class TestSampling:
         policy.reset()
         second = [policy.select(view).stage_id for _ in range(5)]
         assert first == second
+
+
+def masked_view():
+    """Stages 0-3 all ready; stage 3 (the policies' favourite) saturated."""
+    return view_with(
+        [Stage(i, 1, 1.0) for i in range(4)], launched={3: 1}, busy=1
+    )
+
+
+@pytest.fixture(params=[SkewedPolicy, ColumnarSkewedPolicy], ids=["tuple", "columnar"])
+def policy_cls(request):
+    return request.param
+
+
+class TestCandidateMask:
+    """``sample_with_importance(view, candidates)``: the draw is limited to
+    the candidate rows of the full frontier, the distribution is not."""
+
+    def test_default_candidates_are_rows_with_free_slots(self, policy_cls):
+        view = masked_view()
+        full = view.ready_stages(include_saturated=True)
+        free = np.flatnonzero([r.slots > 0 for r in full])
+        assert len(free) == 3
+        default, explicit = policy_cls(seed=4), policy_cls(seed=4)
+        for _ in range(20):
+            assert default.sample_with_importance(
+                view
+            ) == explicit.sample_with_importance(view, free)
+
+    def test_draw_stays_inside_candidates(self, policy_cls):
+        view = masked_view()
+        policy = policy_cls(seed=1)
+        picks = {
+            policy.sample_with_importance(view, np.array([0, 2]))[0].stage_id
+            for _ in range(50)
+        }
+        assert picks <= {0, 2}
+
+    def test_importance_is_relative_to_whole_frontier(self, policy_cls):
+        view = masked_view()
+        full = view.ready_stages(include_saturated=True)
+        probs = SkewedPolicy(seed=0).distribution(view, full)
+        policy = policy_cls(seed=2)
+        for _ in range(10):
+            chosen, importance = policy.sample_with_importance(
+                view, np.array([0, 1])
+            )
+            row = full.index(chosen)
+            # Normalized by the saturated stage 3's mass, not the
+            # candidates' own maximum.
+            assert importance == pytest.approx(probs[row] / probs[3])
+            assert importance < 1.0
+
+    def test_empty_candidates_return_none_without_drawing(self, policy_cls):
+        view = masked_view()
+        policy, fresh = policy_cls(seed=3), policy_cls(seed=3)
+        assert policy.sample_with_importance(view, np.array([], dtype=int)) is None
+        assert policy.sample_with_importance(
+            view
+        ) == fresh.sample_with_importance(view)
+
+
+class TestDistributionCache:
+    """The columnar path scores each frontier matrix once; repeated draws
+    over it only advance the RNG."""
+
+    def test_unchanged_frontier_is_scored_once(self):
+        view = masked_view()
+        policy = ColumnarSkewedPolicy(seed=0)
+        for _ in range(5):
+            policy.sample_with_importance(view)
+        assert policy.scorings == 1
+        policy.sample_with_importance(masked_view())  # a new matrix object
+        assert policy.scorings == 2
+
+    def test_cache_hits_draw_like_fresh_scoring(self):
+        view = masked_view()
+        cached, uncached = ColumnarSkewedPolicy(seed=7), ColumnarSkewedPolicy(seed=7)
+        for _ in range(20):
+            uncached._dist_cache = None
+            assert cached.sample_with_importance(
+                view
+            ) == uncached.sample_with_importance(view)
+        assert cached.scorings == 1 and uncached.scorings == 20
 
 
 class TestStaticProvisioner:
