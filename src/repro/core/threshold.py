@@ -34,6 +34,17 @@ def _validate_bounds(low: float, high: float) -> None:
         raise ValueError(f"need 0 <= L <= U, got L={low}, U={high}")
 
 
+def _is_flat(low: float, high: float) -> bool:
+    """Whether the forecast is too flat for CAP's ``α`` root in float64.
+
+    At a relative spread ``(U-L)/U`` below about ``5e-12`` the bisected
+    ``α`` no longer meets the root equation to 1e-4 (``α - 1`` nears the
+    float64 spacing at 1), and below about ``2e-12`` no float64 ``α`` does.
+    The cutoff sits at ``1e-11``, a factor-2 margin above that.
+    """
+    return high - low <= 1e-11 * high
+
+
 def psi(
     r: float,
     gamma: float,
@@ -72,45 +83,35 @@ def psi(
     return floor + (high - floor) * ramp
 
 
-def solve_alpha(
-    num_slots: int, low: float, high: float, tolerance: float = 1e-10
-) -> float:
+def solve_alpha(num_slots: int, low: float, high: float) -> float:
     """Solve the CAP ``α`` root for ``k = num_slots`` flexible machine slots.
 
-    Finds ``α > 1`` with ``(1 + 1/(kα))^k = (U-L) / (U(1-1/α))`` by
-    bisection. The left side decreases from ``(1+1/k)^k`` toward 1 as α
-    grows; the right side decreases from +∞ toward ``(U-L)/U < 1``, so a
-    unique crossing exists for ``U > L > 0``.
+    Finds ``α > 1`` with ``(1 + 1/(kα))^k = (U-L) / (U(1-1/α))``. In terms
+    of ``x = 1 - 1/α`` this is ``x (1 + (1-x)/k)^k = (U-L)/U``, whose left
+    side rises from 0 at ``x = 0`` to 1 at ``x = 1``, so a unique root
+    exists for ``U > L > 0``. Bisecting ``x`` to a relative ``1e-15``
+    keeps full precision when the spread, and with it ``α - 1``, is
+    small. Flat forecasts (see :func:`_is_flat`) return ``inf``.
     """
     if num_slots < 1:
         raise ValueError("num_slots must be >= 1")
     _validate_bounds(low, high)
-    if high <= low or high == 0:
+    if _is_flat(low, high):
         return math.inf  # no fluctuation: thresholds degenerate to U
 
     k = num_slots
     ratio = (high - low) / high
 
-    def f(alpha: float) -> float:
-        lhs = (1.0 + 1.0 / (k * alpha)) ** k
-        rhs = ratio / (1.0 - 1.0 / alpha)
-        return lhs - rhs
-
-    lo_a = 1.0 + 1e-12
-    hi_a = 2.0
-    while f(hi_a) < 0:
-        hi_a *= 2.0
-        if hi_a > 1e12:  # pragma: no cover - defensive
-            raise RuntimeError("alpha solver failed to bracket a root")
+    lo_x, hi_x = 0.0, 1.0
     for _ in range(200):
-        mid = 0.5 * (lo_a + hi_a)
-        if f(mid) < 0:
-            lo_a = mid
+        mid = 0.5 * (lo_x + hi_x)
+        if mid * (1.0 + (1.0 - mid) / k) ** k < ratio:
+            lo_x = mid
         else:
-            hi_a = mid
-        if hi_a - lo_a < tolerance:
+            hi_x = mid
+        if hi_x - lo_x <= 1e-15 * hi_x:
             break
-    return 0.5 * (lo_a + hi_a)
+    return 1.0 / (1.0 - 0.5 * (lo_x + hi_x))
 
 
 @dataclass(frozen=True)
@@ -133,8 +134,8 @@ class CAPThresholds:
 
         At least ``min_quota`` (B) machines are always allowed (``Φ_i = U``
         for i ≤ B and intensities above U are clamped), guaranteeing
-        continuous progress (Section 4.2). With degenerate bounds
-        (``U <= L``) every threshold equals ``U`` and the quota is ``K``.
+        continuous progress (Section 4.2). With a flat forecast
+        (:func:`_is_flat`) every threshold equals ``U`` and the quota is ``K``.
         """
         arr = np.asarray(self.values)
         return max(self.min_quota, int(np.count_nonzero(arr >= carbon_intensity)))
@@ -146,9 +147,9 @@ def cap_thresholds(
     """Build CAP's ``Φ`` threshold set (Section 4.2).
 
     ``min_quota`` is the paper's ``B``: a floor on the executor quota. When
-    ``B == K`` or the forecast is flat (``U <= L``), every threshold is
-    ``U`` and the quota is always ``K`` — CAP degenerates to the
-    carbon-agnostic baseline.
+    ``B == K`` or the forecast is flat (see :func:`_is_flat`), every
+    threshold is ``U`` and the quota is always ``K`` — CAP degenerates to
+    the carbon-agnostic baseline.
     """
     if total_machines < 1:
         raise ValueError("total_machines must be >= 1")
@@ -158,7 +159,7 @@ def cap_thresholds(
 
     K, B = total_machines, min_quota
     k = K - B
-    if k == 0 or high <= low or high == 0:
+    if k == 0 or _is_flat(low, high):
         return CAPThresholds(
             total_machines=K,
             min_quota=B,

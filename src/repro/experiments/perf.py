@@ -111,7 +111,6 @@ class PerfMeasurement:
     #: pass so the timed wall stays observation-free).
     frontier_matrix_hit_rate: float | None = field(default=None)
     frontier_column_hit_rate: float | None = field(default=None)
-    ready_cache_hit_rate: float | None = field(default=None)
     #: Deterministic work counters from the same untimed observed pass:
     #: choices the engine could not grow and asked again for
     #: (``engine.blocked_retries``), and scheduler deferrals.
@@ -177,7 +176,6 @@ def _observed_pass(config: ExperimentConfig) -> dict:
     return {
         "frontier_matrix_hit_rate": rate("engine.cache.matrix"),
         "frontier_column_hit_rate": rate("engine.cache.column"),
-        "ready_cache_hit_rate": rate("engine.cache.ready"),
         "blocked_retries": registry.value("engine.blocked_retries"),
         "deferrals": registry.value("engine.deferrals"),
     }

@@ -126,6 +126,7 @@ __all__ = [
     "read_alerts",
     "read_jsonl",
     "read_samples",
+    "render_dashboard",
     "render_exposition",
     "render_report",
     "snapshot_meta",

@@ -35,7 +35,8 @@ TRACE_FILENAME = "trace.json"
 
 
 class FrontierCacheStats:
-    """Hit/miss counters for the engine's three frontier caches.
+    """Hit/miss counters for the engine's two frontier caches: per-job
+    column blocks and the whole frontier matrix.
 
     One instance per stepper, handed to every :class:`ClusterView` it
     builds; the view increments whichever counter matches the cache
@@ -44,14 +45,11 @@ class FrontierCacheStats:
     """
 
     __slots__ = (
-        "ready_hits", "ready_misses",
         "column_hits", "column_misses",
         "matrix_hits", "matrix_misses",
     )
 
     def __init__(self, registry: MetricsRegistry) -> None:
-        self.ready_hits = registry.counter("engine.cache.ready.hits")
-        self.ready_misses = registry.counter("engine.cache.ready.misses")
         self.column_hits = registry.counter("engine.cache.column.hits")
         self.column_misses = registry.counter("engine.cache.column.misses")
         self.matrix_hits = registry.counter("engine.cache.matrix.hits")

@@ -22,8 +22,10 @@ policy learns:
 Scores are combined linearly and softmaxed with a temperature; sampling uses
 a seeded generator, so experiments are reproducible.
 
-Per-job aggregates (remaining work, bottleneck scores) come from the
-memoized :class:`~repro.simulator.state.JobRuntime` accessors, which are
+Scoring is one array expression per term over the columnar frontier
+(:class:`~repro.simulator.state.FrontierArrays`). Its per-job aggregate
+columns (remaining work, bottleneck scores) are copied from the memoized
+:class:`~repro.simulator.state.JobRuntime` accessors, which are
 invalidated only on task finish / stage completion — so repeated ``select``
 calls within one scheduling event reuse them instead of recomputing
 O(stages²) DAG metrics per executor grant.
@@ -54,10 +56,6 @@ class DecimaScheduler(ProbabilisticPolicy):
     """
 
     name = "decima"
-    #: Sampling runs on FrontierArrays columns; ``scores`` below is the
-    #: reference implementation the columnar expression must match bit-for-
-    #: bit (pinned by the fingerprint suite and the equivalence tests).
-    vectorized = True
 
     def __init__(
         self,
@@ -79,50 +77,18 @@ class DecimaScheduler(ProbabilisticPolicy):
         super().reset()
         self._score_cache = None
 
-    def scores(self, view: ClusterView, ready: list[ReadyStage]) -> np.ndarray:
-        remaining = {
-            job_id: view.job(job_id).remaining_work()
-            for job_id in {r.job_id for r in ready}
-        }
-        max_remaining = max(remaining.values())
-        # Per-job score terms are hoisted out of the per-entry loop; the
-        # per-entry expression keeps the original operation order, so the
-        # resulting floats (and thus sampling) are unchanged.
-        denominator = max(max_remaining, 1e-9)
-        srpt_term: dict[int, float] = {}
-        locality_term: dict[int, float] = {}
-        bottlenecks: dict[int, dict[int, float]] = {}
-        for job_id in remaining:
-            job = view.job(job_id)
-            srpt_term[job_id] = self.srpt_weight * (
-                1.0 - remaining[job_id] / denominator
-            )
-            locality_term[job_id] = self.locality_weight * (
-                1.0 if job.executors_in_use > 0 else 0.0
-            )
-            bottlenecks[job_id] = job.bottleneck_scores()
-        bottleneck_weight = self.bottleneck_weight
-        out = np.empty(len(ready))
-        for i, r in enumerate(ready):
-            job_id = r.job_id
-            bottleneck = bottlenecks[job_id].get(r.stage_id, 0.0)
-            out[i] = (
-                srpt_term[job_id]
-                + bottleneck_weight * bottleneck
-                + locality_term[job_id]
-            )
-        return out
-
     def scores_from_arrays(
         self, view: ClusterView, frontier: FrontierArrays
     ) -> np.ndarray:
-        """Vectorized :meth:`scores`: one array expression per score term.
+        """One score per frontier row, one array expression per term.
 
-        Elementwise IEEE-754 operations in the exact order of the scalar
-        loop above — ``(srpt + bottleneck_weight * bottleneck) + locality``
-        with ``srpt = srpt_weight * (1 - remaining / denominator)`` — so
-        every score, and therefore every softmax weight and RNG draw, is
-        bit-identical to the tuple path.
+        ``(srpt + bottleneck_weight * bottleneck) + locality`` with
+        ``srpt = srpt_weight * (1 - remaining / denominator)``, the
+        denominator being the largest remaining work on the frontier, and
+        ``locality = locality_weight`` for jobs holding executors. The
+        elementwise IEEE-754 operations run in the order of a per-entry
+        loop, which ``tests/test_frontier_arrays.py`` keeps as the
+        reference the result must match bit for bit.
         """
         remaining = frontier.remaining_work
         denominator = max(float(remaining.max()), 1e-9)

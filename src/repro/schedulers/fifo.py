@@ -28,14 +28,14 @@ class FIFOScheduler(StageScheduler):
     holds_executors = True
 
     def select(self, view: ClusterView) -> StageChoice | None:
-        for ready in view.ready_stages():  # arrival order, then topo order
-            if ready.slots > 0:
-                # Over-assignment: parallelism limit equals the task count.
-                return StageChoice(
-                    job_id=ready.job_id,
-                    stage_id=ready.stage_id,
-                    parallelism_limit=ready.stage.num_tasks,
-                )
+        # The oldest job that can grow, its first stage in DAG order.
+        for job, stage_id in view.assignable_jobs():
+            # Over-assignment: parallelism limit equals the task count.
+            return StageChoice(
+                job_id=job.job_id,
+                stage_id=stage_id,
+                parallelism_limit=job.stages[stage_id].stage.num_tasks,
+            )
         return None
 
 
@@ -51,22 +51,24 @@ class KubernetesDefaultScheduler(StageScheduler):
     name = "k8s-default"
 
     def select(self, view: ClusterView) -> StageChoice | None:
-        candidates = [r for r in view.ready_stages() if r.slots > 0]
-        if not candidates:
+        first_stage = {
+            job.job_id: stage_id for job, stage_id in view.assignable_jobs()
+        }
+        if not first_stage:
             return None
-        # Fewest executors in use wins; arrival order breaks ties.
+        # Fewest executors in use wins; arrival order breaks ties. The set
+        # is filled in arrival order: its iteration order decides any tie
+        # left, so it must stay a set built element by element.
         best_job = min(
-            {r.job_id for r in candidates},
+            {job_id for job_id in first_stage},
             key=lambda job_id: (
                 view.job(job_id).executors_in_use,
                 view.job(job_id).arrival_time,
             ),
         )
-        for ready in candidates:  # already topo-ordered within each job
-            if ready.job_id == best_job:
-                return StageChoice(
-                    job_id=ready.job_id,
-                    stage_id=ready.stage_id,
-                    parallelism_limit=ready.stage.num_tasks,
-                )
-        return None
+        stage_id = first_stage[best_job]
+        return StageChoice(
+            job_id=best_job,
+            stage_id=stage_id,
+            parallelism_limit=view.job(best_job).stages[stage_id].stage.num_tasks,
+        )

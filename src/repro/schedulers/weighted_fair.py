@@ -31,10 +31,14 @@ class WeightedFairScheduler(StageScheduler):
         self.weight_exponent = weight_exponent
 
     def select(self, view: ClusterView) -> StageChoice | None:
-        candidates = [r for r in view.ready_stages() if r.slots > 0]
-        if not candidates:
+        first_stage = {
+            job.job_id: stage_id for job, stage_id in view.assignable_jobs()
+        }
+        if not first_stage:
             return None
-        jobs = {r.job_id for r in candidates}
+        # Filled in arrival order, element by element: the set's iteration
+        # order fixes the weight sum's float order and breaks ties below.
+        jobs = {job_id for job_id in first_stage}
         weights = {
             job_id: max(view.job(job_id).remaining_work(), 1e-9)
             ** self.weight_exponent
@@ -53,11 +57,11 @@ class WeightedFairScheduler(StageScheduler):
             # keeps executors busy rather than idling them.
             best_job = min(jobs, key=lambda j: view.job(j).executors_in_use)
         entitlement = max(1, round(usable * weights[best_job] / total_weight))
-        for ready in candidates:
-            if ready.job_id == best_job:
-                return StageChoice(
-                    job_id=ready.job_id,
-                    stage_id=ready.stage_id,
-                    parallelism_limit=min(entitlement, ready.stage.num_tasks),
-                )
-        return None
+        stage_id = first_stage[best_job]
+        return StageChoice(
+            job_id=best_job,
+            stage_id=stage_id,
+            parallelism_limit=min(
+                entitlement, view.job(best_job).stages[stage_id].stage.num_tasks
+            ),
+        )

@@ -405,11 +405,8 @@ class SimulationStepper:
         self._submitted = 0
         self._pending_arrivals = 0
         self._pending_work = 0.0
-        # Shared per-job ready-stage cache, reused across consecutive views
-        # while no launch/finish touched the job (see ClusterView).
-        self._ready_cache: dict[tuple[int, bool], tuple] = {}
-        # Its columnar twin: per-job FrontierArrays blocks for the
-        # vectorized scheduler path, same keys and validity rule.
+        # Shared per-job FrontierArrays blocks, reused across consecutive
+        # views while no launch/finish touched the job (see ClusterView).
         self._column_cache: dict[tuple[int, bool], tuple] = {}
         # Bumped on every frontier-changing event (arrival, launch, finish,
         # preemption, withdrawal); two views with equal epochs see an
@@ -491,12 +488,10 @@ class SimulationStepper:
         state = self.__dict__.copy()
         for name in self._OBS_FIELDS:
             state.pop(name, None)
-        # The frontier caches are pure accelerators — pinned fingerprint
-        # tests prove recomputed entries are bit-equal to cached ones — so
-        # checkpoints drop their contents rather than serialize numpy
-        # blocks that a restored run rebuilds on first touch anyway.
-        if state.get("_ready_cache") is not None:
-            state["_ready_cache"] = {}
+        # The column cache is a pure accelerator — the frontier tests prove
+        # rebuilt blocks are bit-equal to cached ones — so checkpoints drop
+        # its contents rather than serialize numpy blocks that a restored
+        # run rebuilds on first touch anyway.
         if state.get("_column_cache") is not None:
             state["_column_cache"] = {}
         return state
@@ -684,9 +679,6 @@ class SimulationStepper:
         del self.active[job_id]
         self._frontier_epoch += 1
         self._submitted -= 1
-        if self._ready_cache is not None:
-            self._ready_cache.pop((job_id, False), None)
-            self._ready_cache.pop((job_id, True), None)
         if self._column_cache is not None:
             self._column_cache.pop((job_id, False), None)
             self._column_cache.pop((job_id, True), None)
@@ -769,9 +761,6 @@ class SimulationStepper:
                     del active[job_id]
                     # None disables the shared cache (equivalence tests
                     # replace it to prove results don't depend on it).
-                    if self._ready_cache is not None:
-                        self._ready_cache.pop((job_id, False), None)
-                        self._ready_cache.pop((job_id, True), None)
                     if self._column_cache is not None:
                         self._column_cache.pop((job_id, False), None)
                         self._column_cache.pop((job_id, True), None)
@@ -824,7 +813,6 @@ class SimulationStepper:
                 general_free=pool.general_free,
                 reserved_free=pool.reserved_counts(),
                 active=active,
-                ready_cache=self._ready_cache,
                 column_cache=self._column_cache,
                 frontier_epoch=self._frontier_epoch,
                 cache_stats=self._cache_stats,
@@ -854,7 +842,6 @@ class SimulationStepper:
                     general_free=pool.general_free,
                     reserved_free=pool.reserved_counts(),
                     active=active,
-                    ready_cache=self._ready_cache,
                     column_cache=self._column_cache,
                     frontier_epoch=self._frontier_epoch,
                     cache_stats=self._cache_stats,

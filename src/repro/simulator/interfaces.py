@@ -24,7 +24,7 @@ from repro.simulator.state import ClusterView, FrontierArrays, ReadyStage
 def _verify_inline_choice() -> bool:
     """Check that the inlined sampler reproduces ``Generator.choice``.
 
-    The vectorized sampling path inlines the cumsum/searchsorted core of
+    The sampling entry points inline the cumsum/searchsorted core of
     ``Generator.choice(n, p=...)`` to skip its per-call validation
     overhead. The inline is only used when this probe — a spread of sizes,
     skews, and seeds, including the post-draw generator state — confirms
@@ -58,8 +58,8 @@ def _sample_index(rng: np.random.Generator, p: np.ndarray) -> int:
 
     Bit-identical to the real call (same cdf arithmetic, same single
     ``rng.random()`` draw), enforced by :func:`_verify_inline_choice` once
-    per process with automatic fallback — so the tuple and columnar
-    scheduler paths always sample identically.
+    per process with automatic fallback — so a seeded policy draws the
+    same schedule whether or not the inline is in use.
     """
     global _INLINE_CHOICE_OK
     if _INLINE_CHOICE_OK is None:
@@ -149,23 +149,12 @@ class StageScheduler(abc.ABC):
 class ProbabilisticPolicy(StageScheduler):
     """A Definition 4.1 scheduler: emits a distribution over ready stages.
 
-    Subclasses implement :meth:`scores`; the base class converts scores to a
-    masked-softmax distribution, samples from it, and exposes both — which is
-    exactly the interface PCAPS consumes (probabilities plus a sampled node).
-
-    Subclasses that can score the frontier as one array expression set
-    ``vectorized = True`` and implement :meth:`scores_from_arrays`; the
-    sampling entry points (:meth:`select`, :meth:`sample_with_importance`)
-    then operate on :class:`~repro.simulator.state.FrontierArrays` columns
-    instead of per-entry tuples — same floats, same RNG draws, so sampled
-    schedules are bit-identical to the tuple path (the property the
-    pinned-fingerprint suite enforces).
+    Subclasses implement :meth:`scores_from_arrays`, one score per row of
+    the columnar frontier (:class:`~repro.simulator.state.FrontierArrays`);
+    the base class converts scores to a masked-softmax distribution,
+    samples from it, and exposes both — which is exactly the interface
+    PCAPS consumes (probabilities plus a sampled node).
     """
-
-    #: True when :meth:`scores_from_arrays` is implemented and the sampling
-    #: entry points should take the columnar fast path. Subclasses that only
-    #: override :meth:`scores` keep the tuple path.
-    vectorized: bool = False
 
     def __init__(self, seed: int | None = 0, temperature: float = 1.0) -> None:
         if temperature <= 0:
@@ -173,7 +162,7 @@ class ProbabilisticPolicy(StageScheduler):
         self.temperature = temperature
         self._seed = seed
         self._rng = np.random.default_rng(seed)
-        # (matrix object, probs) of the last columnar frontier scored; see
+        # (matrix object, probs) of the last frontier scored; see
         # sample_with_importance.
         self._dist_cache: tuple | None = None
 
@@ -182,27 +171,16 @@ class ProbabilisticPolicy(StageScheduler):
         self._dist_cache = None
 
     @abc.abstractmethod
-    def scores(self, view: ClusterView, ready: list[ReadyStage]) -> np.ndarray:
-        """Unnormalized preference scores, one per entry of ``ready``."""
-
     def scores_from_arrays(
         self, view: ClusterView, frontier: FrontierArrays
     ) -> np.ndarray:
-        """Columnar twin of :meth:`scores` (only when ``vectorized``).
+        """Unnormalized preference scores, one per row of ``frontier``.
 
-        Must return, for any frontier, the bit-identical float per entry
-        that :meth:`scores` returns for the equivalent tuple list: the
-        sampling entry points feed the result into the same softmax and
-        RNG, and the engine's replay determinism rests on the two paths
-        agreeing exactly.
-
-        Must also be a *pure function of the frontier matrix*
+        Must be a *pure function of the frontier matrix*
         (``frontier.data``): the sampling entry points cache the scored
         distribution per matrix object, so scores that secretly read
-        other view state would go stale. Policies that need such state
-        must keep ``vectorized = False``.
+        other view state would go stale.
         """
-        raise NotImplementedError
 
     def _raw_scores(
         self, view: ClusterView, frontier: FrontierArrays
@@ -212,6 +190,20 @@ class ProbabilisticPolicy(StageScheduler):
         :class:`~repro.schedulers.decima.DecimaScheduler`)."""
         return self.scores_from_arrays(view, frontier)
 
+    def _checked_scores(
+        self, view: ClusterView, frontier: FrontierArrays
+    ) -> np.ndarray:
+        """:meth:`_raw_scores`, rejecting a vector that is not one score
+        per row: a longer one would skew the importance maximum with rows
+        that do not exist, or draw an index past the frontier."""
+        raw = self._raw_scores(view, frontier)
+        if raw.shape != (len(frontier),):
+            raise ValueError(
+                f"scores_from_arrays returned shape {raw.shape} for "
+                f"{len(frontier)} frontier rows"
+            )
+        return raw
+
     def parallelism_limit(self, view: ClusterView, choice: ReadyStage) -> int:
         """Parallelism limit for a chosen stage (default: all its tasks)."""
         return choice.stage.num_tasks
@@ -219,42 +211,27 @@ class ProbabilisticPolicy(StageScheduler):
     def parallelism_limits(
         self, view: ClusterView, frontier: FrontierArrays
     ) -> np.ndarray:
-        """Columnar twin of :meth:`parallelism_limit`: one limit per row.
+        """:meth:`parallelism_limit` of every row's stage, as one column.
 
-        Subclasses overriding one must override both; a limit the column
-        overstates still binds, through the engine's blocked-retry path.
+        PCAPS masks its draw with this column and then limits the sampled
+        stage with :meth:`parallelism_limit`, so a subclass overriding one
+        must override both to give each stage the same value. A limit the
+        column overstates still binds, through the engine's blocked-retry
+        path.
         """
         return frontier.num_tasks
 
     def _softmax(self, raw: np.ndarray) -> np.ndarray:
-        """Temperature-scaled softmax, shared by both scoring paths.
+        """Temperature-scaled softmax, shared by :meth:`select` and
+        :meth:`sample_with_importance`.
 
-        One function on purpose: the float operation order is part of the
-        bit-identity contract between the tuple and columnar paths.
+        One function on purpose: the float operation order fixes every
+        probability, and with it the seeded schedule.
         """
         scaled = raw / self.temperature
         scaled -= scaled.max()
         weights = np.exp(scaled)
         return weights / weights.sum()
-
-    def distribution(
-        self, view: ClusterView, ready: list[ReadyStage]
-    ) -> np.ndarray:
-        """Masked softmax over the ready frontier (Decima's action head)."""
-        if not ready:
-            return np.zeros(0)
-        raw = np.asarray(self.scores(view, ready), dtype=float)
-        if raw.shape != (len(ready),):
-            raise ValueError("scores must return one value per ready stage")
-        return self._softmax(raw)
-
-    def sample(
-        self, view: ClusterView, ready: list[ReadyStage]
-    ) -> tuple[int, np.ndarray]:
-        """Sample an index into ``ready``; also return the distribution."""
-        probs = self.distribution(view, ready)
-        index = int(self._rng.choice(len(ready), p=probs))
-        return index, probs
 
     def sample_with_importance(
         self, view: ClusterView, candidates: np.ndarray | None = None
@@ -270,47 +247,29 @@ class ProbabilisticPolicy(StageScheduler):
         stages below their parallelism limit); the default is every row
         with free slots. Returns ``None`` when there are no candidates.
 
-        The columnar path caches the distribution per frontier matrix
-        object, so deferral streaks re-sampling an unchanged frontier and
-        PCAPS redraws only advance the RNG. The candidate mask selects
-        which rows the draw may pick, never what the distribution is.
+        The distribution is cached per frontier matrix object, so deferral
+        streaks re-sampling an unchanged frontier and PCAPS redraws only
+        advance the RNG. The candidate mask selects which rows the draw
+        may pick, never what the distribution is.
         """
-        if self.vectorized:
-            full = view.frontier_arrays(include_saturated=True)
-            if candidates is None:
-                candidates = np.flatnonzero(full.slots > 0)
-            if candidates.size == 0:
-                return None
-            cache = self._dist_cache
-            if cache is not None and cache[0] is full.data:
-                # Same matrix object as the last call (nothing launched or
-                # finished in between — e.g. a deferral streak across
-                # carbon steps): the distribution is unchanged; only the
-                # RNG advances.
-                return self._finish_sample(full, cache[1], candidates)
-            probs = self._softmax(self._raw_scores(view, full))
-            # Only unfiltered matrices repeat across calls (mid-pass
-            # filtered retries are one-shot); caching them would evict the
-            # reusable entry.
-            if full.parent_data is None:
-                self._dist_cache = (full.data, probs)
-            return self._finish_sample(full, probs, candidates)
-        full = view.ready_stages(include_saturated=True)
+        full = view.frontier_arrays(include_saturated=True)
         if candidates is None:
-            candidates = [i for i, r in enumerate(full) if r.slots > 0]
-        if len(candidates) == 0:
+            candidates = np.flatnonzero(full.slots > 0)
+        if candidates.size == 0:
             return None
-        probs = self.distribution(view, full)
-        weights = probs[candidates]
-        total = weights.sum()
-        if total <= 0:
-            weights = np.full(len(candidates), 1.0 / len(candidates))
-        else:
-            weights = weights / total
-        pick = candidates[int(self._rng.choice(len(candidates), p=weights))]
-        peak = probs.max()
-        importance = float(probs[pick] / peak) if peak > 0 else 1.0
-        return full[pick], importance
+        cache = self._dist_cache
+        if cache is not None and cache[0] is full.data:
+            # Same matrix object as the last call (nothing launched or
+            # finished in between — e.g. a deferral streak across carbon
+            # steps): the distribution is unchanged; only the RNG advances.
+            return self._finish_sample(full, cache[1], candidates)
+        probs = self._softmax(self._checked_scores(view, full))
+        # Only unfiltered matrices repeat across calls (mid-pass filtered
+        # retries are one-shot); caching them would evict the reusable
+        # entry.
+        if full.parent_data is None:
+            self._dist_cache = (full.data, probs)
+        return self._finish_sample(full, probs, candidates)
 
     def _finish_sample(
         self,
@@ -318,7 +277,7 @@ class ProbabilisticPolicy(StageScheduler):
         probs: np.ndarray,
         candidates: np.ndarray,
     ) -> tuple[ReadyStage, float]:
-        """The columnar action-mask tail of :meth:`sample_with_importance`:
+        """The action-mask tail of :meth:`sample_with_importance`:
         renormalize the candidate slice, draw, compute the Definition 4.2
         importance over the whole frontier. Cache hits and misses share it,
         so both take the same float operations in the same order."""
@@ -334,22 +293,14 @@ class ProbabilisticPolicy(StageScheduler):
         return full.entry(pick), importance
 
     def select(self, view: ClusterView) -> StageChoice | None:
-        if self.vectorized:
-            frontier = view.frontier_arrays()
-            mask = frontier.slots > 0
-            if not mask.any():
-                return None
-            if not mask.all():
-                frontier = frontier.compress(mask)
-            probs = self._softmax(self._raw_scores(view, frontier))
-            chosen = frontier.entry(_sample_index(self._rng, probs))
-        else:
-            ready = view.ready_stages()
-            ready = [r for r in ready if r.slots > 0]
-            if not ready:
-                return None
-            index, _ = self.sample(view, ready)
-            chosen = ready[index]
+        frontier = view.frontier_arrays()
+        mask = frontier.slots > 0
+        if not mask.any():
+            return None
+        if not mask.all():
+            frontier = frontier.compress(mask)
+        probs = self._softmax(self._checked_scores(view, frontier))
+        chosen = frontier.entry(_sample_index(self._rng, probs))
         return StageChoice(
             job_id=chosen.job_id,
             stage_id=chosen.stage_id,

@@ -10,14 +10,12 @@ DAG per call) and memoizes the per-job aggregates behind monotone version
 counters, so cached values are the exact floats a from-scratch recompute
 would produce — simulation results stay bit-identical.
 
-The frontier has two representations sharing one maintenance scheme:
-:meth:`ClusterView.ready_stages` yields :class:`ReadyStage` tuples (the
-compatibility view FIFO/CAP/GreenHadoop walk), while
-:meth:`ClusterView.frontier_arrays` yields the columnar
-:class:`FrontierArrays` the vectorized probabilistic schedulers operate
-on. Both are backed by engine-shared per-job caches keyed on the job's
-task version and effective executor budget, and both produce bit-equal
-fields for the same frontier.
+The probabilistic schedulers (Decima, PCAPS) score and sample the whole
+frontier ``A_t`` as the columnar :class:`FrontierArrays` of
+:meth:`ClusterView.frontier_arrays`, backed by engine-shared caches. The
+greedy baselines (FIFO, the Kubernetes default, weighted-fair) only pick a
+job and grow its first assignable stage, so they use the cache-free walk
+:meth:`ClusterView.assignable_jobs`, as does the engine's loop condition.
 """
 
 from __future__ import annotations
@@ -180,7 +178,7 @@ class JobRuntime:
 
         Two reads with equal versions are guaranteed to observe identical
         per-stage counters and an identical frontier — the dirty-mark the
-        engine's shared ready-stage cache keys on.
+        engine's shared column cache keys on.
         """
         return self._task_version
 
@@ -273,9 +271,9 @@ class ReadyStage(NamedTuple):
     ``slots`` is the number of additional executors the engine would accept
     for this stage right now, accounting for unlaunched tasks and the quota
     computed at the top of the scheduling pass. Schedulers must only choose
-    entries with ``slots > 0``. (A NamedTuple rather than a dataclass:
-    frontier entries are built millions of times per trial and tuple
-    construction is measurably cheaper.)
+    entries with ``slots > 0``. :meth:`FrontierArrays.entry` materializes
+    one row as this tuple — the form in which a probabilistic scheduler's
+    sampled stage leaves the columnar frontier.
     """
 
     job_id: int
@@ -289,25 +287,26 @@ class ReadyStage(NamedTuple):
 class FrontierArrays:
     """Columnar snapshot of the ready frontier (Definition 4.1's ``A_t``).
 
-    Holds the same entries :meth:`ClusterView.ready_stages` would produce —
-    in the same order — but as parallel numpy columns instead of a list of
-    :class:`ReadyStage` tuples, plus the per-job aggregates the vectorized
-    schedulers consume (remaining work, executors in use, bottleneck
-    scores) and each stage's task count (the columnar parallelism limits
-    read it). One ``(n, 9)`` float64 matrix backs all columns; every count
-    and id is far below 2**53, so the float representation is exact and
-    ``entry()`` can reconstruct the identical :class:`ReadyStage` for any
-    row.
+    One row per (job, stage) pair of the frontier, as parallel numpy
+    columns: the :class:`ReadyStage` fields (job, stage, unlaunched,
+    running, slots), the per-job aggregates the probabilistic schedulers
+    consume (remaining work, executors in use, bottleneck scores) and each
+    stage's task count (the columnar parallelism limits read it). One
+    ``(n, 9)`` float64 matrix backs all columns; every count and id is far
+    below 2**53, so the float representation is exact and ``entry()`` can
+    reconstruct the identical :class:`ReadyStage` for any row.
 
     Contract (relied on by :class:`~repro.simulator.interfaces.
-    ProbabilisticPolicy` and pinned by the fingerprint suite):
+    ProbabilisticPolicy` and pinned by ``tests/test_frontier_arrays.py``
+    against a cache-free reference walk):
 
-    - rows appear in ``ready_stages`` order (active jobs in arrival order,
-      stages in topological order within a job);
-    - ``slots``/``unlaunched``/``running`` are bit-equal to the tuple
-      fields; ``bottleneck``/``remaining_work`` are the exact floats the
-      memoized :class:`JobRuntime` accessors return (they *are* those
-      values, copied once per cache rebuild);
+    - rows appear with active jobs in arrival order and, within a job,
+      stages in topological order;
+    - ``slots`` is ``min(unlaunched, quota room, the job's executor pool,
+      the job's per-job-cap headroom)``, never negative;
+      ``bottleneck``/``remaining_work`` are the exact floats the memoized
+      :class:`JobRuntime` accessors return (they *are* those values,
+      copied once per cache rebuild);
     - the instance is immutable once handed to a scheduler.
     """
 
@@ -415,11 +414,11 @@ class FrontierArrays:
 
         The from-scratch reference construction: the incremental path
         (`ClusterView.frontier_arrays` with its shared caches) must always
-        produce the matrix this would. The per-job aggregates come from
-        the same memoized accessors the incremental path reads, so both
-        constructions yield identical matrices — the property
-        ``tests/test_frontier_arrays.py`` pins against random operation
-        interleavings.
+        produce the matrix this builds from a cache-free entry walk. The
+        per-job aggregates come from the same memoized accessors the
+        incremental path reads, so both constructions yield identical
+        matrices — the property ``tests/test_frontier_arrays.py`` pins
+        against random operation interleavings.
         """
         data = np.empty((len(entries), FrontierArrays.NUM_COLS))
         for i, r in enumerate(entries):
@@ -447,7 +446,7 @@ class ClusterView:
     Exposes everything Definition 4.1's schedulers and the carbon-aware
     wrappers need: the frontier of ready stages, executor occupancy, the
     current carbon reading, and per-job progress. Schedulers must treat it as
-    immutable; the view relies on that to cache its ready-stage lists (the
+    immutable; the view relies on that to cache its frontier arrays (the
     engine builds a fresh view per grant, so within one view the frontier
     cannot change).
     """
@@ -465,7 +464,6 @@ class ClusterView:
         general_free: int | None = None,
         reserved_free: dict[int, int] | None = None,
         active: Mapping[int, JobRuntime] | None = None,
-        ready_cache: dict[tuple[int, bool], tuple] | None = None,
         column_cache: dict[tuple[int, bool], tuple] | None = None,
         frontier_epoch: int | None = None,
         cache_stats=None,
@@ -482,21 +480,15 @@ class ClusterView:
         #: the engine (arrival events insert, completions delete). ``None``
         #: means "derive from ``jobs``" — the slow path for hand-built views.
         self._active = active
-        self._ready_cache: dict[bool, list[ReadyStage]] = {}
-        #: Engine-owned per-job entry cache, shared across consecutive views
-        #: of one run. Keyed by ``(job_id, include_saturated)``; each value
-        #: is ``(task_version, effective_cap, saturation, entries)``. A job
-        #: untouched by launches/finishes whose executor budget is unchanged
-        #: (or saturating, see ready_stages) reuses its entry list verbatim
-        #: instead of re-walking its frontier.
-        self._shared_ready = ready_cache
-        #: Engine-owned per-job *columnar* cache, the array twin of
-        #: ``_shared_ready``: each value is ``(task_version, effective_cap,
-        #: saturation, block)`` where ``block`` is the job's ``(n, 9)``
-        #: float64 slice of a :class:`FrontierArrays` matrix. Maintained
-        #: incrementally under the identical validity rule, so the
-        #: vectorized schedulers never pay for entry-list construction and
-        #: the tuple path never pays for array construction.
+        #: Engine-owned per-job column cache, shared across consecutive
+        #: views of one run. Keyed by ``(job_id, include_saturated)``; each
+        #: value is ``(task_version, effective_cap, saturation, block)``
+        #: where ``block`` is the job's ``(n, 9)`` float64 slice of a
+        #: :class:`FrontierArrays` matrix. A job untouched by launches and
+        #: finishes whose executor budget is unchanged (or saturating, see
+        #: frontier_arrays) reuses its block verbatim instead of re-walking
+        #: its frontier. The ``("view", include_saturated)`` key holds the
+        #: whole-matrix cache.
         self._shared_columns = column_cache
         self._fa_cache: dict[bool, FrontierArrays] = {}
         #: Blocked pairs in arrival order plus the boolean masks already
@@ -505,7 +497,7 @@ class ClusterView:
         self._blocked_seq: list[tuple[int, int]] = list(blocked)
         self._mask_state: dict[bool, tuple] = {}
         #: Optional :class:`repro.obs.observer.FrontierCacheStats` from the
-        #: owning stepper: hit/miss counters for the shared ready/column/
+        #: owning stepper: hit/miss counters for the shared column and
         #: whole-matrix caches, incremented where each consult resolves.
         #: ``None`` (collection off, or hand-built views) counts nothing.
         self._cache_stats = cache_stats
@@ -549,124 +541,29 @@ class ClusterView:
         return self._jobs[job_id]
 
     def ready_stages(self, include_saturated: bool = False) -> list[ReadyStage]:
-        """The frontier across all active jobs.
+        """:meth:`frontier_arrays` as a list of :class:`ReadyStage` tuples.
 
-        With ``include_saturated=False`` only assignable stages appear.
-        With ``include_saturated=True`` the list is Definition 4.1's full
-        ``A_t``: stages whose tasks are all in flight are included with
-        ``slots == 0`` so probabilistic schedulers can normalize importance
-        over them (they must still never be *chosen* for assignment).
-
-        Entries blocked earlier in the same scheduling pass (because the
-        engine could not grow them) are excluded, which guarantees the
-        assignment loop terminates. The result is cached on the view (one
-        list per flag value); both the engine's "anything assignable?" check
-        and the scheduler's own call then share one frontier walk.
+        Nothing in the package calls it; the benchmark's traced run
+        (``perfbench/bench_trace.py``) still wraps this name.
         """
-        cached = self._ready_cache.get(include_saturated)
-        if cached is not None:
-            return cached
-        out: list[ReadyStage] = []
-        quota_room = max(0, self.quota - self.busy_executors)
-        general_free = self.general_free
-        reserved_free = self.reserved_free
-        blocked = self._blocked
-        per_job_cap = self.per_job_cap
-        # The shared cache is only sound when no entries are suppressed by
-        # the per-pass blocked set (a rare state: the engine could not grow
-        # a chosen stage); fall back to a plain walk then.
-        shared = self._shared_ready if not blocked else None
-        stats = self._cache_stats if shared is not None else None
-        for job in self.active_jobs():
-            job_id = job.job_id
-            job_pool = general_free + (
-                reserved_free.get(job_id, 0) if reserved_free else 0
-            )
-            budget = min(quota_room, job_pool)
-            job_headroom = (
-                per_job_cap - job.executors_in_use
-                if per_job_cap is not None
-                else budget
-            )
-            if job_headroom < 0:
-                job_headroom = 0
-            # Every field of an entry is a function of the job's task
-            # counters (captured by task_version) and min(budget, headroom)
-            # (captured by effective_cap) — so an unchanged pair means the
-            # previously built entries are the identical tuples a fresh
-            # walk would produce. The cap only enters through clamping
-            # (slots = min(unlaunched, cap)), so two caps that both meet or
-            # exceed every unlaunched count in the frontier (the stored
-            # saturation point) also yield identical entries.
-            effective_cap = budget if budget < job_headroom else job_headroom
-            if shared is not None:
-                hit = shared.get((job_id, include_saturated))
-                if (
-                    hit is not None
-                    and hit[0] == job.task_version
-                    and (
-                        hit[1] == effective_cap
-                        or (hit[1] >= hit[2] and effective_cap >= hit[2])
-                    )
-                ):
-                    if stats is not None:
-                        stats.ready_hits.inc()
-                    out.extend(hit[3])
-                    continue
-                if stats is not None:
-                    stats.ready_misses.inc()
-            entries: list[ReadyStage] = []
-            append = entries.append
-            stages = job.stages
-            for sid in job.ready_stage_ids(include_running=include_saturated):
-                if blocked and (job_id, sid) in blocked:
-                    continue
-                runtime = stages[sid]
-                stage = runtime.stage
-                unlaunched = stage.num_tasks - runtime.launched
-                slots = min(unlaunched, budget, job_headroom)
-                if slots <= 0:
-                    if not include_saturated and unlaunched <= 0:
-                        # Zero-slot entries are only meaningful to
-                        # Definition 4.2 normalization; hide them from
-                        # plain schedulers.
-                        continue
-                    slots = 0
-                append(
-                    ReadyStage(
-                        job_id,
-                        sid,
-                        stage,
-                        unlaunched,
-                        runtime.launched - runtime.finished,
-                        slots,
-                    )
-                )
-            if shared is not None:
-                saturation = max(
-                    (entry.unlaunched for entry in entries), default=0
-                )
-                shared[(job_id, include_saturated)] = (
-                    job.task_version, effective_cap, saturation, entries,
-                )
-            out.extend(entries)
-        self._ready_cache[include_saturated] = out
-        return out
+        return self.frontier_arrays(include_saturated).entries()
 
     def frontier_arrays(self, include_saturated: bool = False) -> FrontierArrays:
-        """The frontier of :meth:`ready_stages`, in columnar form.
+        """The frontier across all active jobs, in columnar form.
 
-        Row ``i`` corresponds element-for-element to entry ``i`` of the
-        tuple list — same jobs, same order, bit-equal fields — augmented
-        with the per-job aggregates (bottleneck score, remaining work,
-        executors in use) and the stage task counts the vectorized
-        schedulers consume. Per-job
-        blocks are maintained incrementally in the engine-shared column
-        cache under the exact validity rule the entry-list cache uses
-        (task version + effective executor budget with saturation
-        normalization), so consecutive views rebuild only the jobs that
-        launched or finished tasks in between. Cached per view, like
-        :meth:`ready_stages`.
+        With ``include_saturated=False`` only assignable stages (those
+        with unlaunched tasks) appear. With ``include_saturated=True`` the
+        rows are Definition 4.1's full ``A_t``: stages whose tasks are all
+        in flight are included with ``slots == 0`` so probabilistic
+        schedulers can normalize importance over them (they must still
+        never be *chosen* for assignment). Entries blocked earlier in the
+        same scheduling pass (because the engine could not grow them) are
+        excluded, which guarantees the assignment loop terminates.
+
+        Per-job blocks are maintained incrementally in the engine-shared
+        column cache, keyed on task version plus effective executor
+        budget, so consecutive views rebuild only the jobs that launched
+        or finished tasks in between. Cached per view.
         """
         cached = self._fa_cache.get(include_saturated)
         if cached is not None:
@@ -681,7 +578,7 @@ class ClusterView:
         # unchanged (epoch, budget) pair — or two budgets both at or above
         # the stored saturation point — guarantees the previously
         # concatenated matrix is the one this walk would rebuild. This is
-        # the dominant case for the vectorized schedulers (they don't
+        # the dominant case for the probabilistic schedulers (they don't
         # hold executors), and it turns the per-view cost of a deferred or
         # blocked scheduling pass into two integer compares.
         stats = self._cache_stats if shared is not None else None
@@ -724,6 +621,14 @@ class ClusterView:
             )
             if job_headroom < 0:
                 job_headroom = 0
+            # Every field of a row is a function of the job's task counters
+            # (captured by task_version) and min(budget, headroom) (captured
+            # by effective_cap) — so an unchanged pair means the cached block
+            # holds the identical floats a fresh walk would produce. The cap
+            # only enters through clamping (slots = min(unlaunched, cap)), so
+            # two caps that both meet or exceed every unlaunched count in the
+            # frontier (the stored saturation point) also yield an identical
+            # block.
             effective_cap = budget if budget < job_headroom else job_headroom
             if shared is not None:
                 hit = shared.get((job_id, include_saturated))
@@ -802,9 +707,8 @@ class ClusterView:
 
         Entries blocked earlier in this scheduling pass are dropped at the
         view level, so both the per-job cached blocks and the whole-matrix
-        cache stay valid (unlike the tuple path, which must bypass its
-        cache when anything is blocked). The blocked set is tiny; the mask
-        conjunction is order-independent.
+        cache stay valid while anything is blocked. The blocked set is
+        tiny; the mask conjunction is order-independent.
         """
         seq = self._blocked_seq
         if seq and len(data):
@@ -834,24 +738,27 @@ class ClusterView:
         Between a blocked choice and the next ``select`` retry nothing in
         the cluster changes except the blocked set, so the engine reuses
         this view (skipping snapshot construction) and records the block
-        here. Schedulers must never call this — the view they receive is
-        immutable for the duration of their ``select``.
+        here; both :meth:`frontier_arrays` and :meth:`assignable_jobs`
+        then skip the pair. Schedulers must never call this — the view
+        they receive is immutable for the duration of their ``select``.
         """
         self._blocked = frozenset((*self._blocked, (job_id, stage_id)))
         self._blocked_seq.append((job_id, stage_id))
-        self._ready_cache.clear()
         self._fa_cache.clear()
 
-    def has_assignable(self) -> bool:
-        """True iff any ready stage could receive an executor right now.
+    def assignable_jobs(self) -> Iterator[tuple[JobRuntime, int]]:
+        """Each job that could take an executor now, with its first such stage.
 
-        Exactly equivalent to ``any(r.slots > 0 for r in ready_stages())``
-        but short-circuits on the first hit instead of materializing the
-        frontier — this is the engine's per-grant loop condition.
+        Yields ``(job, stage_id)`` for the active jobs in arrival order,
+        where ``stage_id`` is the job's first stage in topological order
+        that has unlaunched tasks and is not blocked this pass — the
+        job's first row with ``slots > 0`` in :meth:`frontier_arrays`. A
+        job is skipped when its executor pool (shared plus its own
+        reserved executors) is empty or it is at the per-job cap; nothing
+        is yielded when the quota leaves no room.
         """
-        quota_room = self.quota - self.busy_executors
-        if quota_room <= 0:
-            return False
+        if self.quota - self.busy_executors <= 0:
+            return
         general_free = self.general_free
         reserved_free = self.reserved_free
         blocked = self._blocked
@@ -866,12 +773,16 @@ class ClusterView:
             if per_job_cap is not None and per_job_cap <= job.executors_in_use:
                 continue
             for sid in job.ready_stage_ids():
-                # The assignable frontier guarantees unlaunched > 0, so a
-                # non-blocked entry here has slots > 0.
                 if blocked and (job_id, sid) in blocked:
                     continue
-                return True
-        return False
+                yield job, sid
+                break
+
+    def has_assignable(self) -> bool:
+        """True iff any ready stage could receive an executor right now —
+        the engine's per-grant loop condition. Stops at the first job
+        :meth:`assignable_jobs` yields."""
+        return next(self.assignable_jobs(), None) is not None
 
     def queued_job_count(self) -> int:
         if self._active is not None:

@@ -11,7 +11,6 @@ from repro.core.analysis import (
     pcaps_stretch_factor,
     savings_decomposition,
 )
-from repro.core.cap import CAPProvisioner
 from repro.core.pcaps import PCAPSScheduler
 from repro.dag.graph import JobDAG, Stage
 from repro.schedulers.decima import DecimaScheduler

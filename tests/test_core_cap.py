@@ -9,7 +9,6 @@ from repro.workloads.arrivals import JobSubmission
 
 from conftest import (
     assert_valid_schedule,
-    make_trace,
     run_sim,
     single_job,
     staggered_jobs,

@@ -9,7 +9,7 @@ from repro.dag.graph import JobDAG, Stage
 from repro.schedulers.fifo import KubernetesDefaultScheduler
 from repro.workloads.arrivals import JobSubmission
 
-from conftest import run_sim, staggered_jobs
+from conftest import run_sim
 
 
 def heavy_jobs(n=8, tasks=4, dur=90.0, start=0.0, gap=60.0):

@@ -79,6 +79,29 @@ class TestAlphaSolver:
     def test_flat_bounds_give_infinite_alpha(self):
         assert solve_alpha(10, 100.0, 100.0) == math.inf
 
+    @pytest.mark.parametrize("k", [1, 5, 80])
+    @pytest.mark.parametrize(
+        "spread, rel", [(1e-4, 1e-6), (1e-7, 1e-6), (2e-9, 1e-6), (2e-11, 1e-4)]
+    )
+    def test_small_spread_root_is_accurate(self, k, spread, rel):
+        """α - 1 shrinks with the spread; the root keeps full precision.
+
+        ``2e-11`` sits just above the flat cutoff, where ``α - 1`` spans
+        only 3e4 to 5e4 float64 spacings, so 1e-4 is what float64 can place.
+        """
+        low, high = 1.0, 1.0 + spread
+        alpha = solve_alpha(k, low, high)
+        lhs = (1.0 + 1.0 / (k * alpha)) ** k
+        rhs = ((high - low) / high) / (1.0 - 1.0 / alpha)
+        assert lhs == pytest.approx(rhs, rel=rel)
+
+    def test_near_flat_bounds_degenerate_to_upper_bound(self):
+        low, high = 1.0, math.nextafter(1.0, 2.0)
+        assert solve_alpha(1, low, high) == math.inf
+        thresholds = cap_thresholds(10, 3, low, high)
+        assert thresholds.values == (high,) * 10
+        assert thresholds.quota(low) == 10
+
     def test_validation(self):
         with pytest.raises(ValueError):
             solve_alpha(0, L, U)

@@ -1,7 +1,5 @@
 """Unit tests for DAG structural metrics."""
 
-import pytest
-
 from repro.dag.graph import JobDAG, Stage, chain_dag, diamond_dag
 from repro.dag.metrics import (
     bottleneck_scores,

@@ -1,7 +1,6 @@
 """Edge-case tests across modules: simultaneous events, degenerate inputs,
 wrap-around time, and combined wrapper scenarios."""
 
-import numpy as np
 import pytest
 
 from repro.carbon.api import CarbonIntensityAPI, CarbonReading
@@ -11,7 +10,6 @@ from repro.dag.graph import JobDAG, Stage
 from repro.schedulers.decima import DecimaScheduler
 from repro.schedulers.fifo import FIFOScheduler, KubernetesDefaultScheduler
 from repro.schedulers.greenhadoop import GreenHadoopProvisioner
-from repro.simulator.engine import ClusterConfig, Simulation
 from repro.simulator.state import ClusterView, JobRuntime
 from repro.simulator.trace import jobs_in_system_series
 from repro.workloads.arrivals import JobSubmission
@@ -169,7 +167,7 @@ class TestSeriesEdgeCases:
             jobs={0: job},
             carbon=CarbonReading(0.0, 100.0, 50.0, 200.0),
         )
-        assert all(r.slots == 0 for r in view.ready_stages(include_saturated=True))
+        assert not view.frontier_arrays(include_saturated=True).slots.any()
 
     def test_carbon_api_wraps_bounds(self):
         trace = make_trace([100.0, 300.0], step_seconds=60.0)

@@ -4,7 +4,6 @@ These run real (small) simulations, so they double as integration tests of
 the whole stack: workloads -> simulator -> schedulers -> metrics.
 """
 
-import numpy as np
 import pytest
 
 from repro.carbon.grids import GRID_CODES

@@ -72,22 +72,6 @@ class TestPinnedFingerprints:
         assert run_fingerprint(config) == run_fingerprint(config)
 
     @pytest.mark.parametrize("config", PINNED_SCENARIOS, ids=SCENARIO_IDS)
-    def test_tuple_path_matches_vectorized_path(self, config):
-        """The columnar (FrontierArrays) scheduler path replays the tuple
-        path bit-for-bit — same scores, same softmax, same RNG draws."""
-        sim = build_simulation(config)
-        policies = [
-            s for s in (sim.scheduler, getattr(sim.scheduler, "policy", None))
-            if getattr(s, "vectorized", False)
-        ]
-        if not policies:
-            pytest.skip("scenario has no vectorized policy")
-        for policy in policies:
-            policy.vectorized = False
-        via_tuples = schedule_fingerprint(sim.run(workload_for(config)))
-        assert via_tuples == run_fingerprint(config)
-
-    @pytest.mark.parametrize("config", PINNED_SCENARIOS, ids=SCENARIO_IDS)
     def test_empty_disruption_schedule_is_bit_identical(self, config):
         """The disruption machinery is invisible without a schedule."""
         via_run = run_fingerprint(config)

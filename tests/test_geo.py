@@ -407,10 +407,10 @@ class TestStepperEquivalence:
         assert stepper.outstanding_work() == 0.0
 
 
-class TestSharedReadyCache:
+class TestSharedColumnCache:
     """The dirty-marked frontier cache cannot change results."""
 
-    @pytest.mark.parametrize("scheduler", ["pcaps", "cap-fifo", "decima"])
+    @pytest.mark.parametrize("scheduler", ["decima", "cap-decima", "pcaps"])
     def test_cache_disabled_is_bit_identical(self, scheduler):
         config = ExperimentConfig(
             scheduler=scheduler, num_executors=5,
@@ -436,7 +436,7 @@ class TestSharedReadyCache:
                 provisioner=provisioner,
             ).stepper()
             if disable_cache:
-                stepper._ready_cache = None  # ClusterView falls back
+                stepper._column_cache = None  # ClusterView falls back
             for sub in subs:
                 stepper.submit(sub)
             stepper.run_to_completion()

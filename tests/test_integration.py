@@ -4,7 +4,6 @@ Each test here asserts one qualitative claim from the paper's evaluation at
 a miniature scale, exercising the full stack end to end.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.analysis import (
@@ -24,7 +23,7 @@ from repro.workloads.batch import WorkloadSpec
 from repro.workloads.arrivals import JobSubmission
 from repro.dag.graph import JobDAG, Stage
 
-from conftest import run_sim, staggered_jobs
+from conftest import run_sim
 
 
 @pytest.fixture(scope="module")

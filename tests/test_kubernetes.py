@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.carbon.api import CarbonIntensityAPI, CarbonReading
+from repro.carbon.api import CarbonReading
 from repro.core.cap import CAPProvisioner
 from repro.kubernetes.daemon import (
     CAPQuotaDaemon,
-    QuotaDaemonProvisioner,
     build_cap_namespace,
 )
 from repro.kubernetes.objects import (
@@ -18,7 +17,6 @@ from repro.kubernetes.objects import (
     ResourceQuota,
 )
 from repro.schedulers.fifo import KubernetesDefaultScheduler
-from repro.simulator.engine import ClusterConfig, Simulation
 
 from conftest import run_sim, staggered_jobs
 

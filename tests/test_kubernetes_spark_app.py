@@ -6,7 +6,6 @@ from repro.kubernetes.objects import (
     DEFAULT_EXECUTOR_CPU,
     DEFAULT_EXECUTOR_MEMORY_GB,
     Namespace,
-    PodPhase,
     ResourceQuota,
 )
 from repro.kubernetes.spark_app import SparkApplication

@@ -209,14 +209,14 @@ class TestReport:
 
     def test_render_report_text(self, tmp_path):
         with obs.collecting("demo") as observer:
-            observer.registry.counter("engine.cache.ready.hits").inc(9)
-            observer.registry.counter("engine.cache.ready.misses").inc(1)
+            observer.registry.counter("engine.cache.column.hits").inc(9)
+            observer.registry.counter("engine.cache.column.misses").inc(1)
             observer.registry.gauge("depth").set(4)
             observer.registry.histogram("lat").record(0.01)
         metrics, _ = observer.write_artifacts(tmp_path)
         text = render_report(metrics)
         assert "demo" in text
-        assert "engine.cache.ready.hit_rate" in text
+        assert "engine.cache.column.hit_rate" in text
         assert "90.0%" in text
         assert "lat" in text
 

@@ -12,7 +12,6 @@ from repro.workloads.arrivals import JobSubmission
 
 from conftest import (
     assert_valid_schedule,
-    make_trace,
     run_sim,
     single_job,
     staggered_jobs,
@@ -102,9 +101,9 @@ class TestDecimaSurrogate:
             carbon=CarbonReading(0.0, 100.0, 50.0, 200.0),
         )
         scheduler = DecimaScheduler(seed=0)
-        ready = view.ready_stages()
-        probs = scheduler.distribution(view, ready)
-        assert probs.shape == (len(ready),)
+        frontier = view.frontier_arrays(include_saturated=True)
+        probs = scheduler._softmax(scheduler.scores_from_arrays(view, frontier))
+        assert probs.shape == (len(frontier),)
         assert probs.sum() == pytest.approx(1.0)
         assert np.all(probs >= 0)
 

@@ -240,14 +240,12 @@ class TestCarbonEvents:
             def select(self, view):
                 if view.carbon.intensity > 100.0:
                     return None
-                ready = [r for r in view.ready_stages() if r.slots > 0]
-                if not ready:
-                    return None
-                r = ready[0]
-                return type(
-                    "C", (), {"job_id": r.job_id, "stage_id": r.stage_id,
-                              "parallelism_limit": None},
-                )
+                for job, stage_id in view.assignable_jobs():
+                    return type(
+                        "C", (), {"job_id": job.job_id, "stage_id": stage_id,
+                                  "parallelism_limit": None},
+                    )
+                return None
 
         # square_trace starts low (50) for 12 steps; shift arrival into the
         # high block so the scheduler must wait for the next low block.

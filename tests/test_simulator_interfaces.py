@@ -18,23 +18,14 @@ class UniformPolicy(ProbabilisticPolicy):
 
     name = "uniform"
 
-    def scores(self, view, ready):
-        return np.zeros(len(ready))
+    def scores_from_arrays(self, view, frontier):
+        return np.zeros(len(frontier))
 
 
 class SkewedPolicy(ProbabilisticPolicy):
-    """Mass concentrated on the highest stage id."""
+    """Mass concentrated on the highest stage id; counts its scorings."""
 
     name = "skewed"
-
-    def scores(self, view, ready):
-        return np.array([float(r.stage_id) for r in ready])
-
-
-class ColumnarSkewedPolicy(SkewedPolicy):
-    """:class:`SkewedPolicy` on the columnar path, counting its scorings."""
-
-    vectorized = True
 
     def __init__(self, seed=0, temperature=1.0):
         super().__init__(seed=seed, temperature=temperature)
@@ -43,6 +34,16 @@ class ColumnarSkewedPolicy(SkewedPolicy):
     def scores_from_arrays(self, view, frontier):
         self.scorings += 1
         return frontier.stage_ids.astype(float)
+
+
+def skewed_probs(view, temperature=1.0):
+    """:class:`SkewedPolicy`'s distribution over the full frontier, by
+    hand: a softmax of stage ids."""
+    ids = np.array(
+        [r.stage_id for r in view.frontier_arrays(True).entries()], dtype=float
+    )
+    weights = np.exp((ids - ids.max()) / temperature)
+    return weights / weights.sum()
 
 
 def view_with(stages, busy=0, total=4, launched=None):
@@ -61,33 +62,58 @@ def view_with(stages, busy=0, total=4, launched=None):
 
 
 class TestDistribution:
+    """The distribution a policy's scores induce, read back through
+    ``sample_with_importance``: a draw restricted to one row returns that
+    row's probability relative to the frontier's most likely row."""
+
     def test_uniform_distribution(self):
         view = view_with([Stage(0, 1, 1.0), Stage(1, 1, 1.0)])
         policy = UniformPolicy(seed=0)
-        ready = view.ready_stages()
-        probs = policy.distribution(view, ready)
-        assert np.allclose(probs, [0.5, 0.5])
+        for row in (0, 1):
+            chosen, importance = policy.sample_with_importance(
+                view, np.array([row])
+            )
+            assert chosen.stage_id == row
+            assert importance == pytest.approx(1.0)
 
     def test_empty_frontier_empty_distribution(self):
-        view = view_with([Stage(0, 1, 1.0)], launched={0: 1})
-        policy = UniformPolicy(seed=0)
-        assert policy.distribution(view, []).size == 0
+        view = ClusterView(
+            time=0.0, total_executors=4, busy_executors=0, quota=4, jobs={},
+            carbon=CarbonReading(0.0, 100.0, 50.0, 200.0),
+        )
+        assert len(view.frontier_arrays(True)) == 0
+        policy = SkewedPolicy(seed=0)
+        assert policy.select(view) is None
+        assert policy.sample_with_importance(view) is None
+        assert policy.scorings == 0
 
     def test_temperature_sharpens(self):
         view = view_with([Stage(0, 1, 1.0), Stage(1, 1, 1.0)])
-        ready = view.ready_stages()
-        soft = SkewedPolicy(seed=0, temperature=10.0).distribution(view, ready)
-        sharp = SkewedPolicy(seed=0, temperature=0.1).distribution(view, ready)
-        assert sharp.max() > soft.max()
+        low_row = np.array([0])
+        _, soft = SkewedPolicy(
+            seed=0, temperature=10.0
+        ).sample_with_importance(view, low_row)
+        _, sharp = SkewedPolicy(
+            seed=0, temperature=0.1
+        ).sample_with_importance(view, low_row)
+        assert sharp < soft < 1.0
+        probs = skewed_probs(view, temperature=10.0)
+        assert soft == pytest.approx(probs[0] / probs[1])
 
     def test_wrong_score_shape_rejected(self):
         class Broken(ProbabilisticPolicy):
-            def scores(self, view, ready):
-                return np.zeros(len(ready) + 1)
+            extra = 1
 
-        view = view_with([Stage(0, 1, 1.0)])
-        with pytest.raises(ValueError):
-            Broken(seed=0).distribution(view, view.ready_stages())
+            def scores_from_arrays(self, view, frontier):
+                return np.zeros(len(frontier) + self.extra)
+
+        view = view_with([Stage(0, 1, 1.0), Stage(1, 1, 1.0)])
+        for extra in (1, -1):
+            Broken.extra = extra
+            with pytest.raises(ValueError):
+                Broken(seed=0).select(view)
+            with pytest.raises(ValueError):
+                Broken(seed=0).sample_with_importance(view)
 
 
 class TestSampling:
@@ -139,7 +165,7 @@ def masked_view():
     )
 
 
-@pytest.fixture(params=[SkewedPolicy, ColumnarSkewedPolicy], ids=["tuple", "columnar"])
+@pytest.fixture(params=[SkewedPolicy], ids=["columnar"])
 def policy_cls(request):
     return request.param
 
@@ -150,7 +176,7 @@ class TestCandidateMask:
 
     def test_default_candidates_are_rows_with_free_slots(self, policy_cls):
         view = masked_view()
-        full = view.ready_stages(include_saturated=True)
+        full = view.frontier_arrays(include_saturated=True).entries()
         free = np.flatnonzero([r.slots > 0 for r in full])
         assert len(free) == 3
         default, explicit = policy_cls(seed=4), policy_cls(seed=4)
@@ -170,8 +196,8 @@ class TestCandidateMask:
 
     def test_importance_is_relative_to_whole_frontier(self, policy_cls):
         view = masked_view()
-        full = view.ready_stages(include_saturated=True)
-        probs = SkewedPolicy(seed=0).distribution(view, full)
+        full = view.frontier_arrays(include_saturated=True).entries()
+        probs = skewed_probs(view)
         policy = policy_cls(seed=2)
         for _ in range(10):
             chosen, importance = policy.sample_with_importance(
@@ -198,7 +224,7 @@ class TestDistributionCache:
 
     def test_unchanged_frontier_is_scored_once(self):
         view = masked_view()
-        policy = ColumnarSkewedPolicy(seed=0)
+        policy = SkewedPolicy(seed=0)
         for _ in range(5):
             policy.sample_with_importance(view)
         assert policy.scorings == 1
@@ -207,7 +233,7 @@ class TestDistributionCache:
 
     def test_cache_hits_draw_like_fresh_scoring(self):
         view = masked_view()
-        cached, uncached = ColumnarSkewedPolicy(seed=7), ColumnarSkewedPolicy(seed=7)
+        cached, uncached = SkewedPolicy(seed=7), SkewedPolicy(seed=7)
         for _ in range(20):
             uncached._dist_cache = None
             assert cached.sample_with_importance(

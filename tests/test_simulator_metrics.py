@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.schedulers.fifo import FIFOScheduler, KubernetesDefaultScheduler
+from repro.schedulers.fifo import KubernetesDefaultScheduler
 from repro.simulator.metrics import (
     NormalizedMetrics,
     compare_to_baseline,

@@ -99,13 +99,13 @@ class TestClusterView:
     def test_ready_stages_slots_bounded_by_free(self):
         job = JobRuntime(0, JobDAG([Stage(0, 10, 1.0)]), arrival_time=0.0)
         view = make_view([job], busy=1, total=4)
-        (entry,) = view.ready_stages()
+        (entry,) = view.frontier_arrays().entries()
         assert entry.slots == 3
 
     def test_quota_restricts_slots(self):
         job = JobRuntime(0, JobDAG([Stage(0, 10, 1.0)]), arrival_time=0.0)
         view = make_view([job], busy=1, total=4, quota=2)
-        (entry,) = view.ready_stages()
+        (entry,) = view.frontier_arrays().entries()
         assert entry.slots == 1
 
     def test_per_job_cap_restricts_slots(self):
@@ -113,20 +113,20 @@ class TestClusterView:
         job = JobRuntime(0, dag, arrival_time=0.0)
         job.stages[0].launch(2)
         view = make_view([job], busy=2, total=10, per_job_cap=3)
-        (entry,) = view.ready_stages()
+        (entry,) = view.frontier_arrays().entries()
         assert entry.slots == 1
 
     def test_blocked_stages_hidden(self):
         job = JobRuntime(0, JobDAG([Stage(0, 5, 1.0)]), arrival_time=0.0)
         view = make_view([job], blocked=frozenset({(0, 0)}))
-        assert view.ready_stages() == []
+        assert view.frontier_arrays().entries() == []
 
     def test_finished_jobs_excluded(self):
         job = JobRuntime(0, JobDAG([Stage(0, 1, 1.0)]), arrival_time=0.0)
         job.stages[0].launch(1)
         job.record_task_finish(0, now=1.0)
         view = make_view([job])
-        assert view.ready_stages() == []
+        assert view.frontier_arrays().entries() == []
         assert view.queued_job_count() == 0
 
     def test_active_jobs_in_arrival_order(self):
@@ -140,8 +140,8 @@ class TestClusterView:
         job = JobRuntime(0, dag, arrival_time=0.0)
         job.stages[0].launch(1)
         view = make_view([job], busy=1)
-        assert view.ready_stages() == []
-        full = view.ready_stages(include_saturated=True)
+        assert view.frontier_arrays().entries() == []
+        full = view.frontier_arrays(include_saturated=True).entries()
         assert len(full) == 1 and full[0].slots == 0
 
     def test_reserved_free_extends_budget_for_owner_only(self):
@@ -156,7 +156,7 @@ class TestClusterView:
             general_free=2,
             reserved_free={0: 4},
         )
-        entries = {e.job_id: e for e in view.ready_stages()}
+        entries = {e.job_id: e for e in view.frontier_arrays().entries()}
         assert entries[0].slots == 6  # 2 general + 4 reserved
         assert entries[1].slots == 2  # general only
 
@@ -168,14 +168,12 @@ class TestClusterView:
     def test_has_assignable_matches_ready_stages(self):
         job = JobRuntime(0, diamond_dag(num_tasks=2), arrival_time=0.0)
         view = make_view([job], busy=0, total=4)
-        assert view.has_assignable() == any(
-            r.slots > 0 for r in view.ready_stages()
-        )
+        assert view.has_assignable() == any(view.frontier_arrays().slots > 0)
         job2 = JobRuntime(0, diamond_dag(num_tasks=2), arrival_time=0.0)
         job2.stages[0].launch(2)  # root saturated: nothing assignable
         view = make_view([job2], busy=2, total=4)
         assert not view.has_assignable()
-        assert not any(r.slots > 0 for r in view.ready_stages())
+        assert not any(view.frontier_arrays().slots > 0)
 
     def test_has_assignable_respects_blocked_and_quota(self):
         job = JobRuntime(0, JobDAG([Stage(0, 5, 1.0)]), arrival_time=0.0)
@@ -190,6 +188,64 @@ class TestClusterView:
         view = make_view([j1, j2], active={2: j2, 1: j1})
         assert [j.job_id for j in view.active_jobs()] == [2, 1]
         assert view.queued_job_count() == 2
+
+
+def two_ready_job(job_id, arrival_time):
+    """A job whose ready stages are 1 then 0, in topological order.
+
+    Roots 1 and 3, stage 0 a child of 3; with 3 complete, stage 1 precedes
+    stage 0 topologically although its id is larger.
+    """
+    dag = JobDAG(
+        [Stage(1, 4, 1.0), Stage(3, 1, 1.0), Stage(0, 4, 1.0, parents=(3,))]
+    )
+    job = JobRuntime(job_id, dag, arrival_time=arrival_time)
+    job.stages[3].launch(1)
+    job.record_task_finish(3, now=0.0)
+    assert job.ready_stage_ids() == (1, 0)
+    return job
+
+
+def walk(view):
+    return [(job.job_id, sid) for job, sid in view.assignable_jobs()]
+
+
+class TestAssignableJobs:
+    """``assignable_jobs``: each job that could take an executor, with its
+    first assignable stage — the walk the greedy baselines choose from."""
+
+    def test_arrival_order_then_first_stage_in_topological_order(self):
+        late = two_ready_job(7, arrival_time=5.0)
+        early = two_ready_job(3, arrival_time=1.0)
+        view = make_view([late, early], total=8)
+        assert walk(view) == [(3, 1), (7, 1)]
+        assert view.has_assignable()
+
+    def test_blocked_pair_falls_through_to_next_stage(self):
+        job = two_ready_job(0, arrival_time=0.0)
+        view = make_view([job], total=8, blocked=frozenset({(0, 1)}))
+        assert walk(view) == [(0, 0)]
+
+    def test_job_at_per_job_cap_is_skipped(self):
+        capped = two_ready_job(0, arrival_time=0.0)
+        capped.stages[1].launch(2)
+        other = two_ready_job(1, arrival_time=1.0)
+        view = make_view([capped, other], busy=2, total=8, per_job_cap=2)
+        assert walk(view) == [(1, 1)]
+
+    def test_only_reserved_holder_appears_without_general_free(self):
+        other = two_ready_job(0, arrival_time=0.0)
+        holder = two_ready_job(1, arrival_time=1.0)
+        view = make_view(
+            [other, holder], total=8, general_free=0, reserved_free={1: 2}
+        )
+        assert walk(view) == [(1, 1)]
+
+    def test_no_quota_room_yields_nothing(self):
+        job = two_ready_job(0, arrival_time=0.0)
+        view = make_view([job], busy=2, total=8, quota=2)
+        assert walk(view) == []
+        assert not view.has_assignable()
 
 
 # ----------------------------------------------------------------------
