@@ -2,12 +2,18 @@
 
 The paper's evaluation is hundreds of (scheduler × grid × workload × seed ×
 trace-slice) trials: Tables 2/3 average repeated trials at random trace start
-times and Figs. 7–19 are parameter sweeps. This package turns those sweeps
-into declarative, resumable, cached campaigns:
+times and Figs. 7–19 are parameter sweeps. This package turns those sweeps —
+and the federation and service-mode sweeps built on the same runner — into
+declarative, resumable, cached campaigns:
 
+- :mod:`repro.campaign.kinds` — one :class:`TrialKind` per config type
+  (:class:`~repro.experiments.runner.ExperimentConfig`,
+  :class:`~repro.geo.config.FederationConfig`,
+  :class:`~repro.stream.service.ServiceConfig`): how a trial runs, what its
+  record keeps, how it is keyed, labelled and reported;
 - :mod:`repro.campaign.spec` — :class:`CampaignSpec` expands cartesian grids
-  over :class:`~repro.experiments.runner.ExperimentConfig` fields into
-  concrete trial lists, with named presets for the paper's campaigns;
+  over config fields into concrete trial lists, with named presets of every
+  kind, and the annotation-driven config codec;
 - :mod:`repro.campaign.cache` — content-addressed trial keys (config hash ×
   code version) so re-runs and overlapping sweeps skip completed trials;
 - :mod:`repro.campaign.store` — an append-only JSONL result store holding
@@ -33,15 +39,7 @@ Quickstart::
 
 from repro.campaign.cache import CacheStats, trial_key
 from repro.campaign.executor import CampaignRun, CampaignRunner
-from repro.campaign.geo import (
-    GeoCampaignRun,
-    GeoCampaignSpec,
-    format_geo_report,
-    geo_campaign_report,
-    geo_presets,
-    geo_trial_key,
-    run_geo_campaign,
-)
+from repro.campaign.kinds import KINDS, TrialKind, kind_of
 from repro.campaign.reports import campaign_report, format_campaign_report
 from repro.campaign.spec import CampaignSpec, campaign_presets, matchup_spec
 from repro.campaign.store import ResultStore, StoreCheck, TrialRecord
@@ -58,20 +56,16 @@ __all__ = [
     "CampaignRunner",
     "CampaignSpec",
     "CheckpointPolicy",
-    "GeoCampaignRun",
-    "GeoCampaignSpec",
+    "KINDS",
     "ResultStore",
     "StoreCheck",
     "SupervisorConfig",
+    "TrialKind",
     "TrialRecord",
     "campaign_presets",
     "campaign_report",
     "format_campaign_report",
-    "format_geo_report",
-    "geo_campaign_report",
-    "geo_presets",
-    "geo_trial_key",
+    "kind_of",
     "matchup_spec",
-    "run_geo_campaign",
     "trial_key",
 ]

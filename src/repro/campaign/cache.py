@@ -23,8 +23,8 @@ from typing import Any
 
 import repro
 from repro import __version__
+from repro.campaign.kinds import kind_of
 from repro.campaign.spec import config_to_dict
-from repro.experiments.runner import ExperimentConfig
 
 #: Length of the hex digest prefix used as the key; 16 hex chars = 64 bits,
 #: far beyond collision range for any realistic campaign size.
@@ -53,14 +53,24 @@ def code_fingerprint() -> str:
     return f"{__version__}+{digest.hexdigest()[:12]}"
 
 
-def trial_key(config: ExperimentConfig, code_version: str | None = None) -> str:
-    """Content-addressed identity of one trial."""
+def trial_key(config, code_version: str | None = None) -> str:
+    """Content-addressed identity of one trial, of any kind.
+
+    The payload is the config minus its kind's ``key_excluded`` fields,
+    plus a ``"kind"`` entry for every kind that has a ``key_tag``.
+    """
+    kind = kind_of(config)
+    config_dict = config_to_dict(config)
+    for field_name in kind.key_excluded:
+        del config_dict[field_name]
     payload = {
         "code_version": (
             code_version if code_version is not None else code_fingerprint()
         ),
-        "config": config_to_dict(config),
+        "config": config_dict,
     }
+    if kind.key_tag is not None:
+        payload["kind"] = kind.key_tag
     digest = hashlib.sha256(canonical_json(payload).encode("utf-8"))
     return digest.hexdigest()[:KEY_LENGTH]
 

@@ -47,13 +47,13 @@ from typing import Any, Callable, Iterable, Iterator
 
 from repro import faults
 from repro.campaign.cache import CacheStats, trial_key
+from repro.campaign.kinds import KINDS, SCHEDULER, kind_of
 from repro.campaign.spec import CampaignSpec, config_from_dict, config_to_dict
 from repro.campaign.store import (
     STATUS_ERROR,
     STATUS_OK,
     ResultStore,
     TrialRecord,
-    result_metrics,
 )
 from repro.campaign.supervise import (
     CampaignInterrupted,
@@ -84,18 +84,6 @@ def execute_trial(
     return run_experiment(config, carbon_trace=carbon_trace)
 
 
-def trial_label(config: ExperimentConfig) -> str:
-    """Short human-readable trial identity for progress lines."""
-    parts = [config.scheduler, f"grid={config.grid}", f"seed={config.seed}"]
-    if config.trace_start_step:
-        parts.append(f"start={config.trace_start_step}")
-    if config.scheduler == "pcaps":
-        parts.append(f"gamma={config.gamma}")
-    if config.cap_min_quota is not None:
-        parts.append(f"B={config.cap_min_quota}")
-    return " ".join(parts)
-
-
 def capture_trial_record(
     key: str,
     campaign: str,
@@ -106,8 +94,7 @@ def capture_trial_record(
     """Run one trial through the shared failure-isolation scaffold.
 
     The single place timing, ``ok``/``error`` status, and traceback capture
-    live; both scheduler trials (here) and federation trials
-    (:mod:`repro.campaign.geo`) funnel through it.
+    live.
     """
     start = time.perf_counter()
     try:
@@ -179,27 +166,30 @@ def execute_trial_checkpointed(
 def run_trial_to_record(
     key: str,
     campaign: str,
-    config: ExperimentConfig,
+    config,
     attempt: int = 1,
     checkpoint: CheckpointPolicy | None = None,
 ) -> TrialRecord:
-    """Execute one trial, capturing failure as an ``error`` record."""
+    """Execute one trial of any kind, capturing failure as an ``error``
+    record. Only scheduler trials checkpoint: the other kinds compose
+    several engines (federations) or keep their own cadence (services)."""
+    kind = kind_of(config)
 
-    def execute() -> ExperimentResult:
+    def execute():
         # No-op unless a fault plan is active (tests, ``repro faults demo``).
         faults.maybe_inject_worker(key, attempt)
-        if checkpoint is not None:
+        if checkpoint is not None and kind is SCHEDULER:
             return execute_trial_checkpointed(
                 key, config, checkpoint, attempt=attempt
             )
-        return execute_trial(config)
+        return kind.run(config)
 
     return capture_trial_record(
         key,
         campaign,
         config_to_dict(config),
         execute,
-        result_metrics,
+        kind.metrics,
     )
 
 
@@ -218,18 +208,18 @@ def _pool_worker_init() -> None:
 
 
 def _pool_worker(
-    payload: tuple[str, str, dict],
+    payload: tuple[str, str, str, dict],
     attempt: int = 1,
     checkpoint: CheckpointPolicy | None = None,
 ) -> TrialRecord:
-    """Top-level (picklable) worker: rebuild the config, run, summarize."""
-    key, campaign, config_dict = payload
+    """Top-level (picklable) worker: rebuild the config, run, summarize.
+
+    ``payload`` is ``(key, campaign, kind name, config dict)``.
+    """
+    key, campaign, kind_name, config_dict = payload
+    config = config_from_dict(config_dict, KINDS[kind_name].config_type)
     return run_trial_to_record(
-        key,
-        campaign,
-        config_from_dict(config_dict),
-        attempt=attempt,
-        checkpoint=checkpoint,
+        key, campaign, config, attempt=attempt, checkpoint=checkpoint
     )
 
 
@@ -265,11 +255,9 @@ class CampaignRun:
 class CampaignRunner:
     """Runs campaigns against one store, with a process pool and caching.
 
-    The resume/record/progress loop is config-type agnostic: subclasses
-    (e.g. the federation campaigns in :mod:`repro.campaign.geo`) override
-    the ``trial_key_for`` / ``run_record`` / ``payload_for`` / ``label_for``
-    hooks and the picklable ``worker`` entry point to sweep a different
-    config type through the identical store, cache, and pool machinery.
+    The resume/record/progress loop serves every trial kind: the spec's
+    :class:`~repro.campaign.kinds.TrialKind` supplies how a trial runs,
+    what its record keeps and how its progress line reads.
 
     Parameters
     ----------
@@ -294,10 +282,6 @@ class CampaignRunner:
         exporter's lifecycle (``close``).
     """
 
-    #: Top-level (picklable) pool entry point taking
-    #: ``(payload, attempt, checkpoint_policy)``.
-    worker = staticmethod(_pool_worker)
-
     def __init__(
         self,
         store: ResultStore,
@@ -319,40 +303,12 @@ class CampaignRunner:
         store, then :class:`CampaignInterrupted` propagates."""
         self._stop.set()
 
-    # -- config-type hooks (overridden by e.g. GeoCampaignRunner) --------
-    def trial_key_for(self, config) -> str:
-        return trial_key(config, self.code_version)
-
-    def run_record(
-        self, key: str, campaign: str, config, attempt: int = 1
-    ) -> TrialRecord:
-        """Execute one trial inline, capturing failure as an error record."""
-        return run_trial_to_record(
-            key,
-            campaign,
-            config,
-            attempt=attempt,
-            checkpoint=self.supervisor.checkpoint_policy(),
-        )
-
-    def payload_for(self, key: str, campaign: str, config) -> tuple:
-        """The picklable payload handed to :attr:`worker`."""
-        return (key, campaign, config_to_dict(config))
-
-    def label_for(self, record: TrialRecord) -> str:
-        return trial_label(config_from_dict(record.config))
-
     # ------------------------------------------------------------------
-    def keyed_trials(self, spec) -> list[tuple[str, Any]]:
-        """(key, config) per trial, deduplicated, in campaign order.
-
-        Config values are whatever type the spec expands to —
-        :class:`ExperimentConfig` here, ``FederationConfig`` under
-        :class:`~repro.campaign.geo.GeoCampaignRunner`.
-        """
+    def keyed_trials(self, spec: CampaignSpec) -> list[tuple[str, Any]]:
+        """(key, config) per trial, deduplicated, in campaign order."""
         seen: dict[str, Any] = {}
         for config in spec.trials():
-            seen.setdefault(self.trial_key_for(config), config)
+            seen.setdefault(trial_key(config, self.code_version), config)
         return list(seen.items())
 
     def collect(self, spec: CampaignSpec) -> list[TrialRecord]:
@@ -390,9 +346,11 @@ class CampaignRunner:
         span_start = observer.tracer.now_us() if observer is not None else 0.0
         keyed = self.keyed_trials(spec)
         completed = self.store.completed() if resume else {}
+        configs = dict(keyed)
+        label_of = spec.kind.label
 
         records: dict[str, TrialRecord] = {}
-        pending: list[tuple[str, ExperimentConfig]] = []
+        pending: list[tuple[str, Any]] = []
         for key, config in keyed:
             if key in completed:
                 records[key] = completed[key]
@@ -425,19 +383,18 @@ class CampaignRunner:
         for key in records:
             done += 1
             if on_progress is not None:
-                on_progress(
-                    done, total, f"cached {self.label_for(records[key])}"
-                )
+                on_progress(done, total, f"cached {label_of(configs[key])}")
 
         def finish(record: TrialRecord) -> None:
             nonlocal done
             self.store.append(record)
             records[record.key] = record
             done += 1
+            label = label_of(configs[record.key])
             if tracer is not None:
                 dur_us = record.duration_s * 1e6
                 tracer.complete(
-                    f"trial {self.label_for(record)}",
+                    f"trial {label}",
                     start_us=max(0.0, tracer.now_us() - dur_us),
                     dur_us=dur_us,
                     cat="campaign",
@@ -452,7 +409,6 @@ class CampaignRunner:
                 )
             if on_progress is not None:
                 verb = "ok   " if record.ok else "FAIL "
-                label = self.label_for(record)
                 on_progress(done, total, f"{verb}{label} ({record.duration_s:.2f}s)")
 
         workers = self._effective_workers(len(pending))
@@ -541,7 +497,7 @@ class CampaignRunner:
         return TrialRecord(
             key=state.key,
             campaign=campaign,
-            config=self.payload_for(state.key, campaign, state.config)[2],
+            config=config_to_dict(state.config),
             status=STATUS_ERROR,
             error=state.errors[-1] if state.errors else "quarantined",
             attempts=state.attempt,
@@ -557,6 +513,7 @@ class CampaignRunner:
         """No-pool path: retries and quarantine apply, timeouts cannot (a
         hung trial would hang this very process)."""
         sup = self.supervisor
+        checkpoint = sup.checkpoint_policy()
         for index, (key, config) in enumerate(pending):
             if self._stop.is_set():
                 raise CampaignInterrupted(
@@ -568,8 +525,12 @@ class CampaignRunner:
                     self._count("campaign.retries")
                     time.sleep(backoff_delay(sup, key, state.attempt))
                 state.attempt += 1
-                record = self.run_record(
-                    key, campaign, config, attempt=state.attempt
+                record = run_trial_to_record(
+                    key,
+                    campaign,
+                    config,
+                    attempt=state.attempt,
+                    checkpoint=checkpoint,
                 )
                 if record.ok:
                     break
@@ -601,8 +562,13 @@ class CampaignRunner:
 
         def submit(state: _TrialState) -> None:
             state.attempt += 1
-            payload = self.payload_for(state.key, campaign, state.config)
-            future = pool.submit(self.worker, payload, state.attempt, checkpoint)
+            payload = (
+                state.key,
+                campaign,
+                kind_of(state.config).name,
+                config_to_dict(state.config),
+            )
+            future = pool.submit(_pool_worker, payload, state.attempt, checkpoint)
             deadline = (
                 time.monotonic() + sup.trial_timeout_s
                 if sup.trial_timeout_s is not None

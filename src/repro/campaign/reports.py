@@ -1,17 +1,19 @@
 """Aggregation and table rendering over stored campaign records.
 
 Reports work from :class:`~repro.campaign.store.TrialRecord` summaries
-alone — no simulation re-runs. Records are grouped into *cells* (unique
-combinations of every config field except the replicate fields ``seed`` and
-``trace_start_step``); replicates within a cell are aggregated as
+alone — no simulation re-runs — for every trial kind. Records are grouped
+into *cells* (unique combinations of every config field except the kind's
+replicate fields, such as ``seed`` and ``trace_start_step``); a tuple of
+records such as a federation's ``regions`` flattens per field
+(``regions.scheduler``). Replicates within a cell are aggregated as
 mean/median/p95, following the paper's "averaged over repeated trials at
 random trace start times" methodology.
 
-When a baseline scheduler is named, each record is normalized against the
+When a baseline policy is named, each record is normalized against the
 stored baseline record of the *same replicate* (identical config modulo the
-policy fields) via :func:`~repro.simulator.metrics.compare_to_baseline` —
-the stored summaries expose the same metric attributes as live
-:class:`~repro.simulator.metrics.ExperimentResult` objects.
+kind's policy fields), with the zero guards of
+:func:`~repro.simulator.metrics.compare_to_baseline`; carbon is read from
+the kind's ``carbon_metric``.
 """
 
 from __future__ import annotations
@@ -22,10 +24,9 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from repro.campaign.cache import canonical_json
-from repro.campaign.spec import POLICY_FIELDS, REPLICATE_FIELDS
+from repro.campaign.kinds import SCHEDULER, TrialKind
 from repro.campaign.store import TrialRecord
 from repro.experiments.figures import SweepPoint
-from repro.simulator.metrics import compare_to_baseline
 
 
 def _flatten(config: dict[str, Any], prefix: str = "") -> dict[str, Any]:
@@ -34,6 +35,12 @@ def _flatten(config: dict[str, Any], prefix: str = "") -> dict[str, Any]:
         name = f"{prefix}{key}"
         if isinstance(value, dict):
             flat.update(_flatten(value, prefix=f"{name}."))
+        elif value and isinstance(value, list) and isinstance(value[0], dict):
+            items = [_flatten(item) for item in value]
+            for field_name in items[0]:
+                flat[f"{name}.{field_name}"] = tuple(
+                    item.get(field_name) for item in items
+                )
         elif isinstance(value, list):
             flat[name] = tuple(value)
         else:
@@ -42,9 +49,7 @@ def _flatten(config: dict[str, Any], prefix: str = "") -> dict[str, Any]:
 
 
 def _subset_id(flat: dict[str, Any], exclude: Sequence[str]) -> str:
-    kept = {k: v for k, v in flat.items() if k not in exclude}
-    return canonical_json({k: list(v) if isinstance(v, tuple) else v
-                           for k, v in kept.items()})
+    return canonical_json({k: v for k, v in flat.items() if k not in exclude})
 
 
 def _sort_token(value: Any) -> tuple:
@@ -53,6 +58,48 @@ def _sort_token(value: Any) -> tuple:
     if isinstance(value, (int, float)):
         return (0, float(value), "")
     return (1, 0.0, str(value))
+
+
+def _shown(value: Any) -> str:
+    """A cell value for a row label; a field that is equal on every record
+    of a tuple (``regions.scheduler``) shows once."""
+    if isinstance(value, tuple) and value and len(set(value)) == 1:
+        value = value[0]
+    return str(value)
+
+
+def _partners(
+    ok: Sequence[TrialRecord],
+    flats: dict[str, dict[str, Any]],
+    baseline: str,
+    kind: TrialKind,
+) -> dict[str, TrialRecord]:
+    """Key -> the baseline record of the same replicate, where stored."""
+    policy = kind.policy_fields
+    by_replicate = {
+        _subset_id(flats[r.key], policy): r
+        for r in ok
+        if flats[r.key][policy[0]] == baseline
+    }
+    partners = {}
+    for record in ok:
+        partner = by_replicate.get(_subset_id(flats[record.key], policy))
+        if partner is not None:
+            partners[record.key] = partner
+    return partners
+
+
+def _versus(
+    record: TrialRecord, partner: TrialRecord, carbon_metric: str
+) -> tuple[float, float, float]:
+    """(carbon reduction %, ECT ratio, JCT ratio) of ``record`` against
+    its baseline ``partner``."""
+
+    def ratio(metric: str) -> float:
+        base = float(partner.metrics[metric])
+        return float(record.metrics[metric]) / base if base > 0 else 1.0
+
+    return 100.0 * (1.0 - ratio(carbon_metric)), ratio("ect"), ratio("avg_jct")
 
 
 @dataclass(frozen=True)
@@ -88,7 +135,7 @@ class ReportRow:
     """One aggregated cell of a campaign report."""
 
     label: str
-    scheduler: str
+    policy: str  # the kind's first policy field: scheduler, or routing
     n: int  # replicates aggregated
     carbon: MetricStats  # reduction % if normalized, else absolute footprint
     ect: MetricStats  # ratio if normalized, else seconds
@@ -97,7 +144,7 @@ class ReportRow:
 
 
 def campaign_report(
-    records: Sequence[TrialRecord], baseline: str | None = None
+    records: Sequence[TrialRecord], baseline: str | None, kind: TrialKind
 ) -> list[ReportRow]:
     """Aggregate stored records into deterministic, sorted table rows.
 
@@ -109,81 +156,61 @@ def campaign_report(
     if not ok:
         return []
     flats = {r.key: _flatten(r.config) for r in ok}
+    policy = kind.policy_fields[0]
 
     # Fields that actually vary across trials (minus replicate fields) name
     # the cells and build the row labels.
-    varying: list[str] = []
-    for field_name in flats[ok[0].key]:
-        if field_name in REPLICATE_FIELDS:
-            continue
-        if len({repr(flat.get(field_name)) for flat in flats.values()}) > 1:
-            varying.append(field_name)
-
-    base_by_replicate: dict[str, TrialRecord] = {}
-    if baseline is not None:
-        for record in ok:
-            if record.scheduler_name == baseline:
-                base_by_replicate[
-                    _subset_id(flats[record.key], POLICY_FIELDS)
-                ] = record
+    varying = [
+        field_name
+        for field_name in dict.fromkeys(f for flat in flats.values() for f in flat)
+        if field_name not in kind.replicate_fields
+        and len({repr(flat.get(field_name)) for flat in flats.values()}) > 1
+    ]
+    partners = _partners(ok, flats, baseline, kind) if baseline is not None else {}
 
     cells: dict[str, list[TrialRecord]] = {}
     for record in ok:
-        cells.setdefault(_subset_id(flats[record.key], REPLICATE_FIELDS), []).append(
-            record
-        )
+        cells.setdefault(
+            _subset_id(flats[record.key], kind.replicate_fields), []
+        ).append(record)
 
     rows = []
     for members in cells.values():
         flat = flats[members[0].key]
         label_parts = []
         for field_name in varying:
-            value = flat.get(field_name)
+            value = _shown(flat.get(field_name))
             short = field_name.removeprefix("workload.")
-            label_parts.append(f"{short}={value}" if short != "scheduler" else str(value))
-        label = " ".join(label_parts) or members[0].scheduler_name
+            label_parts.append(value if field_name == policy else f"{short}={value}")
+        label = " ".join(label_parts) or str(flat[policy])
 
         if baseline is not None:
-            normalized = []
-            for record in members:
-                partner = base_by_replicate.get(
-                    _subset_id(flats[record.key], POLICY_FIELDS)
-                )
-                if partner is not None:
-                    normalized.append(compare_to_baseline(record, partner))
+            normalized = [
+                _versus(record, partners[record.key], kind.carbon_metric)
+                for record in members
+                if record.key in partners
+            ]
             if not normalized:
                 continue  # no stored baseline replicate to compare against
-            rows.append(
-                (
-                    tuple(_sort_token(flat.get(f)) for f in varying),
-                    ReportRow(
-                        label=label,
-                        scheduler=members[0].scheduler_name,
-                        n=len(normalized),
-                        carbon=MetricStats.of(
-                            m.carbon_reduction_pct for m in normalized
-                        ),
-                        ect=MetricStats.of(m.ect_ratio for m in normalized),
-                        jct=MetricStats.of(m.jct_ratio for m in normalized),
-                        normalized=True,
-                    ),
-                )
-            )
+            carbon, ect, jct = zip(*normalized)
         else:
-            rows.append(
-                (
-                    tuple(_sort_token(flat.get(f)) for f in varying),
-                    ReportRow(
-                        label=label,
-                        scheduler=members[0].scheduler_name,
-                        n=len(members),
-                        carbon=MetricStats.of(r.carbon_footprint for r in members),
-                        ect=MetricStats.of(r.ect for r in members),
-                        jct=MetricStats.of(r.avg_jct for r in members),
-                        normalized=False,
-                    ),
-                )
+            carbon = [r.metrics[kind.carbon_metric] for r in members]
+            ect = [r.metrics["ect"] for r in members]
+            jct = [r.metrics["avg_jct"] for r in members]
+        rows.append(
+            (
+                tuple(_sort_token(flat.get(f)) for f in varying),
+                ReportRow(
+                    label=label,
+                    policy=str(flat[policy]),
+                    n=len(carbon),
+                    carbon=MetricStats.of(carbon),
+                    ect=MetricStats.of(ect),
+                    jct=MetricStats.of(jct),
+                    normalized=baseline is not None,
+                ),
             )
+        )
     rows.sort(key=lambda pair: pair[0])
     return [row for _, row in rows]
 
@@ -226,36 +253,30 @@ def sweep_points(
 ) -> list[SweepPoint]:
     """Normalized metrics per sweep-knob value, sorted by the knob.
 
-    ``parameter`` is a (possibly dotted) config field, e.g. ``gamma`` or
-    ``cap_min_quota``. Replicates at the same knob value are averaged.
+    For scheduler campaigns. ``parameter`` is a (possibly dotted) config
+    field, e.g. ``gamma`` or ``cap_min_quota``. Replicates at the same knob
+    value are averaged.
     """
     ok = [r for r in records if r.ok]
     flats = {r.key: _flatten(r.config) for r in ok}
-    base_by_replicate = {
-        _subset_id(flats[r.key], POLICY_FIELDS): r
-        for r in ok
-        if r.scheduler_name == baseline
-    }
-    grouped: dict[float, list] = {}
+    partners = _partners(ok, flats, baseline, SCHEDULER)
+    grouped: dict[float, list[tuple[float, float, float]]] = {}
     for record in ok:
-        if record.scheduler_name == baseline:
-            continue
-        partner = base_by_replicate.get(_subset_id(flats[record.key], POLICY_FIELDS))
-        if partner is None:
+        if record.scheduler_name == baseline or record.key not in partners:
             continue
         value = float(flats[record.key][parameter])
-        grouped.setdefault(value, []).append(compare_to_baseline(record, partner))
+        grouped.setdefault(value, []).append(
+            _versus(record, partners[record.key], SCHEDULER.carbon_metric)
+        )
     points = []
     for value in sorted(grouped):
-        metrics = grouped[value]
+        carbon, ect, jct = zip(*grouped[value])
         points.append(
             SweepPoint(
                 parameter=value,
-                carbon_reduction_pct=float(
-                    np.mean([m.carbon_reduction_pct for m in metrics])
-                ),
-                ect_ratio=float(np.mean([m.ect_ratio for m in metrics])),
-                jct_ratio=float(np.mean([m.jct_ratio for m in metrics])),
+                carbon_reduction_pct=float(np.mean(carbon)),
+                ect_ratio=float(np.mean(ect)),
+                jct_ratio=float(np.mean(jct)),
             )
         )
     return points

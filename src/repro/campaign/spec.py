@@ -1,58 +1,68 @@
 """Declarative campaign specifications.
 
-A :class:`CampaignSpec` is "a base :class:`ExperimentConfig` plus axes":
-each axis names a config field and the values to sweep, and the campaign is
-the cartesian product of all axes applied to the base. Axis names may be
-dotted (``workload.num_jobs``) to sweep nested :class:`WorkloadSpec` fields.
+A :class:`CampaignSpec` is "a base config plus axes": each axis names a
+config field and the values to sweep, and the campaign is the cartesian
+product of all axes applied to the base. The base may be any config type
+with a :class:`~repro.campaign.kinds.TrialKind` — an
+:class:`~repro.experiments.runner.ExperimentConfig`, a
+:class:`~repro.geo.config.FederationConfig` or a
+:class:`~repro.stream.service.ServiceConfig`. Axis names may be dotted
+(``workload.num_jobs``, ``experiment.scheduler``) to reach nested records;
+on a tuple of records (``regions.scheduler``) the value is set on every
+element.
 
-If the spec names a ``baseline`` scheduler that no product trial covers, one
-baseline trial is prepended per replicate combination (every axis except the
-scheduler-policy fields), so normalized reports can be computed from the
+If the spec names a ``baseline`` policy that no product trial covers, one
+baseline trial is prepended per replicate combination (every axis except
+the kind's policy fields), so normalized reports can be computed from the
 result store alone.
 
 :func:`campaign_presets` provides named specs for the paper's Table 2/3 and
 Fig. 7–19 campaigns at laptop scale (Fig. 15 is a timeline comparison, not a
-sweep, and has no campaign preset).
+sweep, and has no campaign preset), plus the federation and streaming
+sweeps.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import types
+import typing
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Any, Iterable, Mapping
 
+from repro.campaign.kinds import TrialKind, kind_of
 from repro.carbon.grids import GRID_CODES
+from repro.disrupt.schedule import DisruptionSchedule
 from repro.experiments.runner import ExperimentConfig
-from repro.workloads.alibaba import AlibabaWorkloadModel
+from repro.geo.config import FederationConfig, RegionConfig
+from repro.stream.service import ServiceConfig
 from repro.workloads.batch import WorkloadSpec
-
-#: Config fields that define *which policy* runs rather than *what it runs
-#: on*. Two trials that differ only in these fields share a replicate (same
-#: workload, grid, and trace slice), which is what makes their normalized
-#: comparison meaningful.
-POLICY_FIELDS: tuple[str, ...] = ("scheduler", "gamma", "cap_min_quota", "gh_theta")
-
-#: Config fields that vary replicates of the same cell (averaged over in
-#: reports rather than broken out as table rows).
-REPLICATE_FIELDS: tuple[str, ...] = ("seed", "trace_start_step")
+from repro.workloads.stream import StreamSpec
 
 Axes = Mapping[str, Iterable[Any]] | Iterable[tuple[str, Iterable[Any]]]
 
 
-def apply_axis_value(
-    config: ExperimentConfig, field_name: str, value: Any
-) -> ExperimentConfig:
-    """Return ``config`` with one (possibly dotted) field replaced."""
-    if field_name.startswith("workload."):
-        sub = field_name.split(".", 1)[1]
-        return replace(config, workload=replace(config.workload, **{sub: value}))
-    return replace(config, **{field_name: value})
+def apply_axis_value(config, field_name: str, value: Any):
+    """Return ``config`` with one (possibly dotted) field replaced.
+
+    A dotted path that crosses a tuple of records sets the rest of the
+    path on every element.
+    """
+    head, _, rest = field_name.partition(".")
+    if not rest:
+        return replace(config, **{head: value})
+    current = getattr(config, head)
+    if isinstance(current, tuple):
+        updated = tuple(apply_axis_value(item, rest, value) for item in current)
+    else:
+        updated = apply_axis_value(current, rest, value)
+    return replace(config, **{head: updated})
 
 
-def config_to_dict(config: ExperimentConfig) -> dict[str, Any]:
-    """Serialize a config (and its nested workload) to plain JSON types."""
-    raw = dataclasses.asdict(config)
+def config_to_dict(config) -> dict[str, Any]:
+    """Serialize a config (all nesting) to plain JSON types."""
 
     def _plain(obj: Any) -> Any:
         if isinstance(obj, dict):
@@ -61,43 +71,64 @@ def config_to_dict(config: ExperimentConfig) -> dict[str, Any]:
             return [_plain(v) for v in obj]
         return obj
 
-    return _plain(raw)
+    return _plain(dataclasses.asdict(config))
 
 
-def config_from_dict(data: Mapping[str, Any]) -> ExperimentConfig:
-    """Rebuild an :class:`ExperimentConfig` from :func:`config_to_dict`."""
-    params = dict(data)
-    workload = dict(params.get("workload", {}))
-    if isinstance(workload.get("alibaba_model"), Mapping):
-        workload["alibaba_model"] = AlibabaWorkloadModel(**workload["alibaba_model"])
-    if "tpch_scales" in workload:
-        workload["tpch_scales"] = tuple(workload["tpch_scales"])
-    params["workload"] = WorkloadSpec(**workload)
-    return ExperimentConfig(**params)
+@cache
+def _field_types(config_type: type) -> dict[str, Any]:
+    return typing.get_type_hints(config_type)
+
+
+def _decode(value: Any, hint: Any) -> Any:
+    if value is None:
+        return None
+    if isinstance(hint, types.UnionType):  # ``X | None``
+        (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+    if typing.get_origin(hint) is tuple:  # ``tuple[X, ...]``
+        item = typing.get_args(hint)[0]
+        return tuple(_decode(v, item) for v in value)
+    if dataclasses.is_dataclass(hint):
+        return config_from_dict(value, hint)
+    return value
+
+
+def config_from_dict(data: Mapping[str, Any], config_type: type):
+    """Rebuild a ``config_type`` instance from :func:`config_to_dict`.
+
+    Driven by the dataclass field annotations: nested dataclasses,
+    ``tuple[X, ...]`` and ``X | None`` are rebuilt recursively.
+    """
+    hints = _field_types(config_type)
+    return config_type(
+        **{name: _decode(value, hints[name]) for name, value in data.items()}
+    )
 
 
 @dataclass(frozen=True)
 class CampaignSpec:
-    """A named cartesian sweep over experiment-config fields.
+    """A named cartesian sweep over config fields.
 
     Parameters
     ----------
     name:
         Campaign identifier (used in store records and the CLI).
     base:
-        The config every trial starts from.
+        The config every trial starts from; its type picks the
+        :attr:`kind`.
     axes:
         Mapping (or ordered pairs) of field name -> values to sweep. Dotted
-        ``workload.*`` names reach into the nested :class:`WorkloadSpec`.
+        names reach nested records.
     baseline:
-        Scheduler every report row is normalized against. If none of the
-        product trials run it, baseline trials are added per replicate.
+        Policy every report row is normalized against (a value of the
+        kind's first policy field: a scheduler, or a routing policy). If
+        none of the product trials run it, baseline trials are added per
+        replicate.
     description:
         One line shown by ``repro campaign list``.
     """
 
     name: str
-    base: ExperimentConfig
+    base: Any
     axes: tuple[tuple[str, tuple[Any, ...]], ...]
     baseline: str | None = None
     description: str = ""
@@ -105,7 +136,7 @@ class CampaignSpec:
     def __init__(
         self,
         name: str,
-        base: ExperimentConfig,
+        base: Any,
         axes: Axes,
         baseline: str | None = None,
         description: str = "",
@@ -122,6 +153,10 @@ class CampaignSpec:
         object.__setattr__(self, "description", description)
 
     # ------------------------------------------------------------------
+    @property
+    def kind(self) -> TrialKind:
+        return kind_of(self.base)
+
     def num_trials(self) -> int:
         return len(self.trials())
 
@@ -129,37 +164,37 @@ class CampaignSpec:
         """``scheduler×4 · grid×2 · seed×3`` — for listings and banners."""
         return " · ".join(f"{name}×{len(values)}" for name, values in self.axes)
 
-    def trials(self) -> list[ExperimentConfig]:
+    def _expand(self, axes) -> list:
+        names = [name for name, _ in axes]
+        configs = []
+        for combo in itertools.product(*(values for _, values in axes)):
+            config = self.base
+            for field_name, value in zip(names, combo):
+                config = apply_axis_value(config, field_name, value)
+            configs.append(config)
+        return configs
+
+    def trials(self) -> list:
         """Expand the spec into concrete, deduplicated trial configs.
 
         Baseline trials (when needed) come first so a campaign's progress
         stream starts with the rows everything else is normalized against.
         """
-        product_trials = []
-        names = [name for name, _ in self.axes]
-        for combo in itertools.product(*(values for _, values in self.axes)):
-            config = self.base
-            for field_name, value in zip(names, combo):
-                config = apply_axis_value(config, field_name, value)
-            product_trials.append(config)
-
-        configs: list[ExperimentConfig] = []
+        kind = self.kind
+        product_trials = self._expand(self.axes)
+        configs = []
         if self.baseline is not None and not any(
-            c.scheduler == self.baseline for c in product_trials
+            kind.policy_of(c) == self.baseline for c in product_trials
         ):
             replicate_axes = [
                 (name, values)
                 for name, values in self.axes
-                if name not in POLICY_FIELDS
+                if name not in kind.policy_fields
             ]
-            rep_names = [name for name, _ in replicate_axes]
-            for combo in itertools.product(
-                *(values for _, values in replicate_axes)
-            ):
-                config = self.base
-                for field_name, value in zip(rep_names, combo):
-                    config = apply_axis_value(config, field_name, value)
-                configs.append(replace(config, scheduler=self.baseline))
+            configs = [
+                apply_axis_value(c, kind.policy_fields[0], self.baseline)
+                for c in self._expand(replicate_axes)
+            ]
         configs.extend(product_trials)
         return list(dict.fromkeys(configs))
 
@@ -203,10 +238,11 @@ def matchup_spec(
 
 
 # ----------------------------------------------------------------------
-# Named presets for the paper's campaigns (laptop scale)
+# Named presets (laptop scale)
 # ----------------------------------------------------------------------
 def campaign_presets() -> dict[str, CampaignSpec]:
-    """Named campaign specs mirroring the paper's tables and sweeps."""
+    """Every named campaign spec, of every kind: the paper's tables and
+    sweeps, then the federation and streaming sweeps."""
     def tpch(jobs: int, ia: float = 30.0, scales=(2, 10, 50)) -> WorkloadSpec:
         return WorkloadSpec(
             family="tpch", num_jobs=jobs, mean_interarrival=ia, tpch_scales=scales
@@ -393,5 +429,141 @@ def campaign_presets() -> dict[str, CampaignSpec]:
             baseline="fifo",
             description="Figs. 18/19: metrics vs mean interarrival, DE",
         ),
+        *_federation_presets(),
+        *_stream_presets(),
     ]
-    return {spec.name: spec for spec in specs}
+    presets: dict[str, CampaignSpec] = {}
+    for spec in specs:
+        if spec.name in presets:
+            raise ValueError(f"duplicate campaign preset {spec.name!r}")
+        presets[spec.name] = spec
+    return presets
+
+
+def _federation_presets() -> list[CampaignSpec]:
+    tiny = WorkloadSpec(family="tpch", num_jobs=6, mean_interarrival=10.0,
+                        tpch_scales=(2,))
+    sweep_workload = WorkloadSpec(
+        family="tpch", num_jobs=24, mean_interarrival=20.0, tpch_scales=(2, 10)
+    )
+    return [
+        CampaignSpec(
+            "geo-smoke",
+            FederationConfig(
+                regions=(
+                    RegionConfig(name="de", grid="DE", scheduler="fifo",
+                                 num_executors=4),
+                    RegionConfig(name="on", grid="ON", scheduler="fifo",
+                                 num_executors=4),
+                ),
+                workload=tiny,
+            ),
+            axes={"routing": ("round-robin", "carbon-forecast")},
+            baseline="round-robin",
+            description="2-trial federation sanity campaign (tests, CI)",
+        ),
+        CampaignSpec(
+            "geo-sweep",
+            FederationConfig.six_grid(
+                scheduler="pcaps", num_executors=10, workload=sweep_workload
+            ),
+            axes={
+                "routing": (
+                    "round-robin",
+                    "queue-aware",
+                    "carbon-greedy",
+                    "carbon-forecast",
+                ),
+                "seed": (0, 1, 2),
+            },
+            baseline="round-robin",
+            description="six-grid federation: 4 routing policies × 3 seeds",
+        ),
+        CampaignSpec(
+            "disrupt-sweep",
+            FederationConfig(
+                regions=(
+                    RegionConfig(name="de", grid="DE", scheduler="pcaps",
+                                 num_executors=8),
+                    RegionConfig(name="on", grid="ON", scheduler="pcaps",
+                                 num_executors=8),
+                    RegionConfig(name="caiso", grid="CAISO", scheduler="pcaps",
+                                 num_executors=8),
+                ),
+                workload=WorkloadSpec(
+                    family="tpch", num_jobs=18, mean_interarrival=15.0,
+                    tpch_scales=(2,),
+                ),
+                disruptions=DisruptionSchedule.generate(
+                    seed=7,
+                    regions=("de", "on", "caiso"),
+                    horizon_s=900.0,
+                    num_outages=2,
+                    mean_outage_s=600.0,
+                    num_curtailments=1,
+                    num_blackouts=1,
+                ),
+            ),
+            axes={
+                "routing": (
+                    "round-robin",
+                    "queue-aware",
+                    "carbon-forecast",
+                ),
+                "failover": (True, False),
+                "seed": (0, 1),
+            },
+            baseline="round-robin",
+            description="outage/curtailment/blackout resilience: "
+            "failover on vs off, per routing policy",
+        ),
+        CampaignSpec(
+            "geo-schedulers",
+            FederationConfig.six_grid(num_executors=10, workload=sweep_workload),
+            axes={
+                "routing": ("round-robin", "carbon-forecast"),
+                "regions.scheduler": ("fifo", "decima", "pcaps"),
+            },
+            baseline="round-robin",
+            description="does intra-cluster carbon-awareness still pay "
+            "under spatial routing?",
+        ),
+    ]
+
+
+def _stream_presets() -> list[CampaignSpec]:
+    smoke_base = ServiceConfig(
+        experiment=ExperimentConfig(scheduler="fifo", num_executors=6),
+        stream=StreamSpec(
+            mean_interarrival=20.0, tpch_scales=(2,), max_jobs=40
+        ),
+        epoch_events=512,
+    )
+    steady_base = ServiceConfig(
+        experiment=ExperimentConfig(scheduler="pcaps", num_executors=16),
+        stream=StreamSpec(
+            mean_interarrival=20.0, tpch_scales=(2,), max_jobs=2000
+        ),
+        window_s=3600.0,
+        epoch_events=8192,
+    )
+    return [
+        CampaignSpec(
+            "stream-smoke",
+            smoke_base,
+            axes={"experiment.scheduler": ("fifo", "pcaps")},
+            baseline="fifo",
+            description="2-trial streaming sanity campaign (tests, CI)",
+        ),
+        CampaignSpec(
+            "stream-steady",
+            steady_base,
+            axes={
+                "experiment.scheduler": ("fifo", "decima", "pcaps"),
+                "stream.seed": (0, 1),
+            },
+            baseline="fifo",
+            description="steady-state service runs: 3 schedulers × 2 "
+            "arrival seeds, 2000 jobs each in O(1) memory",
+        ),
+    ]

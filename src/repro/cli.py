@@ -191,17 +191,35 @@ GEO_ROUTING_CHOICES = (
 )
 
 
+#: The sweep commands run the campaign handler restricted to one trial kind.
+SWEEP_KINDS = {"geo": "federation", "disrupt": "federation", "stream": "stream"}
+
+
 def _campaign_spec(args: argparse.Namespace):
     from repro.campaign import campaign_presets
 
-    presets = campaign_presets()
+    kind = SWEEP_KINDS.get(args.command)
+    presets = {
+        name: spec
+        for name, spec in campaign_presets().items()
+        if kind is None or spec.kind.name == kind
+    }
     if args.name not in presets:
-        _error(f"unknown campaign {args.name!r}; choose from {sorted(presets)}")
+        scope = f"{args.command} " if kind is not None else ""
+        _error(
+            f"unknown {scope}campaign {args.name!r}; choose from {sorted(presets)}"
+        )
         return None
     spec = presets[args.name]
     jobs = getattr(args, "jobs", None)
     executors = getattr(args, "executors", None)
     if jobs is not None or executors is not None:
+        if spec.kind.name != "scheduler":
+            _error(
+                f"--jobs/--executors resize scheduler presets only; "
+                f"{spec.name!r} is a {spec.kind.name} campaign"
+            )
+            return None
         spec = spec.scaled(num_jobs=jobs, num_executors=executors)
     return spec
 
@@ -211,7 +229,7 @@ def _print_campaign_report(runner, spec) -> None:
 
     records = runner.collect(spec)
     expected = len(runner.keyed_trials(spec))
-    rows = campaign_report(records, baseline=spec.baseline)
+    rows = campaign_report(records, spec.baseline, spec.kind)
     title = (
         f"campaign {spec.name!r} — {len(records)}/{expected} trials in store, "
         f"baseline {spec.baseline or '(absolute metrics)'}"
@@ -242,11 +260,13 @@ def _print_trial_health(records) -> None:
 def _cmd_campaign_list(args: argparse.Namespace) -> int:
     from repro.campaign import campaign_presets
 
-    print(f"{'campaign':<12} {'trials':>6}  {'axes':<42} description")
+    print(
+        f"{'campaign':<15} {'kind':<10} {'trials':>6}  {'axes':<42} description"
+    )
     for name, spec in campaign_presets().items():
         print(
-            f"{name:<12} {len(spec.trials()):>6}  {spec.axis_summary():<42} "
-            f"{spec.description}"
+            f"{name:<15} {spec.kind.name:<10} {len(spec.trials()):>6}  "
+            f"{spec.axis_summary():<42} {spec.description}"
         )
     return 0
 
@@ -263,6 +283,8 @@ def _supervisor_from_args(args: argparse.Namespace):
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
+    """``campaign run|resume`` and the ``geo``/``disrupt``/``stream sweep``
+    commands: one runner, one store, one report for every trial kind."""
     from repro.campaign import CampaignInterrupted, CampaignRunner, ResultStore
 
     spec = _campaign_spec(args)
@@ -593,50 +615,11 @@ def _cmd_geo_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_geo_sweep(args: argparse.Namespace) -> int:
-    from repro.campaign import (
-        ResultStore,
-        format_geo_report,
-        geo_campaign_report,
-        geo_presets,
-        run_geo_campaign,
-    )
-
-    presets = geo_presets()
-    if args.name not in presets:
-        _error(f"unknown geo campaign {args.name!r}; choose from {sorted(presets)}")
-        return 2
-    spec = presets[args.name]
-    store = ResultStore(args.store)
-    print(
-        f"geo campaign {spec.name!r}: {len(spec.trials())} trials "
-        f"({spec.axis_summary()}), store {args.store}"
-    )
-
-    def progress(done: int, total: int, line: str) -> None:
-        if not args.quiet:
-            print(f"[{done:>3}/{total}] {line}")
-
-    run = run_geo_campaign(
-        spec, store, on_progress=progress, workers=args.workers
-    )
-    stats = run.stats
-    print(
-        f"done in {run.wall_time_s:.1f}s: {stats.misses} simulated, "
-        f"{stats.hits} cached, {len(run.failures)} failed"
-    )
-    for record in run.failures:
-        print(f"  FAILED {record.key}: {record.error}")
-    rows = geo_campaign_report(run.records, baseline=spec.baseline)
-    print(format_geo_report(rows, title=f"geo campaign {spec.name!r}"))
-    return 1 if run.failures else 0
-
-
 def _cmd_geo(args: argparse.Namespace) -> int:
     handlers = {
         "run": _cmd_geo_run,
         "compare": _cmd_geo_compare,
-        "sweep": _cmd_geo_sweep,
+        "sweep": _cmd_campaign_run,
     }
     return handlers[args.cmd](args)
 
@@ -722,16 +705,11 @@ def _cmd_disrupt_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_disrupt_sweep(args: argparse.Namespace) -> int:
-    args.name = "disrupt-sweep"
-    return _cmd_geo_sweep(args)
-
-
 def _cmd_disrupt(args: argparse.Namespace) -> int:
     handlers = {
         "run": _cmd_disrupt_run,
         "compare": _cmd_disrupt_compare,
-        "sweep": _cmd_disrupt_sweep,
+        "sweep": _cmd_campaign_run,
     }
     return handlers[args.cmd](args)
 
@@ -851,57 +829,11 @@ def _cmd_stream_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_stream_sweep(args: argparse.Namespace) -> int:
-    from repro.campaign import ResultStore
-    from repro.campaign.stream import (
-        format_stream_campaign_report,
-        run_stream_campaign,
-        stream_campaign_report,
-        stream_presets,
-    )
-
-    presets = stream_presets()
-    if args.name not in presets:
-        _error(
-            f"unknown stream campaign {args.name!r}; "
-            f"choose from {sorted(presets)}"
-        )
-        return 2
-    spec = presets[args.name]
-    store = ResultStore(args.store)
-    print(
-        f"stream campaign {spec.name!r}: {len(spec.trials())} trials "
-        f"({spec.axis_summary()}), store {args.store}"
-    )
-
-    def progress(done: int, total: int, line: str) -> None:
-        if not args.quiet:
-            print(f"[{done:>3}/{total}] {line}")
-
-    run = run_stream_campaign(
-        spec, store, on_progress=progress, workers=args.workers
-    )
-    stats = run.stats
-    print(
-        f"done in {run.wall_time_s:.1f}s: {stats.misses} simulated, "
-        f"{stats.hits} cached, {len(run.failures)} failed"
-    )
-    for record in run.failures:
-        print(f"  FAILED {record.key}: {record.error}")
-    rows = stream_campaign_report(run.records)
-    print(
-        format_stream_campaign_report(
-            rows, title=f"stream campaign {spec.name!r}"
-        )
-    )
-    return 1 if run.failures else 0
-
-
 def _cmd_stream(args: argparse.Namespace) -> int:
     handlers = {
         "run": _cmd_stream_run,
         "report": _cmd_stream_report,
-        "sweep": _cmd_stream_sweep,
+        "sweep": _cmd_campaign_run,
     }
     return handlers[args.cmd](args)
 
@@ -1331,7 +1263,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     d.add_argument("--quiet", action="store_true")
     _add_obs_args(d)
-    d.set_defaults(func=_cmd_disrupt)
+    d.set_defaults(func=_cmd_disrupt, name="disrupt-sweep")
 
     p = sub.add_parser(
         "stream",

@@ -51,8 +51,10 @@ class StreamSpec:
     for always-on service runs that stop via the runner).
 
     Every field — including ``gc_policy`` — is serialized into the
-    campaign trial key (:func:`repro.campaign.stream.stream_trial_key`), so
-    resume-from-store stays content-addressed for streaming campaigns.
+    campaign trial key (:func:`repro.campaign.trial_key`; only the stream
+    kind's ``key_excluded`` cadence fields of the service config are left
+    out), so resume-from-store stays content-addressed for streaming
+    campaigns.
     """
 
     family: str = "tpch"

@@ -11,6 +11,7 @@ from repro.campaign.executor import (
     run_matchup_trials,
     run_trial_to_record,
 )
+from repro.campaign.kinds import SCHEDULER
 from repro.campaign.reports import (
     MetricStats,
     campaign_report,
@@ -133,17 +134,17 @@ class TestCampaignSpec:
 class TestConfigSerialization:
     def test_roundtrip_tpch(self):
         config = tiny_config(scheduler="pcaps", gamma=0.7, cap_min_quota=3)
-        assert config_from_dict(config_to_dict(config)) == config
+        assert config_from_dict(config_to_dict(config), ExperimentConfig) == config
 
     def test_roundtrip_alibaba(self):
         config = tiny_config(
             workload=WorkloadSpec(family="alibaba", num_jobs=2)
         )
-        assert config_from_dict(config_to_dict(config)) == config
+        assert config_from_dict(config_to_dict(config), ExperimentConfig) == config
 
     def test_dict_is_json_safe(self):
         payload = json.dumps(config_to_dict(tiny_config()))
-        assert config_from_dict(json.loads(payload)) == tiny_config()
+        assert config_from_dict(json.loads(payload), ExperimentConfig) == tiny_config()
 
 
 class TestTrialKey:
@@ -376,7 +377,7 @@ class TestReports:
             ok_record(key="f0", scheduler="fifo", carbon_footprint=180.0),
             ok_record(key="p0", scheduler="pcaps", carbon_footprint=90.0),
         ]
-        rows = campaign_report(records)
+        rows = campaign_report(records, None, SCHEDULER)
         assert [row.n for row in rows] == [1, 1]
         for row in rows:
             assert row.carbon.mean == row.carbon.p50 == row.carbon.p95
@@ -393,7 +394,7 @@ class TestReports:
             config=config_to_dict(tiny_config()), status=STATUS_OK,
         )
         assert not broken.ok
-        assert campaign_report([broken]) == []
+        assert campaign_report([broken], None, SCHEDULER) == []
 
     def test_metricless_ok_record_is_not_a_cache_hit(self, tmp_path):
         store = ResultStore(tmp_path / "results.jsonl")
@@ -406,8 +407,8 @@ class TestReports:
         assert store.completed() == {}  # resume will re-run the trial
 
     def test_normalized_aggregation(self):
-        rows = campaign_report(self._records(), baseline="fifo")
-        by_scheduler = {row.scheduler: row for row in rows}
+        rows = campaign_report(self._records(), "fifo", SCHEDULER)
+        by_scheduler = {row.policy: row for row in rows}
         assert by_scheduler["fifo"].carbon.mean == pytest.approx(0.0)
         assert by_scheduler["fifo"].ect.mean == pytest.approx(1.0)
         pcaps = by_scheduler["pcaps"]
@@ -417,15 +418,15 @@ class TestReports:
         assert pcaps.jct.mean == pytest.approx(1.5)
 
     def test_absolute_aggregation(self):
-        rows = campaign_report(self._records(), baseline=None)
-        pcaps = next(r for r in rows if r.scheduler == "pcaps")
+        rows = campaign_report(self._records(), None, SCHEDULER)
+        pcaps = next(r for r in rows if r.policy == "pcaps")
         assert not pcaps.normalized
         assert pcaps.carbon.mean == pytest.approx(75.0)
 
     def test_report_order_independent_of_record_order(self):
         records = self._records()
-        assert campaign_report(records, baseline="fifo") == campaign_report(
-            list(reversed(records)), baseline="fifo"
+        assert campaign_report(records, "fifo", SCHEDULER) == campaign_report(
+            list(reversed(records)), "fifo", SCHEDULER
         )
 
     def test_error_records_excluded(self):
@@ -436,13 +437,13 @@ class TestReports:
                 status=STATUS_ERROR, error="boom",
             )
         )
-        assert campaign_report(records, baseline="fifo") == campaign_report(
-            self._records(), baseline="fifo"
+        assert campaign_report(records, "fifo", SCHEDULER) == campaign_report(
+            self._records(), "fifo", SCHEDULER
         )
 
     def test_format_report_renders_rows(self):
         text = format_campaign_report(
-            campaign_report(self._records(), baseline="fifo"), title="T"
+            campaign_report(self._records(), "fifo", SCHEDULER), title="T"
         )
         assert "T" in text and "pcaps" in text and "carbon_red%" in text
         assert format_campaign_report([]) == "(no completed trials in store)"

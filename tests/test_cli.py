@@ -141,6 +141,46 @@ class TestCampaignCommands:
         # The report from the store alone matches the table the run printed.
         assert report.strip().splitlines()[-1] in rerun
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "run", "smoke"],
+            ["geo", "sweep", "geo-smoke"],
+            ["disrupt", "sweep"],
+            ["stream", "sweep", "stream-smoke"],
+        ],
+        ids=["campaign-run", "geo-sweep", "disrupt-sweep", "stream-sweep"],
+    )
+    def test_interrupt_exits_130(self, argv, tmp_path, monkeypatch, capsys):
+        """Ctrl-C during any campaign entry point: the drained store is
+        kept, one ``interrupted:`` line is printed, exit status 130."""
+        from repro.campaign import CampaignInterrupted, CampaignRunner
+
+        def interrupted(self, spec, resume=True, on_progress=None):
+            raise CampaignInterrupted(completed=1, pending=1)
+
+        monkeypatch.setattr(CampaignRunner, "run", interrupted)
+        store = str(tmp_path / "s.jsonl")
+        assert main([*argv, "--store", store, "--workers", "0"]) == 130
+        assert "interrupted: campaign interrupted" in capsys.readouterr().out
+
+    def test_campaign_commands_take_every_kind(self, tmp_path, capsys):
+        assert main(["campaign", "list"]) == 0
+        listing = capsys.readouterr().out
+        assert "geo-sweep       federation" in listing
+        assert "stream-steady   stream" in listing
+        store = str(tmp_path / "geo.jsonl")
+        assert main(["geo", "sweep", "geo-smoke", "--store", store, "--quiet"]) == 0
+        swept = capsys.readouterr().out
+        assert main(["campaign", "report", "geo-smoke", "--store", store]) == 0
+        report = capsys.readouterr().out
+        assert "2/2 trials in store, baseline round-robin" in report
+        assert report.strip().splitlines()[-1] in swept
+
+    def test_resize_flags_apply_to_scheduler_presets_only(self, capsys):
+        assert main(["campaign", "run", "stream-smoke", "--jobs", "3"]) == 2
+        assert "scheduler presets only" in capsys.readouterr().err
+
 
 class TestObsCommands:
     def test_obs_requires_subcommand(self):

@@ -620,7 +620,7 @@ class TestArrivalWeights:
 # ----------------------------------------------------------------------
 class TestDisruptCampaign:
     def test_disrupted_config_round_trips(self):
-        from repro.campaign.geo import federation_from_dict, federation_to_dict
+        from repro.campaign.spec import config_from_dict, config_to_dict
 
         config = two_region_config(seed=7).with_disruptions(
             DisruptionSchedule.generate(
@@ -630,17 +630,17 @@ class TestDisruptCampaign:
             failover=False,
             migrate=True,
         )
-        assert federation_from_dict(federation_to_dict(config)) == config
+        assert config_from_dict(config_to_dict(config), FederationConfig) == config
 
     def test_trial_key_depends_on_schedule_and_failover(self):
-        from repro.campaign.geo import geo_trial_key
+        from repro.campaign import trial_key
 
         base = two_region_config()
         disrupted = base.with_disruptions(
             DisruptionSchedule(events=(outage("on", 5.0, 50.0),))
         )
-        assert geo_trial_key(base, "v1") != geo_trial_key(disrupted, "v1")
-        assert geo_trial_key(disrupted, "v1") != geo_trial_key(
+        assert trial_key(base, "v1") != trial_key(disrupted, "v1")
+        assert trial_key(disrupted, "v1") != trial_key(
             disrupted.with_disruptions(
                 disrupted.disruptions, failover=False
             ),
@@ -648,19 +648,18 @@ class TestDisruptCampaign:
         )
 
     def test_disrupt_sweep_preset_listed_and_valid(self):
-        from repro.campaign import geo_presets
+        from repro.campaign import campaign_presets
 
-        spec = geo_presets()["disrupt-sweep"]
+        spec = campaign_presets()["disrupt-sweep"]
         assert spec.base.disruptions is not None
         trials = spec.trials()
         assert all(t.disruptions == spec.base.disruptions for t in trials)
         assert {t.failover for t in trials} == {True, False}
 
     def test_small_disrupted_campaign_runs_and_caches(self, tmp_path):
-        from repro.campaign import ResultStore
-        from repro.campaign.geo import GeoCampaignSpec, run_geo_campaign
+        from repro.campaign import CampaignRunner, CampaignSpec, ResultStore
 
-        spec = GeoCampaignSpec(
+        spec = CampaignSpec(
             "disrupt-tiny",
             two_region_config(workload=tiny_workload(4)).with_disruptions(
                 DisruptionSchedule(events=(outage("on", 15.0, 300.0),))
@@ -669,15 +668,16 @@ class TestDisruptCampaign:
                 "routing": ("round-robin",),
                 "failover": (True, False),
             },
+            baseline="round-robin",
         )
         store = ResultStore(tmp_path / "store.jsonl")
-        run = run_geo_campaign(spec, store, workers=0)
+        run = CampaignRunner(store, workers=0).run(spec)
         assert not run.failures
         assert run.stats.misses == 2
         for record in run.records:
             assert "rerouted_jobs" in record.metrics
             assert "failover_transfer_carbon_g" in record.metrics
-        rerun = run_geo_campaign(spec, store, workers=0)
+        rerun = CampaignRunner(store, workers=0).run(spec)
         assert rerun.stats.hits == 2 and rerun.stats.misses == 0
 
 

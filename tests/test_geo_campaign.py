@@ -1,20 +1,21 @@
-"""Tests for geo campaigns (``repro.campaign.geo``) and the ``repro geo`` CLI."""
+"""Tests for federation campaigns (the campaign engine's ``federation``
+trial kind) and the ``repro geo`` CLI."""
 
 import pytest
 
-from repro.campaign import ResultStore
-from repro.campaign.geo import (
-    GeoCampaignSpec,
-    apply_geo_axis,
-    federation_from_dict,
-    federation_to_dict,
-    format_geo_report,
-    geo_campaign_report,
-    geo_presets,
-    geo_trial_key,
-    run_geo_campaign,
+from repro.campaign import (
+    CampaignRunner,
+    CampaignSpec,
+    ResultStore,
+    campaign_presets,
+    campaign_report,
+    format_campaign_report,
+    trial_key,
 )
+from repro.campaign.kinds import FEDERATION
+from repro.campaign.spec import apply_axis_value, config_from_dict, config_to_dict
 from repro.cli import main
+from repro.disrupt import DisruptionEvent, DisruptionSchedule
 from repro.geo import FederationConfig, RegionConfig
 from repro.workloads.batch import WorkloadSpec
 
@@ -38,31 +39,33 @@ def tiny_base(**overrides) -> FederationConfig:
 class TestSerialization:
     def test_round_trip(self):
         config = tiny_base(routing="carbon-forecast", seed=9)
-        assert federation_from_dict(federation_to_dict(config)) == config
+        assert config_from_dict(config_to_dict(config), FederationConfig) == config
 
     def test_key_is_content_addressed(self):
         config = tiny_base()
-        assert geo_trial_key(config, "v1") == geo_trial_key(config, "v1")
-        assert geo_trial_key(config, "v1") != geo_trial_key(
+        assert trial_key(config, "v1") == trial_key(config, "v1")
+        assert trial_key(config, "v1") != trial_key(
             config.with_routing("queue-aware"), "v1"
         )
-        assert geo_trial_key(config, "v1") != geo_trial_key(config, "v2")
+        assert trial_key(config, "v1") != trial_key(config, "v2")
 
 
 class TestSpec:
     def test_axes_expand_cartesian(self):
-        spec = GeoCampaignSpec(
+        spec = CampaignSpec(
             "t", tiny_base(),
             axes={"routing": ("round-robin", "carbon-greedy"), "seed": (0, 1)},
+            baseline="round-robin",
         )
         trials = spec.trials()
         assert len(trials) == 4
         assert {t.routing for t in trials} == {"round-robin", "carbon-greedy"}
 
     def test_baseline_trials_injected_when_missing(self):
-        spec = GeoCampaignSpec(
+        spec = CampaignSpec(
             "t", tiny_base(),
             axes={"routing": ("carbon-forecast",), "seed": (0, 1)},
+            baseline="round-robin",
         )
         trials = spec.trials()
         baselines = [t for t in trials if t.routing == "round-robin"]
@@ -70,15 +73,19 @@ class TestSpec:
 
     def test_dotted_axes_reach_nested_configs(self):
         config = tiny_base()
-        assert apply_geo_axis(config, "workload.num_jobs", 9).workload.num_jobs == 9
-        assert apply_geo_axis(
+        assert apply_axis_value(config, "workload.num_jobs", 9).workload.num_jobs == 9
+        assert apply_axis_value(
             config, "transfer.kwh_per_gb", 0.5
         ).transfer.kwh_per_gb == 0.5
-        swept = apply_geo_axis(config, "regions.scheduler", "pcaps")
+        swept = apply_axis_value(config, "regions.scheduler", "pcaps")
         assert all(r.scheduler == "pcaps" for r in swept.regions)
 
     def test_presets_include_geo_sweep(self):
-        presets = geo_presets()
+        presets = {
+            name: spec
+            for name, spec in campaign_presets().items()
+            if spec.kind is FEDERATION
+        }
         assert "geo-sweep" in presets and "geo-smoke" in presets
         sweep = presets["geo-sweep"]
         assert len(sweep.base.regions) == 6
@@ -92,77 +99,123 @@ class TestSpec:
 
 class TestExecution:
     def test_run_populates_store_and_resumes(self, tmp_path):
-        spec = GeoCampaignSpec(
+        spec = CampaignSpec(
             "t", tiny_base(),
             axes={"routing": ("round-robin", "carbon-greedy")},
+            baseline="round-robin",
         )
         store = ResultStore(tmp_path / "geo.jsonl")
-        first = run_geo_campaign(spec, store, workers=0)
+        first = CampaignRunner(store, workers=0).run(spec)
         assert first.stats.misses == 2 and not first.failures
-        second = run_geo_campaign(spec, store, workers=0)
+        second = CampaignRunner(store, workers=0).run(spec)
         assert second.stats.hits == 2 and second.stats.misses == 0
         assert [r.key for r in first.records] == [r.key for r in second.records]
 
     def test_pool_execution_matches_inline(self, tmp_path):
         """Geo trials fan out across the shared campaign process pool."""
-        spec = GeoCampaignSpec(
+        spec = CampaignSpec(
             "t", tiny_base(),
             axes={"routing": ("round-robin", "carbon-greedy")},
+            baseline="round-robin",
         )
-        pooled = run_geo_campaign(
-            spec, ResultStore(tmp_path / "pool.jsonl"), workers=2
-        )
-        inline = run_geo_campaign(
-            spec, ResultStore(tmp_path / "inline.jsonl"), workers=0
-        )
+        pooled = CampaignRunner(
+            ResultStore(tmp_path / "pool.jsonl"), workers=2
+        ).run(spec)
+        inline = CampaignRunner(
+            ResultStore(tmp_path / "inline.jsonl"), workers=0
+        ).run(spec)
         assert not pooled.failures
         by_key_pool = {r.key: r.metrics for r in pooled.records}
         by_key_inline = {r.key: r.metrics for r in inline.records}
         assert by_key_pool == by_key_inline  # determinism across processes
 
     def test_failure_isolated_as_error_record(self, tmp_path, monkeypatch):
-        spec = GeoCampaignSpec(
-            "t", tiny_base(), axes={"routing": ("round-robin",)}
+        spec = CampaignSpec(
+            "t", tiny_base(), axes={"routing": ("round-robin",)},
+            baseline="round-robin",
         )
         monkeypatch.setattr(
-            "repro.campaign.geo.run_federation",
+            "repro.campaign.kinds.run_federation",
             lambda config: (_ for _ in ()).throw(RuntimeError("boom")),
         )
-        run = run_geo_campaign(
-            spec, ResultStore(tmp_path / "geo.jsonl"), workers=0
-        )
+        run = CampaignRunner(ResultStore(tmp_path / "geo.jsonl"), workers=0).run(spec)
         assert len(run.failures) == 1
         assert "boom" in run.failures[0].error
 
     def test_cached_progress_lines_increment(self, tmp_path):
-        spec = GeoCampaignSpec(
+        spec = CampaignSpec(
             "t", tiny_base(),
             axes={"routing": ("round-robin", "carbon-greedy")},
+            baseline="round-robin",
         )
         store = ResultStore(tmp_path / "geo.jsonl")
-        run_geo_campaign(spec, store, workers=0)
+        CampaignRunner(store, workers=0).run(spec)
         lines: list[tuple[int, int, str]] = []
-        run_geo_campaign(
-            spec, store, workers=0,
-            on_progress=lambda d, t, line: lines.append((d, t, line)),
+        CampaignRunner(store, workers=0).run(
+            spec, on_progress=lambda d, t, line: lines.append((d, t, line))
         )
         assert [(d, t) for d, t, _ in lines] == [(1, 2), (2, 2)]
         assert all(line.startswith("cached ") for _, _, line in lines)
 
     def test_report_normalizes_to_baseline(self, tmp_path):
-        spec = GeoCampaignSpec(
+        spec = CampaignSpec(
             "t", tiny_base(),
             axes={"routing": ("round-robin", "carbon-greedy"), "seed": (0, 1)},
+            baseline="round-robin",
         )
-        run = run_geo_campaign(
-            spec, ResultStore(tmp_path / "geo.jsonl"), workers=0
+        run = CampaignRunner(ResultStore(tmp_path / "geo.jsonl"), workers=0).run(spec)
+        rows = campaign_report(run.records, "round-robin", FEDERATION)
+        by_routing = {row.policy: row for row in rows}
+        assert by_routing["round-robin"].carbon.mean == pytest.approx(0.0)
+        assert by_routing["round-robin"].n == 2
+        table = format_campaign_report(rows, title="x")
+        assert "carbon-greedy" in table and "carbon_red%" in table
+
+    def report_rows(self, tmp_path, base, axes):
+        spec = CampaignSpec("t", base, axes=axes, baseline="round-robin")
+        run = CampaignRunner(ResultStore(tmp_path / "geo.jsonl"), workers=0).run(spec)
+        assert not run.failures
+        rows = campaign_report(run.records, "round-robin", FEDERATION)
+        assert all(row.n == 1 for row in rows)
+        return rows
+
+    def test_report_row_per_routing_and_region_scheduler(self, tmp_path):
+        """A swept ``regions.scheduler`` gets rows of its own, each paired
+        with the round-robin trial that ran the same schedulers."""
+        rows = self.report_rows(
+            tmp_path,
+            tiny_base(),
+            {
+                "routing": ("round-robin", "carbon-greedy"),
+                "regions.scheduler": ("fifo", "pcaps"),
+            },
         )
-        rows = geo_campaign_report(run.records, baseline="round-robin")
-        by_routing = {row["routing"]: row for row in rows}
-        assert by_routing["round-robin"]["carbon_reduction_pct"] == pytest.approx(0.0)
-        assert by_routing["round-robin"]["replicates"] == 2
-        table = format_geo_report(rows, title="x")
-        assert "carbon-greedy" in table and "Δcarbon" in table
+        assert [row.label for row in rows] == [
+            "regions.scheduler=fifo carbon-greedy",
+            "regions.scheduler=fifo round-robin",
+            "regions.scheduler=pcaps carbon-greedy",
+            "regions.scheduler=pcaps round-robin",
+        ]
+        for row in rows:
+            if row.policy == "round-robin":
+                assert row.carbon.mean == 0.0 and row.ect.mean == 1.0
+
+    def test_report_row_per_routing_and_failover(self, tmp_path):
+        outage = DisruptionEvent(kind="outage", region="on", start=5.0, end=300.0)
+        rows = self.report_rows(
+            tmp_path,
+            tiny_base().with_disruptions(DisruptionSchedule(events=(outage,))),
+            {
+                "routing": ("round-robin", "carbon-greedy"),
+                "failover": (True, False),
+            },
+        )
+        assert sorted(row.label for row in rows) == [
+            "carbon-greedy failover=False",
+            "carbon-greedy failover=True",
+            "round-robin failover=False",
+            "round-robin failover=True",
+        ]
 
 
 class TestCLI:
@@ -216,4 +269,8 @@ class TestCLI:
 
     def test_geo_sweep_unknown_preset(self, capsys):
         assert main(["geo", "sweep", "nope"]) == 2
+        assert "unknown geo campaign" in capsys.readouterr().err
+
+    def test_geo_sweep_rejects_stream_preset(self, capsys):
+        assert main(["geo", "sweep", "stream-smoke"]) == 2
         assert "unknown geo campaign" in capsys.readouterr().err

@@ -4,20 +4,17 @@ import dataclasses
 
 import pytest
 
-from repro.campaign import ResultStore
-from repro.campaign.stream import (
-    CADENCE_FIELDS,
-    StreamCampaignSpec,
-    apply_stream_axis,
-    format_stream_campaign_report,
-    keyed_stream_trials,
-    run_stream_campaign,
-    service_from_dict,
-    service_to_dict,
-    stream_campaign_report,
-    stream_presets,
-    stream_trial_key,
+from repro.campaign import (
+    CampaignRunner,
+    CampaignSpec,
+    ResultStore,
+    campaign_presets,
+    campaign_report,
+    format_campaign_report,
+    trial_key,
 )
+from repro.campaign.kinds import STREAM
+from repro.campaign.spec import apply_axis_value, config_from_dict, config_to_dict
 from repro.experiments.runner import ExperimentConfig
 from repro.stream import ServiceConfig
 from repro.workloads.stream import StreamSpec
@@ -37,41 +34,42 @@ def tiny_service(**overrides) -> ServiceConfig:
     return ServiceConfig(**params)
 
 
-def tiny_spec(name="tiny-stream") -> StreamCampaignSpec:
-    return StreamCampaignSpec(
+def tiny_spec(name="tiny-stream") -> CampaignSpec:
+    return CampaignSpec(
         name,
         tiny_service(),
         axes={"experiment.scheduler": ("fifo", "pcaps")},
+        baseline="fifo",
     )
 
 
 class TestSerialization:
     def test_service_config_round_trips(self):
         config = tiny_service(window_s=300.0, ring_windows=24)
-        assert service_from_dict(service_to_dict(config)) == config
+        assert config_from_dict(config_to_dict(config), ServiceConfig) == config
 
     def test_alibaba_model_round_trips(self):
         config = tiny_service(
             stream=StreamSpec(family="alibaba", max_jobs=4, seed=2)
         )
-        assert service_from_dict(service_to_dict(config)) == config
+        assert config_from_dict(config_to_dict(config), ServiceConfig) == config
 
 
 class TestTrialKeys:
     def test_key_is_stable_across_processes_shape(self):
         config = tiny_service()
-        assert stream_trial_key(config, "v1") == stream_trial_key(
+        assert trial_key(config, "v1") == trial_key(
             config, "v1"
         )
 
     def test_cadence_fields_do_not_change_the_key(self):
         base = tiny_service()
-        assert set(CADENCE_FIELDS) <= set(service_to_dict(base))
+        assert set(STREAM.key_excluded) <= set(config_to_dict(base))
         recadenced = dataclasses.replace(
             base, epoch_events=7, checkpoint_every_epochs=3,
             checkpoint_dir="/tmp/ckpt",
         )
-        assert stream_trial_key(base, "v1") == stream_trial_key(
+        assert trial_key(base, "v1") == trial_key(
             recadenced, "v1"
         )
 
@@ -91,51 +89,56 @@ class TestTrialKeys:
             base,
             stream=dataclasses.replace(base.stream, **{field_name: value}),
         )
-        assert stream_trial_key(base, "v1") != stream_trial_key(
+        assert trial_key(base, "v1") != trial_key(
             changed, "v1"
         )
 
     def test_window_shape_changes_the_key(self):
         base = tiny_service()
-        assert stream_trial_key(base, "v1") != stream_trial_key(
+        assert trial_key(base, "v1") != trial_key(
             dataclasses.replace(base, window_s=120.0), "v1"
         )
 
     def test_code_version_changes_the_key(self):
         config = tiny_service()
-        assert stream_trial_key(config, "v1") != stream_trial_key(
+        assert trial_key(config, "v1") != trial_key(
             config, "v2"
         )
 
 
 class TestSpecExpansion:
     def test_dotted_axes_reach_nested_configs(self):
-        config = apply_stream_axis(tiny_service(), "stream.seed", 9)
+        config = apply_axis_value(tiny_service(), "stream.seed", 9)
         assert config.stream.seed == 9
-        config = apply_stream_axis(config, "experiment.scheduler", "decima")
+        config = apply_axis_value(config, "experiment.scheduler", "decima")
         assert config.experiment.scheduler == "decima"
-        config = apply_stream_axis(config, "window_s", 60.0)
+        config = apply_axis_value(config, "window_s", 60.0)
         assert config.window_s == 60.0
 
     def test_trials_expand_the_cartesian_product(self):
-        spec = StreamCampaignSpec(
+        spec = CampaignSpec(
             "x",
             tiny_service(),
             axes={
                 "experiment.scheduler": ("fifo", "pcaps"),
                 "stream.seed": (0, 1, 2),
             },
+            baseline="fifo",
         )
         trials = spec.trials()
         assert len(trials) == 6
-        assert len({stream_trial_key(t, "v") for t in trials}) == 6
+        assert len({trial_key(t, "v") for t in trials}) == 6
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError):
-            StreamCampaignSpec("x", tiny_service(), axes={"stream.seed": ()})
+            CampaignSpec("x", tiny_service(), axes={"stream.seed": ()})
 
     def test_presets_expand(self):
-        presets = stream_presets()
+        presets = {
+            name: spec
+            for name, spec in campaign_presets().items()
+            if spec.kind is STREAM
+        }
         assert {"stream-smoke", "stream-steady"} <= set(presets)
         assert len(presets["stream-smoke"].trials()) == 2
         assert len(presets["stream-steady"].trials()) == 6
@@ -145,7 +148,7 @@ class TestCampaignExecution:
     def test_run_then_resume_hits_cache(self, tmp_path):
         store = ResultStore(tmp_path / "stream.jsonl")
         spec = tiny_spec()
-        first = run_stream_campaign(spec, store, workers=0)
+        first = CampaignRunner(store, workers=0).run(spec)
         assert len(first.records) == 2
         assert not first.failures
         assert first.stats.misses == 2
@@ -153,23 +156,23 @@ class TestCampaignExecution:
             assert record.metrics["num_jobs"] == 6
             assert len(record.metrics["fingerprint"]) == 64
 
-        resumed = run_stream_campaign(spec, store, workers=0)
+        resumed = CampaignRunner(store, workers=0).run(spec)
         assert resumed.stats.hits == 2 and resumed.stats.misses == 0
 
     def test_keyed_trials_match_run_records(self, tmp_path):
         store = ResultStore(tmp_path / "stream.jsonl")
         spec = tiny_spec()
-        keys = [key for key, _ in keyed_stream_trials(spec)]
-        run = run_stream_campaign(spec, store, workers=0)
+        keys = [key for key, _ in CampaignRunner(store).keyed_trials(spec)]
+        run = CampaignRunner(store, workers=0).run(spec)
         assert sorted(keys) == sorted(r.key for r in run.records)
 
     def test_report_aggregates_by_scheduler(self, tmp_path):
         store = ResultStore(tmp_path / "stream.jsonl")
-        run = run_stream_campaign(tiny_spec(), store, workers=0)
-        rows = stream_campaign_report(run.records)
-        assert {row["scheduler"] for row in rows} == {"fifo", "pcaps"}
-        assert all(row["jobs"] == 6 for row in rows)
-        text = format_stream_campaign_report(rows, title="t")
+        run = CampaignRunner(store, workers=0).run(tiny_spec())
+        rows = campaign_report(run.records, "fifo", STREAM)
+        assert {row.policy for row in rows} == {"fifo", "pcaps"}
+        assert all(record.metrics["num_jobs"] == 6 for record in run.records)
+        text = format_campaign_report(rows, title="t")
         assert "fifo" in text and "carbon" in text
 
     def test_cli_sweep_runs_and_resumes(self, tmp_path, capsys):
