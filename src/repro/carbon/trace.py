@@ -158,14 +158,19 @@ class CarbonTrace:
         )
 
     def bounds_over(self, t_start: float, t_end: float) -> tuple[float, float]:
-        """``(L, U)`` over the simulation-time window ``[t_start, t_end)``."""
+        """``(L, U)`` over the simulation-time window ``[t_start, t_end)``.
+
+        Steps past the end of the trace wrap or hold the last value, as in
+        :meth:`intensity_at`.
+        """
         if t_end <= t_start:
             raise ValueError("window must have positive length")
         first = self.step_index(t_start)
         last_exclusive = int(np.ceil(t_end / self.step_seconds))
         n = len(self)
         count = min(last_exclusive - int(t_start // self.step_seconds), n)
-        idx = (first + np.arange(max(count, 1))) % n
+        idx = first + np.arange(max(count, 1))
+        idx = idx % n if self.wrap else np.minimum(idx, n - 1)
         window = self._values[idx]
         return float(window.min()), float(window.max())
 

@@ -8,7 +8,7 @@ once at construction, so every probe site is one attribute load and an
 ``is None`` test. With collection on, instrumentation is
 **fingerprint-neutral** — it never touches RNG state or event ordering,
 a contract enforced by ``tests/test_obs_fingerprints.py`` against the
-seven pinned SHA-256 scenarios.
+nine pinned SHA-256 scenarios.
 
 Artifacts:
 

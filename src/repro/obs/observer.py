@@ -12,7 +12,7 @@ point collect into it.
 The determinism contract: observers only ever count, time, and record —
 they never read or advance random state, never reorder events, and never
 feed a value back into a scheduling decision. The fingerprint suite
-(``tests/test_obs_fingerprints.py``) enforces this by replaying the seven
+(``tests/test_obs_fingerprints.py``) enforces this by replaying the nine
 pinned scenarios with collection on and asserting byte-identical
 schedules.
 """

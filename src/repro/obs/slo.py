@@ -24,7 +24,7 @@ state; it never touches RNG streams or event ordering. The optional
 degradation hook (``ServiceRunner`` pausing admission while an alert
 fires) is the one sanctioned feedback path, and it is off unless
 explicitly requested — the fingerprint-neutrality suite pins that
-evaluation alone keeps all seven pinned scenarios byte-identical.
+evaluation alone keeps all nine pinned scenarios byte-identical.
 """
 
 from __future__ import annotations

@@ -505,7 +505,7 @@ class SimulationStepper:
         occupancy, trace, RNG generators, frontier epoch — as one blob.
 
         The determinism contract (pinned by tests/test_checkpoint.py on
-        all seven fingerprint scenarios): ``restore(checkpoint())`` at any
+        all nine fingerprint scenarios): ``restore(checkpoint())`` at any
         cut point, followed by draining, produces a schedule byte-identical
         to the uninterrupted run. Pickle round-trips floats, numpy arrays,
         and ``np.random.Generator`` state exactly, which is what makes the

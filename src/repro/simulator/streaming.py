@@ -2,8 +2,8 @@
 
 :class:`StreamingAggregator` is the second :class:`~repro.simulator.trace.
 TraceAppender` backend. Where :class:`~repro.simulator.trace.ScheduleTrace`
-materializes every record, the aggregator folds each one — at the moment it
-becomes final — into
+materializes every record, the aggregator folds each one — once it becomes
+final — into
 
 - exactly-rounded running totals (busy time, carbon, JCT sums),
 - fixed-width time **windows** of recent activity, kept in a bounded ring,
@@ -16,13 +16,16 @@ Determinism contract
 --------------------
 Folding uses :class:`ExactSum` — Shewchuk's exactly-rounded accumulation,
 the streaming form of :func:`math.fsum`. An exactly-rounded sum depends only
-on the *multiset* of addends, never on their order, so the aggregator's
-summary metrics are bit-identical to the materialized path's
+on the *multiset* of addends, never on their order or grouping, so the
+aggregator's summary metrics are bit-identical to the materialized path's
 (:func:`~repro.campaign.store.result_metrics`) on any batch-sized trial:
 ``ScheduleTrace`` tallies the same per-record values with ``math.fsum`` over
-the full arrays. ``tests/test_streaming_equivalence.py`` pins this over the
-seven pinned fingerprint scenarios, and a hypothesis property test pins
-order independence directly.
+the full arrays. The same fact lets the aggregator buffer busy intervals
+and fold them in bulk (one ``integrate_many`` call and one
+:meth:`ExactSum.extend` per accumulator) without moving a bit.
+``tests/test_streaming_equivalence.py`` pins this over the pinned
+fingerprint scenarios, against a per-record reference fold, and with
+hypothesis property tests of order independence.
 """
 
 from __future__ import annotations
@@ -33,8 +36,17 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable
 
+import numpy as np
+
 from repro.carbon.trace import CarbonTrace
 from repro.simulator.trace import HoldRecord, TaskRecord
+
+#: Buffered intervals that force a fold, so the buffer stays O(1).
+FLUSH_INTERVALS = 4096
+
+# Buffer slots that are not a live window's index (those are >= 0).
+_LATE = -1  # a task folding behind every open window: global totals only
+_HOLD = -2  # a hold interval: the hold totals only
 
 
 class ExactSum:
@@ -45,6 +57,8 @@ class ExactSum:
     exact total once. Equivalent to :func:`math.fsum` over the same
     addends, which makes the result independent of addition order — the
     property the streaming-vs-materialized determinism contract rests on.
+    :meth:`add` folds one addend, :meth:`extend` many at once; both keep
+    the exact total, so any mix of the two gives the same :attr:`value`.
     The partials list stays tiny (tens of entries) for any realistic input,
     so this is O(1) memory per accumulator.
     """
@@ -71,6 +85,25 @@ class ExactSum:
                 i += 1
             x = hi
         partials[i:] = [x]
+
+    def extend(self, values: Iterable[float]) -> None:
+        """Fold many addends at once; equal to :meth:`add` on each.
+
+        ``math.fsum`` rounds the exact total of the partials plus the new
+        addends; subtracting that rounding and summing again yields the
+        next-smaller component, until the remainder is exactly zero. The
+        components form an exact expansion of the total, so the running
+        sum stays exact with every loop in C.
+        """
+        terms = self._partials + list(values)
+        partials: list[float] = []
+        total = math.fsum(terms)
+        while total:
+            partials.append(total)
+            terms.append(-total)
+            total = math.fsum(terms)
+        partials.reverse()  # increasing magnitude, like add() keeps them
+        self._partials = partials
 
     @property
     def value(self) -> float:
@@ -213,15 +246,24 @@ def metrics_fingerprint(metrics: dict[str, Any]) -> str:
 class StreamingAggregator:
     """Fold-as-you-go trace backend (:class:`TraceAppender` implementation).
 
+    Each final task, truncated task, late fold and hold record is placed in
+    its window (counts, makespan) one record at a time, but its busy
+    interval goes to a buffer. :meth:`_flush` folds the buffer in bulk —
+    one :meth:`~repro.carbon.trace.CarbonTrace.integrate_many` call, then
+    one :meth:`ExactSum.extend` per accumulator — before any window opens
+    or closes, before every read, before pickling (a checkpoint carries no
+    buffer), and at :data:`FLUSH_INTERVALS` buffered intervals.
+
     Parameters
     ----------
     total_executors:
         Cluster size, for utilization (same meaning as on ScheduleTrace).
     carbon:
-        The carbon trace used for per-record ex-post integration. The
-        scalar :meth:`~repro.carbon.trace.CarbonTrace.integrate` is
-        bit-identical per interval to the vectorized ``integrate_many``
-        the materialized path uses, so folding per record loses nothing.
+        The carbon trace used for ex-post integration of the buffered
+        intervals. ``integrate_many`` performs the scalar
+        :meth:`~repro.carbon.trace.CarbonTrace.integrate`'s floating-point
+        operations for each element, and an exact sum ignores grouping,
+        so folding in bulk gives the per-record fold's bits.
     idle_power_fraction:
         Idle-vs-busy power ratio for hold accounting (ScheduleTrace's).
     window_s:
@@ -276,6 +318,25 @@ class StreamingAggregator:
         self._closed_through = -1  # highest window index already closed
         self.late_folds = 0
         self.windows_closed = 0
+        self._reset_buffer()
+
+    def _reset_buffer(self) -> None:
+        # Intervals awaiting a bulk fold: start, end, and a live window's
+        # index or _LATE / _HOLD.
+        self._buffer_starts: list[float] = []
+        self._buffer_ends: list[float] = []
+        self._buffer_slots: list[int] = []
+
+    def __getstate__(self) -> dict[str, Any]:
+        """Fold the buffer first, so a checkpoint carries no buffer."""
+        self._flush()
+        state = dict(self.__dict__)
+        del state["_buffer_starts"], state["_buffer_ends"], state["_buffer_slots"]
+        return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._reset_buffer()
 
     # ------------------------------------------------------------------
     # TraceAppender surface (what the engine calls)
@@ -317,8 +378,7 @@ class StreamingAggregator:
     def add_hold(self, record: HoldRecord) -> None:
         """Hold intervals arrive complete (emitted at job completion)."""
         self.hold_count += 1
-        self._hold_busy.add(record.end - record.start)
-        self._hold_carbon.add(self.carbon.integrate(record.start, record.end))
+        self._buffer(record.start, record.end, _HOLD)
 
     def add_quota(self, time: float, quota: int) -> None:
         if self._last_quota != quota:
@@ -361,21 +421,58 @@ class StreamingAggregator:
     # Folding and windows
     # ------------------------------------------------------------------
     def _fold_task(self, record: TaskRecord) -> None:
-        busy = record.end - record.start
-        emitted = self.carbon.integrate(record.start, record.end)
+        end = record.end
         self.tasks_completed += 1
         if record.preempted:
             self.tasks_preempted += 1
-        self._task_busy.add(busy)
-        self._task_carbon.add(emitted)
-        if record.end > self._max_task_end:
-            self._max_task_end = record.end
-        window = self._window_at(record.end)
+        if end > self._max_task_end:
+            self._max_task_end = end
+        window = self._window_at(end)
         window.tasks_completed += 1
         if record.preempted:
             window.tasks_preempted += 1
-        window.busy.add(busy)
-        window.carbon.add(emitted)
+        # Open windows all lie past _closed_through; anything else is a
+        # throwaway window, so the interval counts globally only.
+        index = window.index
+        self._buffer(
+            record.start, end, index if index > self._closed_through else _LATE
+        )
+
+    def _buffer(self, start: float, end: float, slot: int) -> None:
+        self._buffer_starts.append(start)
+        self._buffer_ends.append(end)
+        self._buffer_slots.append(slot)
+        if len(self._buffer_slots) >= FLUSH_INTERVALS:
+            self._flush()
+
+    def _flush(self) -> None:
+        """Fold every buffered interval into its accumulators.
+
+        Busy time is ``end - start`` and carbon the integral over
+        ``[start, end]``, computed for all intervals at once; each
+        accumulator then takes its share in one exact bulk sum.
+        """
+        if not self._buffer_slots:
+            return
+        starts = np.array(self._buffer_starts)
+        ends = np.array(self._buffer_ends)
+        slots = np.array(self._buffer_slots)
+        self._reset_buffer()
+        busy = ends - starts
+        carbon = self.carbon.integrate_many(starts, ends)
+        holds = slots == _HOLD
+        if holds.any():
+            self._hold_busy.extend(busy[holds].tolist())
+            self._hold_carbon.extend(carbon[holds].tolist())
+            tasks = ~holds
+            busy, carbon, slots = busy[tasks], carbon[tasks], slots[tasks]
+        self._task_busy.extend(busy.tolist())
+        self._task_carbon.extend(carbon.tolist())
+        for index in np.unique(slots[slots >= 0]).tolist():
+            window = self._windows[index]
+            mine = slots == index
+            window.busy.extend(busy[mine].tolist())
+            window.carbon.extend(carbon[mine].tolist())
 
     def _window_at(self, t: float) -> _Window:
         """The live window covering time ``t``, creating/evicting as needed.
@@ -397,6 +494,7 @@ class StreamingAggregator:
                 start=index * self.window_s,
                 end=(index + 1) * self.window_s,
             )
+        self._flush()
         window = _Window(
             index=index,
             start=index * self.window_s,
@@ -416,6 +514,7 @@ class StreamingAggregator:
 
     def flush_windows(self) -> None:
         """Close every open window into the ring (drain/report path)."""
+        self._flush()
         for index in sorted(self._windows):
             self._close_window(index)
 
@@ -423,10 +522,11 @@ class StreamingAggregator:
         """Fold any still-open task records (early-stopped runs only).
 
         Idempotent; after a full drain every task already completed so
-        this is a no-op.
+        this only folds the buffer.
         """
         for handle in sorted(self._open_tasks):
             self._fold_task(self._open_tasks.pop(handle))
+        self._flush()
 
     # ------------------------------------------------------------------
     # Reads
@@ -443,12 +543,14 @@ class StreamingAggregator:
     def total_busy_time(self) -> float:
         """Occupancy executor-seconds — holds when present, else tasks,
         mirroring ScheduleTrace's occupancy semantics bit for bit."""
+        self._flush()
         if self.hold_count:
             return self._hold_busy.value
         return self._task_busy.value
 
     def carbon_footprint(self) -> float:
         """Ex-post carbon tally, mirroring ScheduleTrace.carbon_footprint."""
+        self._flush()
         task_carbon = self._task_carbon.value
         if not self.hold_count:
             return task_carbon
@@ -486,6 +588,7 @@ class StreamingAggregator:
 
     def recent_windows(self) -> list[dict[str, Any]]:
         """Closed-window snapshots (oldest first), then open windows."""
+        self._flush()
         open_snapshots = [
             self._windows[index].snapshot() for index in sorted(self._windows)
         ]

@@ -282,15 +282,23 @@ class ServiceRunner:
                     job_id, arrival, finish, serial_work=work
                 )
         else:  # "keep": observe without removing engine state (debug runs)
-            for job_id, job in self.stepper.jobs.items():
-                if job.done and job_id in self._job_meta:
-                    _arrival, work = self._job_meta.pop(job_id)
-                    self.aggregator.observe_finish(
-                        job_id,
-                        job.arrival_time,
-                        job.finish_time,
-                        serial_work=work,
-                    )
+            # Walk the in-flight jobs only; _job_meta's insertion order is
+            # admission order, the order retire_finished() reports in.
+            jobs = self.stepper.jobs
+            done = [
+                job_id
+                for job_id in self._job_meta
+                if job_id in jobs and jobs[job_id].done
+            ]
+            for job_id in done:
+                _arrival, work = self._job_meta.pop(job_id)
+                job = jobs[job_id]
+                self.aggregator.observe_finish(
+                    job_id,
+                    job.arrival_time,
+                    job.finish_time,
+                    serial_work=work,
+                )
 
     def run_epoch(self) -> bool:
         """Process up to ``epoch_events`` events; False when finished."""

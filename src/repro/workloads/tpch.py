@@ -18,6 +18,7 @@ all 22 queries* at each scale matches the paper (Section 6.1): 180 s at
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -95,6 +96,12 @@ def tpch_job(
 ) -> JobDAG:
     """Build the stage DAG for one TPC-H query at a given data scale.
 
+    Without jitter the DAG is a pure function of ``(query, scale_gb)``, so
+    every such call returns the same memoized :class:`JobDAG` (at most 66
+    exist); DAGs are immutable, and sharing one also shares its cached
+    topological index across every job runtime built on it. A call with
+    jitter builds a fresh DAG and leaves the memo alone.
+
     Parameters
     ----------
     query:
@@ -113,6 +120,19 @@ def tpch_job(
         raise ValueError(
             f"scale_gb must be one of {sorted(TPCH_SCALE_DURATIONS)}, got {scale_gb}"
         )
+    if duration_jitter > 0:
+        return _build_tpch_job(query, scale_gb, duration_jitter, seed)
+    return _shared_tpch_job(query, scale_gb)
+
+
+@lru_cache(maxsize=None)
+def _shared_tpch_job(query: str, scale_gb: int) -> JobDAG:
+    return _build_tpch_job(query, scale_gb, 0.0, None)
+
+
+def _build_tpch_job(
+    query: str, scale_gb: int, duration_jitter: float, seed: int | None
+) -> JobDAG:
     rng = _query_rng(query, scale_gb)
     total = TPCH_SCALE_DURATIONS[scale_gb] * QUERY_COMPLEXITY[query]
     if duration_jitter > 0:

@@ -1,14 +1,14 @@
 """The shared differential-testing harness: pinned scenarios + fingerprints.
 
-Single home of the seven pinned-seed scenarios (one per scheduler family)
+Single home of the nine pinned-seed scenarios (one per scheduler family)
 and of the SHA-256 fingerprint helpers every bit-identity suite pins
 against — ``test_fingerprints`` (engine contract), ``test_obs_fingerprints``
 (instrumentation neutrality), ``test_streaming_equivalence`` (streaming
 summaries), and ``test_checkpoint`` (restore determinism). Suites import
 from here instead of re-declaring the table, so a scenario added or
 adjusted once is exercised by every contract at once. Run as a script, it
-prints each scenario's fingerprint for comparison across checkouts (see
-:func:`main`).
+prints each scenario's schedule fingerprint and service-mode metrics
+fingerprint for comparison across checkouts (see :func:`main`).
 """
 
 from __future__ import annotations
@@ -23,13 +23,15 @@ from repro.experiments.runner import (
     workload_for,
 )
 from repro.simulator.engine import ClusterConfig, Simulation
-from repro.stream import ServiceConfig
+from repro.stream import ServiceConfig, run_service
 from repro.workloads.batch import WorkloadSpec
 from repro.workloads.stream import StreamSpec
 
-#: The seven pinned-seed scenarios. Scheduler coverage spans every engine
-#: path: hoarding holds (fifo), per-job caps (k8s mode), probabilistic
-#: sampling (decima/pcaps), and both provisioners (cap-*, greenhadoop).
+#: The nine pinned-seed scenarios. Scheduler coverage spans every engine
+#: path: hoarding holds (fifo, cap-fifo), per-job caps (k8s mode),
+#: probabilistic sampling (decima/pcaps), both provisioners (cap-*,
+#: greenhadoop), and CAP's quota steps over the greedy baselines (cap-fifo,
+#: cap-weighted-fair). Look a scenario up with :func:`pinned`, not by index.
 PINNED_SCENARIOS = [
     ExperimentConfig(
         scheduler="fifo", num_executors=5, seed=0,
@@ -63,6 +65,17 @@ PINNED_SCENARIOS = [
                               tpch_scales=(2,)),
     ),
     ExperimentConfig(
+        scheduler="cap-fifo", num_executors=6, seed=7, cap_min_quota=2,
+        workload=WorkloadSpec(num_jobs=7, mean_interarrival=10.0,
+                              tpch_scales=(2,)),
+    ),
+    ExperimentConfig(
+        scheduler="cap-weighted-fair", num_executors=6, seed=8,
+        cap_min_quota=2,
+        workload=WorkloadSpec(num_jobs=7, mean_interarrival=9.0,
+                              tpch_scales=(2,)),
+    ),
+    ExperimentConfig(
         scheduler="pcaps", num_executors=6, seed=6, gamma=0.7,
         workload=WorkloadSpec(num_jobs=8, mean_interarrival=10.0,
                               tpch_scales=(2,)),
@@ -70,6 +83,12 @@ PINNED_SCENARIOS = [
 ]
 
 SCENARIO_IDS = [c.scheduler for c in PINNED_SCENARIOS]
+
+
+def pinned(scheduler: str) -> ExperimentConfig:
+    """The pinned scenario whose scheduler id is ``scheduler``."""
+    (config,) = [c for c in PINNED_SCENARIOS if c.scheduler == scheduler]
+    return config
 
 
 def schedule_fingerprint(result) -> str:
@@ -142,13 +161,20 @@ def stream_config_for(config: ExperimentConfig) -> ServiceConfig:
     )
 
 
-def main() -> None:
-    """Print ``scenario sha256`` for each pinned scenario.
+def service_fingerprint(config: ExperimentConfig) -> str:
+    """``metrics_fingerprint`` of the scenario's service-mode run."""
+    return run_service(stream_config_for(config)).fingerprint
 
+
+def main() -> None:
+    """Print ``scenario schedule-sha256 service-sha256`` per scenario.
+
+    The first hash covers the materialized schedule, the second the
+    streaming aggregator's summary of the same trial run in service mode.
     The suites that import this module compare a run with another run of
     the same code, so none of them can show that a change to the engine
-    left schedules alone. Comparing this output across two checkouts
-    can::
+    or the streaming fold left results alone. Comparing this output
+    across two checkouts can::
 
         PYTHONPATH=<checkout>/src python tests/fingerprint_scenarios.py
 
@@ -157,7 +183,7 @@ def main() -> None:
     to keep across versions.
     """
     for scenario_id, config in zip(SCENARIO_IDS, PINNED_SCENARIOS):
-        print(scenario_id, run_fingerprint(config))
+        print(scenario_id, run_fingerprint(config), service_fingerprint(config))
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.carbon.trace import CarbonTrace, concatenate
 
@@ -130,6 +131,13 @@ class TestStats:
         low, high = trace.bounds_over(60.0, 240.0)
         assert (low, high) == (50.0, 300.0)
 
+    def test_bounds_hold_last_value_when_wrap_disabled(self):
+        trace = CarbonTrace([100, 200, 300], step_seconds=60, wrap=False)
+        assert trace.bounds_over(400, 500) == (300.0, 300.0)
+        assert trace.bounds_over(100, 500) == (200.0, 300.0)
+        wrapping = CarbonTrace([100, 200, 300], step_seconds=60)
+        assert wrapping.bounds_over(400, 500) == (100.0, 300.0)
+
     def test_bounds_rejects_empty_window(self):
         trace = make_trace([1.0])
         with pytest.raises(ValueError):
@@ -217,7 +225,7 @@ class TestCumulativeIntegration:
         batch = trace.integrate_many(starts, ends)
         assert batch.shape == (64,)
         for a, b, value in zip(starts, ends, batch):
-            assert value == pytest.approx(trace.integrate(a, b))
+            assert value == trace.integrate(a, b)
 
     def test_integrate_many_no_wrap(self):
         trace = CarbonTrace([50.0, 150.0], step_seconds=60.0, wrap=False)
@@ -225,7 +233,38 @@ class TestCumulativeIntegration:
         for (a, b), value in zip(
             [(0.0, 60.0), (100.0, 130.0), (200.0, 260.0)], batch
         ):
-            assert value == pytest.approx(trace.integrate(a, b))
+            assert value == trace.integrate(a, b)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_integrate_many_is_scalar_bit_for_bit(self, data):
+        """The streaming fold takes every interval's carbon from
+        ``integrate_many``, so it must repeat the scalar integral's bits:
+        across several passes of a wrapping trace, past the end of a
+        non-wrapping one, on step boundaries and at zero length."""
+        values = data.draw(
+            st.lists(st.floats(min_value=0.0, max_value=1000.0),
+                     min_size=1, max_size=6)
+        )
+        step = data.draw(st.sampled_from([60.0, 1.0, 37.5, 0.3]))
+        trace = CarbonTrace(
+            values, step_seconds=step, wrap=data.draw(st.booleans())
+        )
+        horizon = 5 * trace.duration_seconds
+        times = st.one_of(
+            st.floats(min_value=0.0, max_value=horizon),
+            st.integers(0, 5 * len(values)).map(lambda k: k * step),
+        )
+        starts, ends = [], []
+        for _ in range(data.draw(st.integers(1, 12))):
+            a, b = sorted((data.draw(times), data.draw(times)))
+            if data.draw(st.booleans()):
+                b = a  # zero length
+            starts.append(a)
+            ends.append(b)
+        batch = trace.integrate_many(starts, ends)
+        for a, b, value in zip(starts, ends, batch):
+            assert repr(float(value)) == repr(trace.integrate(a, b))
 
     def test_integrate_many_empty(self):
         trace = make_trace([100.0])

@@ -1,7 +1,7 @@
 """Checkpoint/restore determinism: the resilience layer's core contract.
 
 ``SimulationStepper.checkpoint()`` at an arbitrary cut point, restored and
-drained, must be byte-identical to the uninterrupted run — on all seven
+drained, must be byte-identical to the uninterrupted run — on all nine
 pinned fingerprint scenarios, under disruptions, and with obs collection
 on. That contract is what lets campaign workers resume a retried trial
 mid-flight without changing a single result bit.
@@ -16,6 +16,7 @@ from test_fingerprints import (
     PINNED_SCENARIOS,
     SCENARIO_IDS,
     build_simulation,
+    pinned,
     run_fingerprint,
 )
 
@@ -66,7 +67,7 @@ class TestRestoreIsFingerprintNeutral:
     @pytest.mark.parametrize("cut", [1, 7, 23, 61])
     def test_arbitrary_cut_points(self, cut):
         """The cut point is immaterial — early, late, or mid-burst."""
-        config = PINNED_SCENARIOS[-1]  # pcaps: RNG + carbon + frontier state
+        config = pinned("pcaps")  # RNG + carbon + frontier state
         reference = run_fingerprint(config)
         stepper = stepper_with_workload(config)
         step_n(stepper, cut)
@@ -74,7 +75,7 @@ class TestRestoreIsFingerprintNeutral:
 
     def test_chained_checkpoints(self):
         """checkpoint → restore → checkpoint → restore keeps the contract."""
-        config = PINNED_SCENARIOS[3]  # decima: probabilistic sampling
+        config = pinned("decima")  # probabilistic sampling
         reference = run_fingerprint(config)
         stepper = stepper_with_workload(config)
         step_n(stepper, 5)
@@ -86,7 +87,7 @@ class TestRestoreIsFingerprintNeutral:
     def test_restore_under_obs_collection(self):
         """Restore re-attaches to the ambient observer: fingerprints stay
         identical and probes keep counting after restore."""
-        config = PINNED_SCENARIOS[-1]
+        config = pinned("pcaps")
         reference = run_fingerprint(config)
         stepper = stepper_with_workload(config)
         step_n(stepper, 11)
@@ -98,7 +99,7 @@ class TestRestoreIsFingerprintNeutral:
             assert observer.registry.value("engine.events.task_done") > 0
 
     def test_restore_with_obs_off_detaches(self):
-        config = PINNED_SCENARIOS[0]
+        config = pinned("fifo")
         stepper = stepper_with_workload(config)
         with collecting("checkpoint-side"):
             step_n(stepper, 3)

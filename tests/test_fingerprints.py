@@ -1,6 +1,6 @@
 """SHA-256 fingerprint tests: the engine's bit-identity contract.
 
-Seven pinned-seed scenarios — one per scheduler family (plain, holding,
+Nine pinned-seed scenarios — one per scheduler family (plain, holding,
 probabilistic, provisioned, combined) — are each fingerprinted over their
 task/hold/quota records and ex-post carbon tally. The suite pins three
 properties:
@@ -14,8 +14,9 @@ properties:
   no-op capacity verbs exercised) still replays bit-identically — the
   disruption machinery is invisible until a schedule actually fires.
 
-Run as a script, ``fingerprint_scenarios.py`` prints the same fingerprints
-for comparing two checkouts; one test checks that output.
+Run as a script, ``fingerprint_scenarios.py`` prints the same fingerprints,
+plus each scenario's service-mode metrics fingerprint, for comparing two
+checkouts; one test checks that output.
 """
 
 import os
@@ -38,20 +39,22 @@ from fingerprint_scenarios import (  # noqa: F401  (re-exported for suites)
     PINNED_SCENARIOS,
     SCENARIO_IDS,
     build_simulation,
+    pinned,
     run_fingerprint,
     schedule_fingerprint,
+    service_fingerprint,
 )
 
 
 class TestPinnedFingerprints:
     def test_scenarios_cover_seven_schedulers(self):
-        assert len(PINNED_SCENARIOS) == 7
-        assert len(set(SCENARIO_IDS)) == 7
+        assert len(PINNED_SCENARIOS) == 9
+        assert len(set(SCENARIO_IDS)) == 9
 
     def test_script_prints_every_scenario_fingerprint(self):
         """``python tests/fingerprint_scenarios.py`` — the cross-checkout
-        comparison — prints ``scenario sha256`` lines equal to the
-        fingerprints computed in process."""
+        comparison — prints ``scenario schedule-sha256 service-sha256``
+        lines equal to the fingerprints computed in process."""
         script = Path(__file__).with_name("fingerprint_scenarios.py")
         src = str(Path(repro.__file__).resolve().parents[1])
         env = dict(os.environ)
@@ -63,7 +66,8 @@ class TestPinnedFingerprints:
             env=env, capture_output=True, text=True, check=True, timeout=300,
         ).stdout
         assert out.splitlines() == [
-            f"{scenario} {run_fingerprint(config)}"
+            f"{scenario} {run_fingerprint(config)} "
+            f"{service_fingerprint(config)}"
             for scenario, config in zip(SCENARIO_IDS, PINNED_SCENARIOS)
         ]
 
@@ -115,7 +119,7 @@ class TestDisruptedDeterminism:
 
     def test_disruption_changes_the_fingerprint(self):
         """Sanity: a schedule that bites actually alters the replay."""
-        config = PINNED_SCENARIOS[0]
+        config = pinned("fifo")
         schedule = DisruptionSchedule(
             events=(  # outage across the busy window
                 DisruptionEvent(kind="outage", start=30.0, end=300.0),

@@ -1,7 +1,7 @@
 """Instrumentation neutrality: obs collection never changes a schedule.
 
 The ``repro.obs`` determinism contract, enforced against the engine's
-bit-identity suite: every one of the seven pinned SHA-256 scenarios must
+bit-identity suite: every one of the nine pinned SHA-256 scenarios must
 produce a byte-identical fingerprint with collection enabled — probes
 count, time, and record, but never touch RNG state or event ordering.
 The suite also pins the obs-off fast path (a stepper built without an
@@ -31,6 +31,7 @@ from fingerprint_scenarios import (
     PINNED_SCENARIOS,
     SCENARIO_IDS,
     build_simulation,
+    pinned,
     run_fingerprint,
     schedule_fingerprint,
     stream_config_for,
@@ -63,7 +64,7 @@ class TestFingerprintNeutrality:
     def test_frontier_cache_counters_fire(self):
         """The pinned pcaps scenario exercises both frontier caches, so
         every frontier-cache counter pair is covered."""
-        _, pcaps_obs = run_observed_fingerprint(PINNED_SCENARIOS[6])
+        _, pcaps_obs = run_observed_fingerprint(pinned("pcaps"))
         pcaps_reg = pcaps_obs.registry
         assert (
             pcaps_reg.value("engine.cache.column.hits")
@@ -87,7 +88,7 @@ class TestFingerprintNeutrality:
     def test_observer_is_captured_at_construction(self):
         """Components cache the observer once; enabling collection later
         does not retroactively instrument an existing stepper."""
-        config = PINNED_SCENARIOS[0]
+        config = pinned("fifo")
         stepper = build_simulation(config).stepper()
         with obs.collecting("late"):
             assert stepper._obs is None  # built before enable: stays dark
@@ -98,7 +99,7 @@ class TestFingerprintNeutrality:
         """End-to-end acceptance: a pinned pcaps trial with collection on
         yields the identical fingerprint plus valid artifacts — a Chrome
         trace and a metrics JSONL with non-zero engine counters."""
-        config = PINNED_SCENARIOS[6]
+        config = pinned("pcaps")
         baseline = run_fingerprint(config)
         observed, observer = run_observed_fingerprint(config)
         assert observed == baseline
@@ -116,7 +117,7 @@ class TestFingerprintNeutrality:
     def test_engine_probe_slots_match_event_kinds(self):
         """The per-kind counter tuple must stay aligned with the engine's
         event-kind encoding (arrival=0 .. signal=4)."""
-        config = PINNED_SCENARIOS[0]
+        config = pinned("fifo")
         with obs.collecting("kinds"):
             stepper = build_simulation(config).stepper()
             names = [c.name for c in stepper._obs_events]
@@ -142,7 +143,7 @@ class TestFingerprintNeutrality:
 
 class TestLiveTelemetryNeutrality:
     """PR-9 contract: exporting and evaluating SLOs mid-run never changes
-    a schedule. All seven pinned scenarios replay byte-identically with a
+    a schedule. All nine pinned scenarios replay byte-identically with a
     JSONL exporter, exposition rendering, and live SLO evaluation active
     between epochs."""
 

@@ -27,7 +27,7 @@ from conftest import (
     staggered_jobs,
     total_work,
 )
-from fingerprint_scenarios import PINNED_SCENARIOS, build_simulation
+from fingerprint_scenarios import build_simulation, pinned
 
 
 class TestClusterConfig:
@@ -315,7 +315,7 @@ class TestLatencyMeasurement:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(scheduler_cls, "select_gen", counting)
-        (config,) = [c for c in PINNED_SCENARIOS if c.scheduler == scenario]
+        config = pinned(scenario)
         sim = build_simulation(config)
         assert type(sim.scheduler) is scheduler_cls
         sim.measure_latency = True

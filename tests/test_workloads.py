@@ -19,6 +19,7 @@ from repro.workloads.batch import WorkloadSpec, build_workload
 from repro.workloads.tpch import (
     TPCH_QUERIES,
     TPCH_SCALE_DURATIONS,
+    _shared_tpch_job,
     random_tpch_batch,
     tpch_job,
     tpch_query_catalog,
@@ -61,6 +62,22 @@ class TestTPCH:
     def test_unknown_scale_rejected(self):
         with pytest.raises(ValueError):
             tpch_job("q1", 7)
+
+    @pytest.mark.parametrize("scale", sorted(TPCH_SCALE_DURATIONS))
+    def test_deterministic_dags_are_shared(self, scale):
+        for query in TPCH_QUERIES:
+            assert tpch_job(query, scale) is tpch_job(query, scale)
+        assert tpch_job("q1", scale) is not tpch_job("q2", scale)
+
+    def test_jitter_builds_a_fresh_dag_and_leaves_the_memo_alone(self):
+        shared = tpch_job("q4", 10)
+        before = _shared_tpch_job.cache_info()
+        jittered = tpch_job("q4", 10, duration_jitter=0.2, seed=3)
+        again = tpch_job("q4", 10, duration_jitter=0.2, seed=3)
+        assert _shared_tpch_job.cache_info() == before
+        assert jittered is not again and shared not in (jittered, again)
+        assert jittered.total_work == again.total_work != shared.total_work
+        assert tpch_job("q4", 10) is shared
 
     def test_jitter_changes_duration(self):
         plain = tpch_job("q1", 10)
