@@ -51,14 +51,17 @@ class CAPProvisioner(Provisioner):
         self._thresholds: CAPThresholds | None = None
         self._bounds: tuple[float, float] | None = None
         self._last_quota = total_executors
-        #: History of (time, quota) decisions, for M(B,c) analysis.
-        self.quota_history: list[tuple[float, int]] = []
+        # Running minimum of the quotas decided, for M(B,c) analysis. A
+        # minimum, not a history: a service run asks for a quota at every
+        # scheduling step, and a checkpoint must not grow with the stream.
+        # Batch runs keep every quota in ScheduleTrace.quotas.
+        self._min_quota = total_executors
 
     def reset(self) -> None:
         self._thresholds = None
         self._bounds = None
         self._last_quota = self.total_executors
-        self.quota_history = []
+        self._min_quota = self.total_executors
 
     def thresholds_for(self, low: float, high: float) -> CAPThresholds:
         """The Φ set for the current forecast bounds (cached)."""
@@ -74,7 +77,8 @@ class CAPProvisioner(Provisioner):
         thresholds = self.thresholds_for(reading.lower_bound, reading.upper_bound)
         value = thresholds.quota(reading.intensity)
         self._last_quota = value
-        self.quota_history.append((view.time, value))
+        if value < self._min_quota:
+            self._min_quota = value
         return value
 
     def scale_parallelism(self, limit: int, view: ClusterView) -> int:
@@ -85,7 +89,6 @@ class CAPProvisioner(Provisioner):
         return max(1, math.ceil(limit * ratio))
 
     def min_quota_seen(self) -> int:
-        """``M(B, c)``: the smallest quota this run (Theorem 4.5's constant)."""
-        if not self.quota_history:
-            return self.total_executors
-        return min(q for _, q in self.quota_history)
+        """``M(B, c)``: the smallest quota this run (Theorem 4.5's constant);
+        ``K`` before the first quota."""
+        return self._min_quota

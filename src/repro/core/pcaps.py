@@ -132,26 +132,19 @@ class PCAPSScheduler(StageScheduler):
             factor = min(factor, 1.0 - self.gamma)
         return factor
 
-    def _parallelism(
-        self, base_limit: int, low: float, high: float, intensity: float
-    ) -> int:
-        """The Section 5.1 parallelism reduction ``P'`` of one stage."""
-        factor = self._parallelism_factor(low, high, intensity)
-        if factor is None:
-            return base_limit
-        return int(_reduced(base_limit, factor))
-
     def parallelism_limits(
         self, view: ClusterView, frontier: FrontierArrays
     ) -> np.ndarray:
-        """``P'`` for every frontier row: the column twin of
-        :meth:`_parallelism` over the policy's columnar limits."""
+        """The Section 5.1 parallelism limit ``P'`` of every frontier row:
+        the policy's columnar limits, reduced by the carbon factor."""
         base = self.policy.parallelism_limits(view, frontier)
         reading = view.carbon
         factor = self._parallelism_factor(
             reading.lower_bound, reading.upper_bound, reading.intensity
         )
-        return base if factor is None else _reduced(base, factor)
+        if factor is None:
+            return base
+        return np.maximum(np.ceil(base * factor), 1)
 
     def select(
         self, view: ClusterView
@@ -161,17 +154,14 @@ class PCAPSScheduler(StageScheduler):
         # Stages already running P' tasks cannot grow: mask them out of the
         # draw. They stay in the frontier the policy normalizes over, so
         # importance is still relative to the whole of A_t.
-        growable = np.flatnonzero(
-            (full.slots > 0) & (full.running < self.parallelism_limits(view, full))
-        )
+        limits = self.parallelism_limits(view, full)
+        growable = np.flatnonzero((full.slots > 0) & (full.running < limits))
         if growable.size == 0:
             return NOTHING_GROWABLE
         attempts = self.max_resamples if self.defer_scope == "sample" else 1
         no_machines_busy = view.busy_executors == 0
         for _ in range(attempts):
-            chosen, importance = self.policy.sample_with_importance(
-                view, growable
-            )
+            pick, importance = self.policy.sample_row(view, growable)
             threshold = psi(
                 importance,
                 self.gamma,
@@ -180,27 +170,16 @@ class PCAPSScheduler(StageScheduler):
                 shape=self.threshold_shape,
             )
             if threshold >= reading.intensity or no_machines_busy:
+                job_id, stage_id = full.data[pick, :2].tolist()
                 return StageChoice(
-                    job_id=chosen.job_id,
-                    stage_id=chosen.stage_id,
-                    parallelism_limit=self._parallelism(
-                        self.policy.parallelism_limit(view, chosen),
-                        low=reading.lower_bound,
-                        high=reading.upper_bound,
-                        intensity=reading.intensity,
-                    ),
+                    job_id=int(job_id),
+                    stage_id=int(stage_id),
+                    # The sampled row's P', from the column that masked
+                    # the draw.
+                    parallelism_limit=int(limits[pick]),
                     # Granting the last growable stage leaves nothing to
                     # grow: the next select could only end the pass.
                     ends_pass=growable.size == 1,
                 )
             self.deferral_count += 1
         return None  # defer: idle until the next scheduling event
-
-
-def _reduced(limit, factor: float):
-    """``max(1, ceil(limit * factor))`` for a scalar or a limit column.
-
-    One expression for both so a row's column value and the scalar ``P'``
-    of the same stage are the same float, bit for bit.
-    """
-    return np.maximum(np.ceil(limit * factor), 1)

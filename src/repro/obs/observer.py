@@ -35,13 +35,16 @@ TRACE_FILENAME = "trace.json"
 
 
 class FrontierCacheStats:
-    """Hit/miss counters for the engine's two frontier caches: per-job
-    column blocks and the whole frontier matrix.
+    """Hit/miss counters of the engine's frontier table.
+
+    A *matrix* hit is a frontier served while no job was dirty, so the
+    table's matrix was reused as it stood; a miss is a serve that first
+    refreshed the dirty jobs. At each refresh every active job counts one
+    *column* hit (its block reused) or miss (its block rebuilt).
 
     One instance per stepper, handed to every :class:`ClusterView` it
-    builds; the view increments whichever counter matches the cache
-    consult it just resolved. ``None`` in the view means "don't count"
-    (the obs-off fast path).
+    builds, which passes it to the table. ``None`` in the view means
+    "don't count" (the obs-off fast path).
     """
 
     __slots__ = (

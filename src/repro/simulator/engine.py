@@ -32,7 +32,7 @@ from repro.simulator.interfaces import (
     StageScheduler,
 )
 from repro.simulator.metrics import ExperimentResult
-from repro.simulator.state import ClusterView, JobRuntime
+from repro.simulator.state import ClusterView, FrontierTable, JobRuntime
 from repro.simulator.trace import (
     HoldRecord,
     ScheduleTrace,
@@ -405,14 +405,11 @@ class SimulationStepper:
         self._submitted = 0
         self._pending_arrivals = 0
         self._pending_work = 0.0
-        # Shared per-job FrontierArrays blocks, reused across consecutive
-        # views while no launch/finish touched the job (see ClusterView).
-        self._column_cache: dict[tuple[int, bool], tuple] = {}
-        # Bumped on every frontier-changing event (arrival, launch, finish,
-        # preemption, withdrawal); two views with equal epochs see an
-        # identical active set and identical per-job task versions, which
-        # keys ClusterView's whole-matrix frontier cache.
-        self._frontier_epoch = 0
+        # The frontier matrix shared by every view of the run, patched per
+        # touched job: each event that can change a job's frontier rows
+        # (arrival, grant, task finish, preemption, withdrawal) marks the
+        # job dirty. None makes every view build its frontier from scratch.
+        self._frontier_table: FrontierTable | None = FrontierTable()
         # -- disruption state (inert unless the disrupt verbs are used) --
         #: Executors currently online; set_capacity/suspend/resume move it.
         self.capacity = sim.config.num_executors
@@ -485,15 +482,16 @@ class SimulationStepper:
     )
 
     def __getstate__(self) -> dict:
+        """The stepper's state minus observer probes.
+
+        The frontier table is a pure accelerator (the frontier tests prove
+        its matrices are bit-equal to a from-scratch walk), so it pickles
+        empty (see :class:`~repro.simulator.state.FrontierTable`) rather
+        than as numpy blocks that a restored run rebuilds on first use.
+        """
         state = self.__dict__.copy()
         for name in self._OBS_FIELDS:
             state.pop(name, None)
-        # The column cache is a pure accelerator — the frontier tests prove
-        # rebuilt blocks are bit-equal to cached ones — so checkpoints drop
-        # its contents rather than serialize numpy blocks that a restored
-        # run rebuilds on first touch anyway.
-        if state.get("_column_cache") is not None:
-            state["_column_cache"] = {}
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -502,7 +500,7 @@ class SimulationStepper:
 
     def checkpoint(self) -> bytes:
         """Serialize the full engine state — event heap, job runtimes, pool
-        occupancy, trace, RNG generators, frontier epoch — as one blob.
+        occupancy, trace, RNG generators — as one blob.
 
         The determinism contract (pinned by tests/test_checkpoint.py on
         all nine fingerprint scenarios): ``restore(checkpoint())`` at any
@@ -633,7 +631,8 @@ class SimulationStepper:
         token = max(self._inflight)
         job_id, stage_id, executor_id, trace_index = self._inflight.pop(token)
         self._cancelled.add(token)
-        self._frontier_epoch += 1
+        if self._frontier_table is not None:
+            self._frontier_table.mark(job_id)
         self.jobs[job_id].stages[stage_id].unlaunch()
         self.trace.truncate_task(trace_index, t)
         self._offline.append(executor_id)
@@ -677,11 +676,9 @@ class SimulationStepper:
             return None
         del self.jobs[job_id]
         del self.active[job_id]
-        self._frontier_epoch += 1
+        if self._frontier_table is not None:
+            self._frontier_table.mark(job_id)
         self._submitted -= 1
-        if self._column_cache is not None:
-            self._column_cache.pop((job_id, False), None)
-            self._column_cache.pop((job_id, True), None)
         return JobSubmission(
             arrival_time=job.arrival_time, dag=job.dag, job_id=job_id
         )
@@ -717,6 +714,7 @@ class SimulationStepper:
         trace = self.trace
         holds = self.holds
         first_take = self.first_take
+        table = self._frontier_table
 
         now = events[0][0]
         if sim.max_time is not None and now > sim.max_time:
@@ -743,7 +741,8 @@ class SimulationStepper:
                 )
                 jobs[sub.job_id] = job
                 active[sub.job_id] = job
-                self._frontier_epoch += 1
+                if table is not None:
+                    table.mark(sub.job_id)
                 self._pending_arrivals -= 1
                 self._pending_work -= sub.dag.total_work
                 self._pending_subs.pop(sub.job_id, None)
@@ -754,16 +753,12 @@ class SimulationStepper:
                     continue  # task was preempted; its relaunch is pending
                 trace_index = self._inflight.pop(token)[3]
                 trace.task_done(trace_index)
-                self._frontier_epoch += 1
+                if table is not None:
+                    table.mark(job_id)
                 job_done = jobs[job_id].record_task_finish(stage_id, now)
                 pool.release(executor_id, job_id, hold=holds and not job_done)
                 if job_done:
                     del active[job_id]
-                    # None disables the shared cache (equivalence tests
-                    # replace it to prove results don't depend on it).
-                    if self._column_cache is not None:
-                        self._column_cache.pop((job_id, False), None)
-                        self._column_cache.pop((job_id, True), None)
                     if holds:
                         # Close the job's hold intervals, free its roster.
                         pool.unreserve(job_id)
@@ -813,8 +808,7 @@ class SimulationStepper:
                 general_free=pool.general_free,
                 reserved_free=pool.reserved_counts(),
                 active=active,
-                column_cache=self._column_cache,
-                frontier_epoch=self._frontier_epoch,
+                frontier_table=table,
                 cache_stats=self._cache_stats,
             )
             quota = max(1, min(sim.provisioner.quota(pre_view), quota))
@@ -842,8 +836,7 @@ class SimulationStepper:
                     general_free=pool.general_free,
                     reserved_free=pool.reserved_counts(),
                     active=active,
-                    column_cache=self._column_cache,
-                    frontier_epoch=self._frontier_epoch,
+                    frontier_table=table,
                     cache_stats=self._cache_stats,
                 )
             if not view.has_assignable():
@@ -932,7 +925,8 @@ class SimulationStepper:
                     (choice.job_id, choice.stage_id, executor_id, token),
                 )
                 busy += 1
-            self._frontier_epoch += 1
+            if table is not None:
+                table.mark(choice.job_id)
             view = None
             # Choice objects need only job/stage/limit; ends_pass is opt-in.
             if getattr(choice, "ends_pass", False):

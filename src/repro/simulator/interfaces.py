@@ -163,7 +163,7 @@ class ProbabilisticPolicy(StageScheduler):
         self._seed = seed
         self._rng = np.random.default_rng(seed)
         # (matrix object, probs) of the last frontier scored; see
-        # sample_with_importance.
+        # sample_row.
         self._dist_cache: tuple | None = None
 
     def reset(self) -> None:
@@ -213,17 +213,17 @@ class ProbabilisticPolicy(StageScheduler):
     ) -> np.ndarray:
         """:meth:`parallelism_limit` of every row's stage, as one column.
 
-        PCAPS masks its draw with this column and then limits the sampled
-        stage with :meth:`parallelism_limit`, so a subclass overriding one
-        must override both to give each stage the same value. A limit the
-        column overstates still binds, through the engine's blocked-retry
-        path.
+        PCAPS masks its draw with this column and limits the sampled stage
+        to the same column's value, while :meth:`select` limits its choice
+        with :meth:`parallelism_limit`; a subclass overriding one must
+        override both to give each stage the same value. Under PCAPS the
+        column alone binds: a stage may grow to the value it states.
         """
         return frontier.num_tasks
 
     def _softmax(self, raw: np.ndarray) -> np.ndarray:
         """Temperature-scaled softmax, shared by :meth:`select` and
-        :meth:`sample_with_importance`.
+        :meth:`sample_row`.
 
         One function on purpose: the float operation order fixes every
         probability, and with it the seeded schedule.
@@ -236,8 +236,20 @@ class ProbabilisticPolicy(StageScheduler):
     def sample_with_importance(
         self, view: ClusterView, candidates: np.ndarray | None = None
     ) -> tuple[ReadyStage, float] | None:
-        """Sample an assignable stage plus its Definition 4.2 importance.
+        """Sample an assignable stage plus its Definition 4.2 importance:
+        :meth:`sample_row` with the drawn row as a :class:`ReadyStage`."""
+        drawn = self.sample_row(view, candidates)
+        if drawn is None:
+            return None
+        row, importance = drawn
+        return view.frontier_arrays(include_saturated=True).entry(row), importance
 
+    def sample_row(
+        self, view: ClusterView, candidates: np.ndarray | None = None
+    ) -> tuple[int, float] | None:
+        """Sample an assignable stage: its row and Definition 4.2 importance.
+
+        The row indexes ``view.frontier_arrays(include_saturated=True)``.
         The distribution is computed over the *full* frontier ``A_t``
         (including stages whose tasks are all in flight — they carry
         probability mass and anchor the normalization) while sampling is
@@ -276,8 +288,8 @@ class ProbabilisticPolicy(StageScheduler):
         full: FrontierArrays,
         probs: np.ndarray,
         candidates: np.ndarray,
-    ) -> tuple[ReadyStage, float]:
-        """The action-mask tail of :meth:`sample_with_importance`:
+    ) -> tuple[int, float]:
+        """The action-mask tail of :meth:`sample_row`:
         renormalize the candidate slice, draw, compute the Definition 4.2
         importance over the whole frontier. Cache hits and misses share it,
         so both take the same float operations in the same order."""
@@ -290,7 +302,7 @@ class ProbabilisticPolicy(StageScheduler):
         pick = int(candidates[_sample_index(self._rng, weights)])
         peak = probs.max()
         importance = float(probs[pick] / peak) if peak > 0 else 1.0
-        return full.entry(pick), importance
+        return pick, importance
 
     def select(self, view: ClusterView) -> StageChoice | None:
         frontier = view.frontier_arrays()

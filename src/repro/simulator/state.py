@@ -12,10 +12,11 @@ would produce — simulation results stay bit-identical.
 
 The probabilistic schedulers (Decima, PCAPS) score and sample the whole
 frontier ``A_t`` as the columnar :class:`FrontierArrays` of
-:meth:`ClusterView.frontier_arrays`, backed by engine-shared caches. The
-greedy baselines (FIFO, the Kubernetes default, weighted-fair) only pick a
-job and grow its first assignable stage, so they use the cache-free walk
-:meth:`ClusterView.assignable_jobs`, as does the engine's loop condition.
+:meth:`ClusterView.frontier_arrays`, served from the engine's
+:class:`FrontierTable`. The greedy baselines (FIFO, the Kubernetes
+default, weighted-fair) only pick a job and grow its first assignable
+stage, so they use the cache-free walk :meth:`ClusterView.assignable_jobs`,
+as does the engine's loop condition.
 """
 
 from __future__ import annotations
@@ -173,16 +174,6 @@ class JobRuntime:
         return self.finish_time is not None
 
     @property
-    def task_version(self) -> int:
-        """Monotone counter bumped on every task launch/finish.
-
-        Two reads with equal versions are guaranteed to observe identical
-        per-stage counters and an identical frontier — the dirty-mark the
-        engine's shared column cache keys on.
-        """
-        return self._task_version
-
-    @property
     def executors_in_use(self) -> int:
         return self._running_total
 
@@ -306,7 +297,7 @@ class FrontierArrays:
       the job's per-job-cap headroom)``, never negative;
       ``bottleneck``/``remaining_work`` are the exact floats the memoized
       :class:`JobRuntime` accessors return (they *are* those values,
-      copied once per cache rebuild);
+      copied once per block rebuild);
     - the instance is immutable once handed to a scheduler.
     """
 
@@ -413,10 +404,10 @@ class FrontierArrays:
         """Build the columnar form of an existing entry list.
 
         The from-scratch reference construction: the incremental path
-        (`ClusterView.frontier_arrays` with its shared caches) must always
-        produce the matrix this builds from a cache-free entry walk. The
-        per-job aggregates come from the same memoized accessors the
-        incremental path reads, so both constructions yield identical
+        (`ClusterView.frontier_arrays` served from a :class:`FrontierTable`)
+        must always produce the matrix this builds from a cache-free entry
+        walk. The per-job aggregates come from the same memoized accessors
+        the incremental path reads, so both constructions yield identical
         matrices — the property ``tests/test_frontier_arrays.py`` pins
         against random operation interleavings.
         """
@@ -440,6 +431,202 @@ class FrontierArrays:
 _EMPTY_FRONTIER = np.empty((0, FrontierArrays.NUM_COLS))
 
 
+def _job_block(job: JobRuntime) -> np.ndarray:
+    """``job``'s rows of the full frontier, with ``slots`` equal to
+    ``unlaunched`` (no executor budget applied)."""
+    job_id = job.job_id
+    stages = job.stages
+    remaining = job.remaining_work()
+    in_use = job.executors_in_use
+    bottlenecks = job.bottleneck_scores()
+    rows = []
+    for sid in job.ready_stage_ids(include_running=True):
+        runtime = stages[sid]
+        num_tasks = runtime.stage.num_tasks
+        unlaunched = num_tasks - runtime.launched
+        rows.append(
+            (
+                job_id,
+                sid,
+                unlaunched,
+                runtime.launched - runtime.finished,
+                unlaunched,
+                bottlenecks.get(sid, 0.0),
+                remaining,
+                in_use,
+                num_tasks,
+            )
+        )
+    return np.array(rows, dtype=float) if rows else _EMPTY_FRONTIER
+
+
+class FrontierTable:
+    """The frontier matrix, one block per active job, patched per touched job.
+
+    A job's block is its rows of the full frontier (Definition 4.1's
+    ``A_t``, ``include_saturated=True``) with ``slots`` left equal to
+    ``unlaunched``; the active jobs' blocks in arrival order make up one
+    ``(n, 9)`` matrix. The engine owns one table per run and marks a job
+    dirty at each of the five events that can change its rows: arrival,
+    grant, task finish, preemption and withdrawal. The next
+    :meth:`serve` rebuilds only the dirty jobs' blocks. When every
+    rebuilt block keeps its row count (a launch, or a finish that
+    completes no stage) it is written over its rows in a copy of the
+    previous matrix; only when rows come or go (arrivals, stage and job
+    completions, withdrawals) are the cached blocks concatenated again.
+    So a grant costs O(touched jobs), not O(active jobs).
+
+    The assignable frontier (``include_saturated=False``) is the full
+    matrix's rows with unlaunched tasks, derived once per matrix. A view
+    clamps ``slots`` to its executor budget through :meth:`serve`: a
+    budget at or above every ``unlaunched`` count clamps nothing and gets
+    the unclamped matrix itself, and a clamped matrix is memoized per
+    (matrix, budget). An unchanged frontier under an unchanged budget is
+    therefore the same matrix object, which keeps the score and
+    distribution caches of the probabilistic schedulers (keyed by matrix
+    identity) hitting.
+
+    Marks are ignored until the table first serves, so a run that never
+    asks for the frontier (the greedy schedulers) holds no dirty ids.
+    The table is a pure accelerator: every served matrix equals a
+    from-scratch walk bit for bit, and a pickled table (a checkpoint's)
+    comes back empty.
+    """
+
+    __slots__ = (
+        "_blocks", "_offsets", "_dirty", "_full", "_saturation",
+        "_assignable", "_served",
+    )
+
+    def __init__(self) -> None:
+        #: job id -> its block, for every job with rows in :attr:`_full`
+        #: (plus, until the next refresh, jobs finished since the last).
+        self._blocks: dict[int, np.ndarray] = {}
+        #: job id -> index of its block's first row in :attr:`_full`.
+        self._offsets: dict[int, int] = {}
+        #: Jobs whose rows may have changed since the last refresh.
+        self._dirty: set[int] = set()
+        #: The full frontier matrix; ``None`` until the first refresh.
+        self._full: np.ndarray | None = None
+        #: Largest ``unlaunched`` in :attr:`_full`: no budget at or above
+        #: it clamps anything.
+        self._saturation = 0.0
+        #: (full matrix, its rows with unlaunched tasks).
+        self._assignable: tuple[np.ndarray, np.ndarray] | None = None
+        #: include_saturated -> (unclamped matrix, budget, clamped matrix).
+        self._served: dict[bool, tuple] = {}
+
+    def __reduce__(self):
+        # Checkpoints drop the table: it unpickles empty and rebuilds on
+        # first use, rather than carrying numpy blocks.
+        return (FrontierTable, ())
+
+    def mark(self, job_id: int) -> None:
+        """Engine-only: ``job_id``'s frontier rows may have changed."""
+        if self._full is not None:
+            self._dirty.add(job_id)
+
+    def serve(
+        self,
+        active: Mapping[int, JobRuntime],
+        include_saturated: bool,
+        budget: int | dict[int, int],
+        stats=None,
+    ) -> np.ndarray:
+        """One view's frontier matrix, ``slots`` clamped to ``budget``.
+
+        ``active`` maps the not-yet-finished jobs in arrival order.
+        ``budget`` is the executor budget every job shares (an int), or a
+        ``{job_id: budget}`` mapping when budgets differ per job (a
+        per-job cap, hoarded reservations); a row's ``slots`` is
+        ``min(unlaunched, its job's budget)``. ``stats`` is the optional
+        :class:`~repro.obs.observer.FrontierCacheStats` to count into.
+        """
+        full = self._refresh(active, stats)
+        if include_saturated:
+            raw = full
+        else:
+            derived = self._assignable
+            if derived is None or derived[0] is not full:
+                keep = full[:, FrontierArrays.UNLAUNCHED] > 0
+                derived = (full, full if keep.all() else full[keep])
+                self._assignable = derived
+            raw = derived[1]
+        per_job = isinstance(budget, dict)
+        lowest = min(budget.values(), default=0) if per_job else budget
+        if lowest >= self._saturation:
+            return raw
+        served = self._served.get(include_saturated)
+        if served is not None and served[0] is raw and served[1] == budget:
+            return served[2]
+        out = raw.copy()
+        slots = out[:, FrontierArrays.SLOTS]
+        if per_job:
+            job_ids = raw[:, FrontierArrays.JOB_ID].tolist()
+            np.minimum(slots, [budget[j] for j in job_ids], out=slots)
+        else:
+            np.minimum(slots, budget, out=slots)
+        self._served[include_saturated] = (raw, budget, out)
+        return out
+
+    def _refresh(
+        self, active: Mapping[int, JobRuntime], stats
+    ) -> np.ndarray:
+        """Bring the full matrix up to date with the dirty jobs."""
+        full = self._full
+        dirty = self._dirty
+        if full is not None and not dirty:
+            if stats is not None:
+                stats.matrix_hits.inc()
+            return full
+        blocks = self._blocks
+        # The first refresh builds every active job's block.
+        reshape = full is None
+        rebuilt = []
+        for job_id in list(active) if full is None else dirty:
+            job = active.get(job_id)
+            if job is None:
+                # Finished or withdrawn: its rows leave the matrix.
+                if blocks.pop(job_id, None) is not None:
+                    reshape = True
+                continue
+            block = _job_block(job)
+            old = blocks.get(job_id)
+            if old is None or len(old) != len(block):
+                reshape = True
+            blocks[job_id] = block
+            rebuilt.append((job_id, block))
+        dirty.clear()
+        if reshape:
+            offsets = self._offsets = {}
+            parts = []
+            row = 0
+            for job_id in active:
+                block = blocks[job_id]
+                offsets[job_id] = row
+                row += len(block)
+                parts.append(block)
+            full = np.concatenate(parts) if parts else _EMPTY_FRONTIER
+        elif rebuilt:
+            full = full.copy()
+            offsets = self._offsets
+            for job_id, block in rebuilt:
+                start = offsets[job_id]
+                full[start : start + len(block)] = block
+        if full is not self._full:
+            self._full = full
+            self._saturation = (
+                float(full[:, FrontierArrays.UNLAUNCHED].max())
+                if len(full)
+                else 0.0
+            )
+        if stats is not None:
+            stats.matrix_misses.inc()
+            stats.column_misses.inc(len(rebuilt))
+            stats.column_hits.inc(len(active) - len(rebuilt))
+        return full
+
+
 class ClusterView:
     """Read-only snapshot handed to schedulers at a scheduling event.
 
@@ -449,6 +636,11 @@ class ClusterView:
     immutable; the view relies on that to cache its frontier arrays (the
     engine builds a fresh view per grant, so within one view the frontier
     cannot change).
+
+    The engine hands every view of a run its :class:`FrontierTable`, so a
+    view's frontier costs only the rebuild of the jobs touched since the
+    previous view. A view built without one (tests, hand-built views)
+    builds its frontier from scratch.
     """
 
     def __init__(
@@ -464,8 +656,7 @@ class ClusterView:
         general_free: int | None = None,
         reserved_free: dict[int, int] | None = None,
         active: Mapping[int, JobRuntime] | None = None,
-        column_cache: dict[tuple[int, bool], tuple] | None = None,
-        frontier_epoch: int | None = None,
+        frontier_table: FrontierTable | None = None,
         cache_stats=None,
     ) -> None:
         self.time = time
@@ -480,16 +671,9 @@ class ClusterView:
         #: the engine (arrival events insert, completions delete). ``None``
         #: means "derive from ``jobs``" — the slow path for hand-built views.
         self._active = active
-        #: Engine-owned per-job column cache, shared across consecutive
-        #: views of one run. Keyed by ``(job_id, include_saturated)``; each
-        #: value is ``(task_version, effective_cap, saturation, block)``
-        #: where ``block`` is the job's ``(n, 9)`` float64 slice of a
-        #: :class:`FrontierArrays` matrix. A job untouched by launches and
-        #: finishes whose executor budget is unchanged (or saturating, see
-        #: frontier_arrays) reuses its block verbatim instead of re-walking
-        #: its frontier. The ``("view", include_saturated)`` key holds the
-        #: whole-matrix cache.
-        self._shared_columns = column_cache
+        #: The engine's frontier table, shared by consecutive views of one
+        #: run; ``None`` builds a private one on first use.
+        self._table = frontier_table
         self._fa_cache: dict[bool, FrontierArrays] = {}
         #: Blocked pairs in arrival order plus the boolean masks already
         #: derived from them, so each block() retry extends the previous
@@ -497,17 +681,9 @@ class ClusterView:
         self._blocked_seq: list[tuple[int, int]] = list(blocked)
         self._mask_state: dict[bool, tuple] = {}
         #: Optional :class:`repro.obs.observer.FrontierCacheStats` from the
-        #: owning stepper: hit/miss counters for the shared column and
-        #: whole-matrix caches, incremented where each consult resolves.
+        #: owning stepper: the table's block and matrix hit/miss counters.
         #: ``None`` (collection off, or hand-built views) counts nothing.
         self._cache_stats = cache_stats
-        #: Engine frontier epoch: bumped by the stepper on every event that
-        #: can change any job's frontier (arrival, launch, finish,
-        #: preemption, withdrawal). Equal epochs across two views guarantee
-        #: identical active sets and per-job task versions, enabling the
-        #: whole-matrix cache in :meth:`frontier_arrays`. ``None`` (hand-
-        #: built views) disables that cache.
-        self._frontier_epoch = frontier_epoch
         #: Executors in the shared pool (any job may take these). Under
         #: hoarding semantics idle-but-bound executors are *not* here.
         self.general_free = (
@@ -560,144 +736,36 @@ class ClusterView:
         same scheduling pass (because the engine could not grow them) are
         excluded, which guarantees the assignment loop terminates.
 
-        Per-job blocks are maintained incrementally in the engine-shared
-        column cache, keyed on task version plus effective executor
-        budget, so consecutive views rebuild only the jobs that launched
-        or finished tasks in between. Cached per view.
+        Served from the :class:`FrontierTable`, which rebuilds only the
+        jobs touched since the previous view; this view supplies the
+        executor budget ``slots`` is clamped to. Cached per view.
         """
         cached = self._fa_cache.get(include_saturated)
         if cached is not None:
             return cached
+        table = self._table
+        if table is None:
+            table = self._table = FrontierTable()
+        active = self._active
+        if active is None:
+            active = {job.job_id: job for job in self.active_jobs()}
         quota_room = max(0, self.quota - self.busy_executors)
         general_free = self.general_free
         reserved_free = self.reserved_free
         per_job_cap = self.per_job_cap
-        shared = self._shared_columns
-        # Whole-matrix fast path: with no per-job executor cap and no
-        # hoarded reservations, every job shares one scalar budget, so an
-        # unchanged (epoch, budget) pair — or two budgets both at or above
-        # the stored saturation point — guarantees the previously
-        # concatenated matrix is the one this walk would rebuild. This is
-        # the dominant case for the probabilistic schedulers (they don't
-        # hold executors), and it turns the per-view cost of a deferred or
-        # blocked scheduling pass into two integer compares.
-        stats = self._cache_stats if shared is not None else None
-        view_key = None
-        epoch = self._frontier_epoch
-        if (
-            epoch is not None
-            and shared is not None
-            and per_job_cap is None
-            and not reserved_free
-        ):
-            scalar_budget = min(quota_room, general_free)
-            view_key = ("view", include_saturated)
-            hit = shared.get(view_key)
-            if (
-                hit is not None
-                and hit[0] == epoch
-                and (
-                    hit[1] == scalar_budget
-                    or (hit[1] >= hit[2] and scalar_budget >= hit[2])
-                )
-            ):
-                if stats is not None:
-                    stats.matrix_hits.inc()
-                return self._finish_frontier(hit[3], include_saturated)
-            if stats is not None:
-                stats.matrix_misses.inc()
-        blocks: list[np.ndarray] = []
-        global_saturation = 0
-        for job in self.active_jobs():
-            job_id = job.job_id
-            job_pool = general_free + (
-                reserved_free.get(job_id, 0) if reserved_free else 0
-            )
-            budget = min(quota_room, job_pool)
-            job_headroom = (
-                per_job_cap - job.executors_in_use
-                if per_job_cap is not None
-                else budget
-            )
-            if job_headroom < 0:
-                job_headroom = 0
-            # Every field of a row is a function of the job's task counters
-            # (captured by task_version) and min(budget, headroom) (captured
-            # by effective_cap) — so an unchanged pair means the cached block
-            # holds the identical floats a fresh walk would produce. The cap
-            # only enters through clamping (slots = min(unlaunched, cap)), so
-            # two caps that both meet or exceed every unlaunched count in the
-            # frontier (the stored saturation point) also yield an identical
-            # block.
-            effective_cap = budget if budget < job_headroom else job_headroom
-            if shared is not None:
-                hit = shared.get((job_id, include_saturated))
-                if (
-                    hit is not None
-                    and hit[0] == job.task_version
-                    and (
-                        hit[1] == effective_cap
-                        or (hit[1] >= hit[2] and effective_cap >= hit[2])
-                    )
-                ):
-                    if stats is not None:
-                        stats.column_hits.inc()
-                    if hit[2] > global_saturation:
-                        global_saturation = hit[2]
-                    blocks.append(hit[3])
-                    continue
-                if stats is not None:
-                    stats.column_misses.inc()
-            rows: list[tuple] = []
-            stages = job.stages
-            remaining = None
-            in_use = None
-            bottlenecks = None
-            saturation = 0
-            for sid in job.ready_stage_ids(include_running=include_saturated):
-                if remaining is None:
-                    remaining = job.remaining_work()
-                    in_use = job.executors_in_use
-                    bottlenecks = job.bottleneck_scores()
-                runtime = stages[sid]
-                num_tasks = runtime.stage.num_tasks
-                unlaunched = num_tasks - runtime.launched
-                if unlaunched > saturation:
-                    saturation = unlaunched
-                slots = min(unlaunched, budget, job_headroom)
-                rows.append(
-                    (
-                        job_id,
-                        sid,
-                        unlaunched,
-                        runtime.launched - runtime.finished,
-                        slots,
-                        bottlenecks.get(sid, 0.0),
-                        remaining,
-                        in_use,
-                        num_tasks,
-                    )
-                )
-            block = (
-                np.array(rows, dtype=float) if rows else _EMPTY_FRONTIER
-            )
-            if shared is not None:
-                shared[(job_id, include_saturated)] = (
-                    job.task_version, effective_cap, saturation, block,
-                )
-            if saturation > global_saturation:
-                global_saturation = saturation
-            blocks.append(block)
-        if not blocks:
-            data = _EMPTY_FRONTIER
-        elif len(blocks) == 1:
-            data = blocks[0]
+        if per_job_cap is None and not reserved_free:
+            # Every job shares one budget: the common case.
+            budget = min(quota_room, general_free)
         else:
-            data = np.concatenate(blocks)
-        if view_key is not None:
-            shared[view_key] = (
-                epoch, scalar_budget, global_saturation, data,
-            )
+            budget = {}
+            for job_id, job in active.items():
+                cap = min(quota_room, general_free + reserved_free.get(job_id, 0))
+                if per_job_cap is not None:
+                    cap = min(cap, max(0, per_job_cap - job.executors_in_use))
+                budget[job_id] = cap
+        data = table.serve(
+            active, include_saturated, budget, self._cache_stats
+        )
         return self._finish_frontier(data, include_saturated)
 
     def _finish_frontier(
@@ -706,9 +774,9 @@ class ClusterView:
         """Apply the per-pass blocked filter and cache the result per view.
 
         Entries blocked earlier in this scheduling pass are dropped at the
-        view level, so both the per-job cached blocks and the whole-matrix
-        cache stay valid while anything is blocked. The blocked set is
-        tiny; the mask conjunction is order-independent.
+        view level, so the table's blocks and served matrices stay valid
+        while anything is blocked. The blocked set is tiny; the mask
+        conjunction is order-independent.
         """
         seq = self._blocked_seq
         if seq and len(data):

@@ -8,12 +8,18 @@ summaries), and ``test_checkpoint`` (restore determinism). Suites import
 from here instead of re-declaring the table, so a scenario added or
 adjusted once is exercised by every contract at once. Run as a script, it
 prints each scenario's schedule fingerprint and service-mode metrics
-fingerprint for comparison across checkouts (see :func:`main`).
+fingerprint, or compares them with another revision's (see :func:`main`).
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 from repro.carbon.api import CarbonIntensityAPI
 from repro.experiments.runner import (
@@ -166,7 +172,57 @@ def service_fingerprint(config: ExperimentConfig) -> str:
     return run_service(stream_config_for(config)).fingerprint
 
 
-def main() -> None:
+def fingerprint_rows() -> list[str]:
+    """``scenario schedule-sha256 service-sha256``, one line per scenario."""
+    return [
+        f"{scenario_id} {run_fingerprint(config)} {service_fingerprint(config)}"
+        for scenario_id, config in zip(SCENARIO_IDS, PINNED_SCENARIOS)
+    ]
+
+
+def rows_at(rev: str) -> list[str]:
+    """:func:`fingerprint_rows` computed by revision ``rev``'s ``src/``.
+
+    Extracts ``git archive rev src`` of the repository around the working
+    directory into a temporary directory and runs this script on it in a
+    subprocess, so both sides run these same scenarios.
+    """
+    top = subprocess.run(
+        ["git", "rev-parse", "--show-toplevel"],
+        capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    archive = subprocess.run(
+        ["git", "-C", top, "archive", "--format=tar", rev, "src"],
+        capture_output=True, check=True,
+    ).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        env = dict(os.environ, PYTHONPATH=str(Path(tmp) / "src"))
+        out = subprocess.run(
+            [sys.executable, str(Path(__file__).resolve())],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+    return out.splitlines()
+
+
+def compare(parent: list[str], change: list[str]) -> tuple[list[str], bool]:
+    """Side-by-side ``scenario parent change`` lines, one per schedule and
+    per service hash, and whether every pair is equal."""
+    lines = ["scenario parent change"]
+    same = len(parent) == len(change)
+    for theirs, ours in zip(parent, change):
+        scenario, *parent_hashes = theirs.split()
+        scenario_ours, *change_hashes = ours.split()
+        same = same and scenario == scenario_ours
+        for kind, old, new in zip(
+            ("schedule", "service"), parent_hashes, change_hashes
+        ):
+            lines.append(f"{scenario}/{kind} {old} {new}")
+            same = same and old == new
+    return lines, same
+
+
+def main(argv: list[str] | None = None) -> int:
     """Print ``scenario schedule-sha256 service-sha256`` per scenario.
 
     The first hash covers the materialized schedule, the second the
@@ -176,15 +232,32 @@ def main() -> None:
     or the streaming fold left results alone. Comparing this output
     across two checkouts can::
 
-        PYTHONPATH=<checkout>/src python tests/fingerprint_scenarios.py
+        PYTHONPATH=src python tests/fingerprint_scenarios.py --against REV
+
+    runs the scenarios on revision ``REV``'s ``src/`` (via ``git
+    archive``) and on the ``repro`` this process imports, prints
+    ``scenario parent change`` for every schedule and service hash, and
+    exits 1 if any pair differs.
 
     The hashes are deliberately not pinned in a test: workload synthesis
     draws from numpy's ``Generator``, whose streams numpy does not promise
     to keep across versions.
     """
-    for scenario_id, config in zip(SCENARIO_IDS, PINNED_SCENARIOS):
-        print(scenario_id, run_fingerprint(config), service_fingerprint(config))
+    parser = argparse.ArgumentParser(description=main.__doc__.splitlines()[0])
+    parser.add_argument(
+        "--against", metavar="REV",
+        help="compare with the fingerprints of git revision REV",
+    )
+    args = parser.parse_args(argv)
+    if args.against is None:
+        print("\n".join(fingerprint_rows()))
+        return 0
+    lines, same = compare(rows_at(args.against), fingerprint_rows())
+    print("\n".join(lines))
+    if not same:
+        print(f"fingerprints differ from {args.against}", file=sys.stderr)
+    return 0 if same else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

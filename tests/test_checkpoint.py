@@ -130,6 +130,15 @@ class TestRestoreIsFingerprintNeutral:
         step_n(stepper, 17)
         assert drain(SimulationStepper.restore(stepper.checkpoint())) == reference
 
+    def test_checkpoint_carries_an_empty_frontier_table(self):
+        config = pinned("pcaps")
+        stepper = stepper_with_workload(config)
+        step_n(stepper, 13)
+        assert stepper._frontier_table._full is not None
+        restored = SimulationStepper.restore(stepper.checkpoint())
+        table = restored._frontier_table
+        assert table._full is None and not table._blocks
+
     def test_restore_rejects_foreign_pickles(self):
         import pickle
 

@@ -1,10 +1,14 @@
 """Behavioural tests for CAP (Section 4.2)."""
 
+import pickle
+
 import pytest
 
+from repro.carbon.api import CarbonReading
 from repro.core.cap import CAPProvisioner
 from repro.dag.graph import JobDAG, Stage
 from repro.schedulers.fifo import FIFOScheduler, KubernetesDefaultScheduler
+from repro.simulator.state import ClusterView
 from repro.workloads.arrivals import JobSubmission
 
 from conftest import (
@@ -70,12 +74,38 @@ class TestQuotaBehaviour:
     def test_reset_clears_history(self, square_trace, tiny_dag):
         cap = CAPProvisioner(total_executors=4, min_quota=2)
         run_sim(
-            KubernetesDefaultScheduler(), single_job(tiny_dag), square_trace,
-            provisioner=cap,
+            KubernetesDefaultScheduler(),
+            single_job(tiny_dag, arrival=12 * 60.0),  # high-carbon block
+            square_trace, num_executors=4, provisioner=cap,
         )
-        assert cap.quota_history
+        assert cap.min_quota_seen() < 4
         cap.reset()
-        assert cap.quota_history == []
+        assert cap.min_quota_seen() == 4
+
+    def test_pickled_size_does_not_grow_with_quota_calls(self):
+        """A service run asks for a quota at every scheduling step and
+        checkpoints the provisioner with the engine: its pickled state
+        must not grow with the number of asks."""
+
+        def pickled_after(calls: int) -> int:
+            cap = CAPProvisioner(total_executors=10, min_quota=2)
+            for i in range(calls):
+                reading = CarbonReading(
+                    time=float(i),
+                    intensity=50.0 + (i % 9) * 50.0,
+                    lower_bound=50.0,
+                    upper_bound=450.0,
+                )
+                cap.quota(
+                    ClusterView(
+                        time=float(i), total_executors=10, busy_executors=0,
+                        quota=10, jobs={}, carbon=reading,
+                    )
+                )
+            assert cap.min_quota_seen() == 2
+            return len(pickle.dumps(cap))
+
+        assert pickled_after(10) == pickled_after(10_000)
 
     def test_thresholds_rebuilt_on_bound_change(self, square_trace):
         cap = CAPProvisioner(total_executors=8, min_quota=2)

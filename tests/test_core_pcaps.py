@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.carbon.api import CarbonReading
 from repro.core.pcaps import PCAPSScheduler
 from repro.dag.graph import JobDAG, Stage
 from repro.obs.observer import collecting
 from repro.schedulers.decima import DecimaScheduler
+from repro.simulator.state import ClusterView, JobRuntime
 from repro.workloads.arrivals import JobSubmission
 
 from conftest import (
@@ -131,27 +133,45 @@ class TestDeferralBehaviour:
         assert footprints[0.9] < footprints[0.0]
 
 
+def limit_of_8_tasks(scheduler, low, high, intensity):
+    """``P'`` of a lone 8-task stage on 8 executors (so the policy's own
+    limit is the task count), read from PCAPS's limit column."""
+    job = JobRuntime(0, JobDAG([Stage(0, 8, 10.0)]), arrival_time=0.0)
+    view = ClusterView(
+        time=0.0, total_executors=8, busy_executors=0, quota=8,
+        jobs={0: job},
+        carbon=CarbonReading(
+            time=0.0, intensity=intensity, lower_bound=low, upper_bound=high
+        ),
+    )
+    frontier = view.frontier_arrays(include_saturated=True)
+    (limit,) = scheduler.parallelism_limits(view, frontier).tolist()
+    return limit
+
+
 class TestParallelismScaling:
     def test_decay_reduces_limit_at_high_carbon(self):
         scheduler = pcaps(gamma=0.5)
-        at_low = scheduler._parallelism(8, low=50.0, high=450.0, intensity=50.0)
-        at_high = scheduler._parallelism(8, low=50.0, high=450.0, intensity=450.0)
+        at_low = limit_of_8_tasks(scheduler, low=50.0, high=450.0, intensity=50.0)
+        at_high = limit_of_8_tasks(
+            scheduler, low=50.0, high=450.0, intensity=450.0
+        )
         assert at_low == 8
         assert at_high < at_low
         assert at_high >= 1
 
     def test_paper_mode_caps_at_one_minus_gamma(self):
         scheduler = pcaps(gamma=0.5, parallelism_mode="paper")
-        at_low = scheduler._parallelism(8, low=50.0, high=450.0, intensity=50.0)
+        at_low = limit_of_8_tasks(scheduler, low=50.0, high=450.0, intensity=50.0)
         assert at_low == 4  # ceil(8 * 0.5)
 
     def test_off_mode_keeps_limit(self):
         scheduler = pcaps(gamma=0.9, parallelism_mode="off")
-        assert scheduler._parallelism(8, 50.0, 450.0, 450.0) == 8
+        assert limit_of_8_tasks(scheduler, 50.0, 450.0, 450.0) == 8
 
     def test_limit_always_at_least_one(self):
         scheduler = pcaps(gamma=1.0, parallelism_mode="paper")
-        assert scheduler._parallelism(8, 50.0, 450.0, 450.0) == 1
+        assert limit_of_8_tasks(scheduler, 50.0, 450.0, 450.0) == 1
 
 
 class TestDeferScope:

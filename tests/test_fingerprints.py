@@ -16,10 +16,12 @@ properties:
 
 Run as a script, ``fingerprint_scenarios.py`` prints the same fingerprints,
 plus each scenario's service-mode metrics fingerprint, for comparing two
-checkouts; one test checks that output.
+checkouts, and ``--against REV`` makes that comparison with a git
+revision; tests check both.
 """
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +41,7 @@ from fingerprint_scenarios import (  # noqa: F401  (re-exported for suites)
     PINNED_SCENARIOS,
     SCENARIO_IDS,
     build_simulation,
+    compare,
     pinned,
     run_fingerprint,
     schedule_fingerprint,
@@ -70,6 +73,49 @@ class TestPinnedFingerprints:
             f"{service_fingerprint(config)}"
             for scenario, config in zip(SCENARIO_IDS, PINNED_SCENARIOS)
         ]
+
+    def test_against_a_revision_with_the_same_src(self, tmp_path):
+        """``--against REV`` runs the scenarios on REV's ``src/`` and on
+        this checkout's, prints both hashes of each, and exits 0 when
+        every pair agrees. REV here is a commit holding a copy of the
+        ``src/`` under test."""
+        src = Path(repro.__file__).resolve().parents[1]
+        shutil.copytree(
+            src, tmp_path / "src",
+            ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"),
+        )
+        git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com"]
+        for args in (["init", "-q"], ["add", "src"], ["commit", "-qm", "src"]):
+            subprocess.run(git + args, cwd=tmp_path, check=True)
+        script = Path(__file__).with_name("fingerprint_scenarios.py")
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, str(script), "--against", "HEAD"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[0] == "scenario parent change"
+        assert len(lines) == 1 + 2 * len(PINNED_SCENARIOS)
+        for line in lines[1:]:
+            _, parent, change = line.split()
+            assert parent == change
+
+    def test_compare_flags_any_difference(self):
+        parent = ["fifo a b", "pcaps c d"]
+        lines, same = compare(parent, list(parent))
+        assert same
+        assert lines == [
+            "scenario parent change",
+            "fifo/schedule a a",
+            "fifo/service b b",
+            "pcaps/schedule c c",
+            "pcaps/service d d",
+        ]
+        assert not compare(parent, ["fifo a b", "pcaps c e"])[1]
+        assert not compare(parent, ["fifo a b", "decima c d"])[1]
+        assert not compare(parent, ["fifo a b"])[1]
 
     @pytest.mark.parametrize("config", PINNED_SCENARIOS, ids=SCENARIO_IDS)
     def test_rerun_is_bit_identical(self, config):

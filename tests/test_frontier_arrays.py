@@ -1,4 +1,4 @@
-"""FrontierArrays: the columnar ready frontier and its incremental caches.
+"""FrontierArrays: the columnar ready frontier and its frontier table.
 
 Every check compares the program against references kept in this file,
 which share none of its caches: :func:`reference_entries` walks the
@@ -8,12 +8,16 @@ entry at a time.
 - unit tests pin the columnar representation against the reference walk
   entry-for-entry, including blocked filtering and the ``entry()``
   round-trip;
-- a hypothesis property test drives random submit / launch / complete /
-  preempt interleavings through views sharing one engine-style column
-  cache (with the engine's frontier-epoch discipline) and asserts the
-  incrementally maintained arrays stay bit-equal to a from-scratch
-  rebuild at every step, and that ``assignable_jobs`` yields each job's
-  first reference entry with free slots;
+- a hypothesis property test drives random submit / launch / finish /
+  preempt / withdraw interleavings through views sharing one
+  :class:`FrontierTable` (with the engine's dirty-marking discipline)
+  and asserts every served matrix stays bit-equal to a from-scratch
+  rebuild, that an unchanged frontier is served as the same matrix
+  object, and that ``assignable_jobs`` yields each job's first reference
+  entry with free slots;
+- an engine test checks every frontier a stepper serves, and a probe
+  after every step, against a from-scratch build, through arrivals,
+  grants, finishes, preemptions and a withdrawal;
 - sampler tests check Decima's sampling entry points draw the exact
   schedule a reference sampler draws from the reference walk and scores.
 """
@@ -22,18 +26,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.carbon.api import CarbonReading
+from repro.carbon.api import CarbonIntensityAPI, CarbonReading
+from repro.core.pcaps import PCAPSScheduler
 from repro.dag.graph import JobDAG, Stage, diamond_dag
 from repro.schedulers.decima import DecimaScheduler
 from repro.schedulers.fifo import FIFOScheduler, KubernetesDefaultScheduler
 from repro.schedulers.weighted_fair import WeightedFairScheduler
+from repro.simulator.engine import ClusterConfig, Simulation
 from repro.simulator.interfaces import StageChoice
 from repro.simulator.state import (
     ClusterView,
     FrontierArrays,
+    FrontierTable,
     JobRuntime,
     ReadyStage,
 )
+from repro.workloads.arrivals import JobSubmission
+
+from conftest import make_trace
 
 
 def reading():
@@ -74,8 +84,7 @@ def build_view(
     quota=None,
     per_job_cap=None,
     blocked=frozenset(),
-    column_cache=None,
-    frontier_epoch=None,
+    frontier_table=None,
     general_free=None,
     reserved_free=None,
 ):
@@ -91,8 +100,7 @@ def build_view(
         general_free=general_free,
         reserved_free=reserved_free,
         active=active,
-        column_cache=column_cache,
-        frontier_epoch=frontier_epoch,
+        frontier_table=frontier_table,
     )
 
 
@@ -281,8 +289,7 @@ class TestColumnarRepresentation:
         job.stages[0].launch(1)
         job.record_task_finish(0, now=1.0)
         jobs = {0: job}
-        cache = {}
-        view = build_view(jobs, active=jobs, column_cache=cache)
+        view = build_view(jobs, active=jobs, frontier_table=FrontierTable())
         assert sorted(view.frontier_arrays().stage_ids.tolist()) == [1, 2, 3]
         view.block(0, 2)
         assert sorted(view.frontier_arrays().stage_ids.tolist()) == [1, 3]
@@ -535,31 +542,37 @@ def op_sequences(draw):
     return [draw(st.integers(min_value=0, max_value=2**31)) for _ in range(n_ops)]
 
 
-@given(op_sequences(), st.integers(min_value=0, max_value=2**31))
-@settings(max_examples=60, deadline=None)
-def test_incremental_arrays_equal_from_scratch_rebuild(ops, view_seed):
-    """Random submit/launch/complete/preempt interleavings keep the shared
-    column cache bit-equal to a from-scratch frontier rebuild.
+def served_matrix(frontier: FrontierArrays) -> np.ndarray:
+    """The matrix a view was served, before its blocked pairs were dropped."""
+    if frontier.parent_data is not None:
+        return frontier.parent_data
+    return frontier.data
 
-    Mirrors the engine's maintenance discipline exactly: one persistent
-    column-cache dict across views, a frontier epoch bumped on every
-    mutation, and completed jobs leaving the active set. After every
-    operation the cached columnar frontier (built through the shared
-    cache, twice — the second build exercising the job-level hits, and
-    the view-level ones on steps with no per-job cap and no reserved
-    executors) must equal the reference built with no cache at all, and
-    ``assignable_jobs`` must yield each job's first reference entry with
-    free slots, in arrival order.
+
+@given(op_sequences())
+@settings(max_examples=60, deadline=None)
+def test_incremental_arrays_equal_from_scratch_rebuild(ops):
+    """Random submit / launch / finish / preempt / withdraw interleavings
+    keep one frontier table bit-equal to a from-scratch frontier rebuild.
+
+    Mirrors the engine's discipline exactly: one table across views, every
+    operation marking the job it touched dirty, and finished or withdrawn
+    jobs leaving the active set. After every operation, views under a
+    random quota, busy count, shared pool, per-job cap, hoarded
+    reservations and blocked pairs must serve both variants equal to the
+    reference walk and to ``FrontierArrays.from_entries`` of it, as must a
+    view built without a table; a second view over the unchanged state
+    must be served the identical matrix object; the table must hold blocks
+    for the active jobs only; and ``assignable_jobs`` must yield each
+    job's first reference entry with free slots, in arrival order.
     """
-    rng = np.random.default_rng(view_seed)
     jobs: dict[int, JobRuntime] = {}
     active: dict[int, JobRuntime] = {}
-    cache: dict = {}
-    epoch = 0
+    table = FrontierTable()
     next_job_id = 0
 
     def mutate(op_seed: int) -> None:
-        nonlocal epoch, next_job_id
+        nonlocal next_job_id
         op_rng = np.random.default_rng(op_seed)
         launched = [
             (job, sid)
@@ -572,11 +585,14 @@ def test_incremental_arrays_equal_from_scratch_rebuild(ops, view_seed):
             for job in active.values()
             for sid in job.ready_stage_ids()
         ]
+        unstarted = [job for job in active.values() if not job.started]
         choices = ["submit"]
         if assignable:
             choices.append("launch")
         if launched:
-            choices.extend(["complete", "preempt"])
+            choices.extend(["finish", "preempt"])
+        if unstarted:
+            choices.append("withdraw")
         action = choices[int(op_rng.integers(len(choices)))]
         if action == "submit":
             dag = DAG_BUILDERS[int(op_rng.integers(len(DAG_BUILDERS)))]()
@@ -585,25 +601,27 @@ def test_incremental_arrays_equal_from_scratch_rebuild(ops, view_seed):
             active[next_job_id] = job
             next_job_id += 1
         elif action == "launch":
+            # One grant: one or more tasks, possibly saturating the stage.
             job, sid = assignable[int(op_rng.integers(len(assignable)))]
-            job.stages[sid].launch(1)
-        elif action == "complete":
+            runtime = job.stages[sid]
+            runtime.launch(int(op_rng.integers(1, runtime.unlaunched + 1)))
+        elif action == "finish":
             job, sid = launched[int(op_rng.integers(len(launched)))]
             if job.record_task_finish(sid, now=1.0):
                 del active[job.job_id]
-                cache.pop((job.job_id, False), None)
-                cache.pop((job.job_id, True), None)
-        else:  # preempt
+        elif action == "preempt":
             job, sid = launched[int(op_rng.integers(len(launched)))]
             job.stages[sid].unlaunch(1)
-        epoch += 1
+        else:  # withdraw
+            job = unstarted[int(op_rng.integers(len(unstarted)))]
+            del jobs[job.job_id]
+            del active[job.job_id]
+        table.mark(job.job_id)
 
     for op_seed in ops:
         mutate(op_seed)
         op_rng = np.random.default_rng(op_seed + 1)
-        busy = int(op_rng.integers(0, 7))
-        general_free = int(op_rng.integers(0, 7))
-        per_job_cap = [None, 2][int(op_rng.integers(2))]
+        quota = int(op_rng.integers(1, 9))
         blocked_pool = [
             (job.job_id, sid)
             for job in active.values()
@@ -615,8 +633,8 @@ def test_incremental_arrays_equal_from_scratch_rebuild(ops, view_seed):
             if op_rng.integers(4) == 0  # ~25% of entries blocked
         )
         # On about half of the steps, hoarded executors bound to ~25% of
-        # the jobs. The other half keep the whole-matrix cache eligible
-        # (it is used only when no job holds reserved executors).
+        # the jobs; the other half (without a per-job cap) share one
+        # budget across all jobs.
         reserved_free = {}
         if op_rng.integers(2):
             reserved_free = {
@@ -625,35 +643,126 @@ def test_incremental_arrays_equal_from_scratch_rebuild(ops, view_seed):
                 if op_rng.integers(4) == 0
             }
         kwargs = dict(
-            busy=busy,
-            general_free=general_free,
-            per_job_cap=per_job_cap,
+            total=8,
+            quota=quota,
+            busy=int(op_rng.integers(0, 8)),
+            general_free=int(op_rng.integers(0, 7)),
+            per_job_cap=[None, None, 2][int(op_rng.integers(3))],
             blocked=blocked,
             reserved_free=reserved_free,
         )
         plain_view = build_view(jobs, active=active, **kwargs)
-        cached_view = build_view(
-            jobs, active=active,
-            column_cache=cache, frontier_epoch=epoch, **kwargs,
-        )
+        view = build_view(jobs, active=active, frontier_table=table, **kwargs)
+        revisit = build_view(jobs, active=active, frontier_table=table, **kwargs)
         for flag in (False, True):
-            reference = reference_arrays(plain_view, flag)
-            assert_same_matrix(cached_view.frontier_arrays(flag), reference)
-            # A second view over the identical state must hit the caches
-            # (job-level, and view-level when eligible) and still agree.
-            revisit = build_view(
-                jobs, active=active,
-                column_cache=cache, frontier_epoch=epoch, **kwargs,
-            )
-            assert_same_matrix(revisit.frontier_arrays(flag), reference)
-            assert revisit.frontier_arrays(flag).entries() == reference_entries(
-                plain_view, flag
-            )
+            entries = reference_entries(plain_view, flag)
+            reference = FrontierArrays.from_entries(entries, jobs)
+            served = view.frontier_arrays(flag)
+            assert_same_matrix(served, reference)
+            assert served.entries() == entries
+            assert_same_matrix(plain_view.frontier_arrays(flag), reference)
+            again = revisit.frontier_arrays(flag)
+            assert served_matrix(again) is served_matrix(served)
+            assert_same_matrix(again, reference)
+        assert set(table._blocks) == set(active)
         first_free = {}
         for r in reference_entries(plain_view, False):
             if r.slots > 0:
                 first_free.setdefault(r.job_id, r.stage_id)
         assert [
-            (job.job_id, sid) for job, sid in cached_view.assignable_jobs()
+            (job.job_id, sid) for job, sid in view.assignable_jobs()
         ] == list(first_free.items())
-        assert cached_view.has_assignable() == bool(first_free)
+        assert view.has_assignable() == bool(first_free)
+
+
+# -- the engine's table ------------------------------------------------
+
+
+def scratch_twin(view: ClusterView) -> ClusterView:
+    """``view`` rebuilt without a frontier table."""
+    return ClusterView(
+        time=view.time,
+        total_executors=view.total_executors,
+        busy_executors=view.busy_executors,
+        quota=view.quota,
+        jobs=view._jobs,
+        carbon=view.carbon,
+        per_job_cap=view.per_job_cap,
+        blocked=view._blocked,
+        general_free=view.general_free,
+        reserved_free=view.reserved_free,
+        active=view._active,
+    )
+
+
+class TestEngineFrontierTable:
+    """The stepper's table, fed only by the engine's five marking sites
+    (arrival, grant, task finish, preemption, withdrawal), serves what a
+    from-scratch build would serve."""
+
+    @pytest.mark.parametrize(
+        "scheduler",
+        [
+            lambda: DecimaScheduler(seed=1),
+            lambda: PCAPSScheduler(DecimaScheduler(seed=1), gamma=0.5),
+        ],
+        ids=["decima", "pcaps"],
+    )
+    def test_every_frontier_equals_a_scratch_build(self, scheduler, monkeypatch):
+        original = ClusterView.frontier_arrays
+        served = []
+
+        def checked(view, include_saturated=False):
+            out = original(view, include_saturated)
+            expected = original(scratch_twin(view), include_saturated)
+            assert_same_matrix(out, expected)
+            served.append(len(out))
+            return out
+
+        monkeypatch.setattr(ClusterView, "frontier_arrays", checked)
+        sim = Simulation(
+            config=ClusterConfig(num_executors=3, executor_move_delay=0.0),
+            scheduler=scheduler(),
+            carbon_api=CarbonIntensityAPI(make_trace([100.0] * 500)),
+        )
+        stepper = sim.stepper()
+
+        def probe():
+            """A view of the stepper's current state, built like the
+            engine's, against its scratch twin."""
+            view = ClusterView(
+                time=0.0,
+                total_executors=stepper.capacity,
+                busy_executors=stepper.busy_executors,
+                quota=stepper.capacity,
+                jobs=stepper.jobs,
+                carbon=reading(),
+                general_free=stepper.pool.general_free,
+                reserved_free=stepper.pool.reserved_counts(),
+                active=stepper.active,
+                frontier_table=stepper._frontier_table,
+            )
+            for flag in (False, True):
+                view.frontier_arrays(flag)
+
+        long_root = JobDAG(
+            [Stage(0, 6, 100.0), Stage(1, 2, 10.0, parents=(0,))]
+        )
+        stepper.submit(JobSubmission(0.0, long_root, 0))
+        stepper.submit(JobSubmission(5.0, diamond_dag(), 1))
+        stepper.submit(JobSubmission(7.0, fan_dag(), 2))
+        # Drop to one executor while job 0 holds all three (preempting
+        # two of its tasks), then restore before any of them finishes.
+        stepper.schedule_capacity(10.0, 1)
+        stepper.schedule_capacity(20.0, 3)
+        stepper.advance_through(5.0)
+        probe()
+        # Job 1 arrived with every executor busy: it has not started.
+        assert stepper.withdraw(1) is not None
+        probe()
+        while stepper.events:
+            stepper.step()
+            probe()
+        assert stepper.preempted_tasks == 2
+        assert served
+        assert len(stepper.result().trace.tasks) > 0

@@ -408,7 +408,7 @@ class TestStepperEquivalence:
 
 
 class TestSharedColumnCache:
-    """The dirty-marked frontier cache cannot change results."""
+    """The engine's dirty-marked frontier table cannot change results."""
 
     @pytest.mark.parametrize("scheduler", ["decima", "cap-decima", "pcaps"])
     def test_cache_disabled_is_bit_identical(self, scheduler):
@@ -436,7 +436,8 @@ class TestSharedColumnCache:
                 provisioner=provisioner,
             ).stepper()
             if disable_cache:
-                stepper._column_cache = None  # ClusterView falls back
+                # No table: every view builds its frontier from scratch.
+                stepper._frontier_table = None
             for sub in subs:
                 stepper.submit(sub)
             stepper.run_to_completion()

@@ -74,13 +74,16 @@ def capped_view() -> tuple[ClusterView, PCAPSScheduler]:
     return view, PCAPSScheduler(DecimaScheduler(seed=0), gamma=0.5)
 
 
+def column_limit(scheduler: PCAPSScheduler, view: ClusterView) -> int:
+    """``P'`` of the view's first frontier row, from PCAPS's limit column."""
+    frontier = view.frontier_arrays(include_saturated=True)
+    return int(scheduler.parallelism_limits(view, frontier)[0])
+
+
 class TestNothingGrowable:
     def test_capped_view_ends_without_a_draw(self):
         view, scheduler = capped_view()
-        reading = view.carbon
-        limit = scheduler._parallelism(
-            4, reading.lower_bound, reading.upper_bound, reading.intensity
-        )
+        limit = column_limit(scheduler, view)
         assert view.has_assignable() and 2 >= limit
         rng_state = scheduler.policy._rng.bit_generator.state
         assert scheduler.select(view) is NOTHING_GROWABLE
@@ -106,9 +109,14 @@ class TestNothingGrowable:
                 JobSubmission(arrival, JobDAG([Stage(0, 8, 100.0)]), 0)
             )
             assert stepper.step() == arrival
-        reading = sim.carbon_api.reading(arrival)
-        limit = sim.scheduler._parallelism(
-            4, reading.lower_bound, reading.upper_bound, reading.intensity
+        # The stage's P' at its arrival, as the pass's first select saw it.
+        arrived = JobRuntime(0, JobDAG([Stage(0, 8, 100.0)]), arrival)
+        limit = column_limit(
+            sim.scheduler,
+            ClusterView(
+                time=arrival, total_executors=4, busy_executors=0, quota=4,
+                jobs={0: arrived}, carbon=sim.carbon_api.reading(arrival),
+            ),
         )
         assert limit < 4  # the cap binds below the idle executors
         assert len(stepper.trace.tasks) == limit
@@ -148,12 +156,9 @@ class RecordingDecima(DecimaScheduler):
         self.draws: list[tuple[np.ndarray, int, float, bool]] = []
 
     def _finish_sample(self, full, probs, candidates):
-        chosen, importance = super()._finish_sample(full, probs, candidates)
-        (row,) = np.flatnonzero(
-            (full.job_ids == chosen.job_id) & (full.stage_ids == chosen.stage_id)
-        )
-        self.draws.append((probs, int(row), importance, row in candidates))
-        return chosen, importance
+        row, importance = super()._finish_sample(full, probs, candidates)
+        self.draws.append((probs, row, importance, row in candidates))
+        return row, importance
 
 
 class RecordingScheduler(StageScheduler):

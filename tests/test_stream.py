@@ -153,6 +153,45 @@ class TestServiceRunner:
         assert max(peaks) < 60
         assert len(runner.stepper.jobs) == 0
 
+    def test_frontier_table_keeps_blocks_for_active_jobs_only(self):
+        """PCAPS serves its frontier from the engine's table. Every epoch,
+        the table holds a block for each active job and, until its next
+        refresh, for jobs finished since the last one; never for the
+        stream's retired past."""
+        seen = []
+
+        def check(runner):
+            table = runner.stepper._frontier_table
+            stale = set(table._blocks) - set(runner.stepper.active)
+            assert stale <= table._dirty
+            assert not stale & set(runner.stepper.jobs)  # all retired
+            seen.append(len(table._blocks))
+
+        runner = ServiceRunner(
+            tiny_service(
+                max_jobs=60,
+                experiment=ExperimentConfig(
+                    scheduler="pcaps", num_executors=4, seed=3
+                ),
+            ),
+            on_epoch=check,
+        )
+        runner.run()
+        assert runner.stepper._frontier_table._full is not None
+        assert 0 < max(seen) < 60
+
+    def test_fifo_never_builds_a_frontier_table(self):
+        """FIFO never asks for the frontier, so its table ignores every
+        mark: no dirty ids accumulate over the stream."""
+
+        def check(runner):
+            table = runner.stepper._frontier_table
+            assert table._full is None
+            assert not table._dirty and not table._blocks
+
+        report = ServiceRunner(tiny_service(max_jobs=60), on_epoch=check).run()
+        assert report.jobs_completed == 60
+
     def test_drain_stops_admissions_and_finishes_in_flight(self):
         runner = ServiceRunner(tiny_service(max_jobs=1000))
         runner.run_epoch()
