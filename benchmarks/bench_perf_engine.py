@@ -9,7 +9,9 @@ diff engine throughput.
 The gate is on work counters, which repeat exactly on every machine: the
 200-job Decima+PCAPS trial must make no blocked retries (PCAPS masks
 stages at their parallelism limit ``P'`` out of its draw) and at most one
-scheduler select per task. The speedup against the pre-refactor wall
+scheduler select per task, and no trial may build more cluster views
+than it takes scheduling steps (the engine advances one view per step in
+place). The speedup against the pre-refactor wall
 times (commit 50c23a5) is reported, not asserted: that baseline was
 recorded on another machine.
 
@@ -53,6 +55,7 @@ def test_engine_throughput(benchmark):
     # Every trial completes and produces work at a sane rate.
     for m in measurements:
         assert m.tasks > 0 and m.events > 0 and m.wall_s > 0
+        assert 0 < m.views <= m.steps, (m.name, m.views, m.steps)
     by_name = {m.name: m for m in measurements}
     pcaps = by_name["pcaps-200"]
     # Reported only: the pre-refactor baseline rescaled by this machine's

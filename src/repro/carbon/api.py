@@ -50,6 +50,9 @@ class CarbonIntensityAPI:
             seed=seed,
         )
         self._query_count = 0
+        #: (trace step, the forecaster's bounds tuple, intensity) of the
+        #: last reading; see :meth:`reading`.
+        self._step_memo: tuple[int, tuple[float, float], float] | None = None
 
     @property
     def query_count(self) -> int:
@@ -57,14 +60,30 @@ class CarbonIntensityAPI:
         return self._query_count
 
     def reading(self, t: float) -> CarbonReading:
-        """The API response a scheduler would receive at time ``t``."""
+        """The API response a scheduler would receive at time ``t``.
+
+        Intensity and bounds change once per trace step, so a reading in
+        the step of the previous one reuses them while the forecaster
+        still holds that step's bounds. Any other call asks the
+        forecaster, which draws forecast error exactly when it would have
+        without the reuse (a ``bounds`` call at another step in between
+        makes it draw again).
+        """
         self._query_count += 1
-        low, high = self._forecaster.bounds(t)
+        step = self.trace.step_index(t)
+        memo = self._step_memo
+        # A new tuple is stored per forecaster refresh, so identity tells
+        # whether the forecaster still holds the memo's bounds.
+        if (
+            memo is None
+            or memo[0] != step
+            or memo[1] is not self._forecaster._cached_bounds
+        ):
+            bounds = self._forecaster.bounds(t)
+            memo = self._step_memo = (step, bounds, self.trace.intensity_at(t))
+        low, high = memo[1]
         return CarbonReading(
-            time=t,
-            intensity=self.trace.intensity_at(t),
-            lower_bound=low,
-            upper_bound=high,
+            time=t, intensity=memo[2], lower_bound=low, upper_bound=high
         )
 
     def intensity(self, t: float) -> float:

@@ -24,9 +24,9 @@ The quota at carbon intensity ``c`` is the number of thresholds ≥ ``c``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-
-import numpy as np
+from operator import neg
 
 
 def _validate_bounds(low: float, high: float) -> None:
@@ -136,9 +136,13 @@ class CAPThresholds:
         for i ≤ B and intensities above U are clamped), guaranteeing
         continuous progress (Section 4.2). With a flat forecast
         (:func:`_is_flat`) every threshold equals ``U`` and the quota is ``K``.
+
+        ``values`` is non-increasing, so the count is the position of the
+        first ``Φ_i`` below ``c``, found by bisection (``c`` is finite, as
+        every carbon trace is).
         """
-        arr = np.asarray(self.values)
-        return max(self.min_quota, int(np.count_nonzero(arr >= carbon_intensity)))
+        count = bisect_right(self.values, -carbon_intensity, key=neg)
+        return max(self.min_quota, count)
 
 
 def cap_thresholds(

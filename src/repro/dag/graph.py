@@ -83,6 +83,7 @@ class JobDAG:
         self._topo_order: tuple[int, ...] = self._toposort()
         self._topo_index: dict[int, int] | None = None
         self._descendant_work: dict[int, float] | None = None
+        self._total_work = sum(s.work for s in self._stages.values())
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -185,9 +186,10 @@ class JobDAG:
         """Serial duration: total executor-seconds across all stages.
 
         Equals ``OPT_1``, the optimal single-machine makespan (no idling is
-        ever forced with one machine — Appendix B.2.1).
+        ever forced with one machine — Appendix B.2.1). Computed once, at
+        construction: the DAG is immutable.
         """
-        return sum(s.work for s in self._stages.values())
+        return self._total_work
 
     def ready_after(self, completed: frozenset[int] | set[int]) -> tuple[int, ...]:
         """Stage ids whose parents are all in ``completed`` and that are not

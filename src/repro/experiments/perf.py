@@ -113,9 +113,13 @@ class PerfMeasurement:
     frontier_column_hit_rate: float | None = field(default=None)
     #: Deterministic work counters from the same untimed observed pass:
     #: choices the engine could not grow and asked again for
-    #: (``engine.blocked_retries``), and scheduler deferrals.
+    #: (``engine.blocked_retries``), scheduler deferrals, scheduling steps
+    #: (``engine.steps``) and the cluster views built for them
+    #: (``engine.views``, at most one per step).
     blocked_retries: int | None = field(default=None)
     deferrals: int | None = field(default=None)
+    steps: int | None = field(default=None)
+    views: int | None = field(default=None)
 
 
 DEFAULT_SCHEDULERS: tuple[str, ...] = ("fifo", "decima", "pcaps")
@@ -178,6 +182,8 @@ def _observed_pass(config: ExperimentConfig) -> dict:
         "frontier_column_hit_rate": rate("engine.cache.column"),
         "blocked_retries": registry.value("engine.blocked_retries"),
         "deferrals": registry.value("engine.deferrals"),
+        "steps": registry.value("engine.steps"),
+        "views": registry.value("engine.views"),
     }
 
 
@@ -188,8 +194,8 @@ def run_scenario(
 
     With ``collect_cache_stats`` the scenario runs a *second* time under an
     observer to read the engine's frontier-cache hit rates and its
-    blocked-retry and deferral counters; the timed run stays obs-off, so
-    wall times are never contaminated by instrumentation.
+    blocked-retry, deferral, step and view counters; the timed run stays
+    obs-off, so wall times are never contaminated by instrumentation.
     """
     config = scenario.config()
     t0 = time.perf_counter()

@@ -42,92 +42,69 @@ Enable collection from the CLI with ``--obs`` on ``run`` / ``campaign`` /
     observer.write_artifacts("obs")
 """
 
-from repro.obs.dashboard import build_dashboard, render_dashboard
-from repro.obs.export import (
-    HttpExporter,
-    JsonlExporter,
-    MetricsExporter,
-    parse_exposition,
-    read_samples,
-    render_exposition,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Timer,
-    read_jsonl,
-)
-from repro.obs.regress import (
-    RegressionReport,
-    check_history,
-    format_regression_report,
-)
-from repro.obs.slo import (
-    ALERTS_FILENAME,
-    SloAlert,
-    SloEvaluator,
-    SloRule,
-    read_alerts,
-)
-from repro.obs.observer import (
-    DEFAULT_OBS_DIR,
-    LOG_LEVELS,
-    METRICS_FILENAME,
-    TRACE_FILENAME,
-    FrontierCacheStats,
-    Observer,
-    collecting,
-    configure_logging,
-    current,
-    disable,
-    enable,
-    hit_rate,
-    is_enabled,
-    snapshot_meta,
-)
-from repro.obs.report import format_snapshot, render_report
-from repro.obs.tracing import SpanTracer
+import importlib
 
-__all__ = [
-    "ALERTS_FILENAME",
-    "Counter",
-    "DEFAULT_OBS_DIR",
-    "FrontierCacheStats",
-    "Gauge",
-    "Histogram",
-    "HttpExporter",
-    "JsonlExporter",
-    "LOG_LEVELS",
-    "METRICS_FILENAME",
-    "MetricsExporter",
-    "MetricsRegistry",
-    "Observer",
-    "RegressionReport",
-    "SloAlert",
-    "SloEvaluator",
-    "SloRule",
-    "SpanTracer",
-    "TRACE_FILENAME",
-    "Timer",
-    "build_dashboard",
-    "check_history",
-    "collecting",
-    "configure_logging",
-    "current",
-    "disable",
-    "enable",
-    "format_regression_report",
-    "format_snapshot",
-    "hit_rate",
-    "is_enabled",
-    "parse_exposition",
-    "read_alerts",
-    "read_jsonl",
-    "read_samples",
-    "render_dashboard",
-    "render_exposition",
-    "render_report",
-    "snapshot_meta",
-]
+#: Public name -> the submodule defining it. Names resolve on first access
+#: (module ``__getattr__``), so importing one submodule — as the engine
+#: does with :mod:`repro.obs.observer` — does not load the dashboard,
+#: exporter and report modules and what they import (``http.server``,
+#: ``ssl``, ``email``).
+_SUBMODULE_OF = {
+    **dict.fromkeys(("build_dashboard", "render_dashboard"), "dashboard"),
+    **dict.fromkeys(
+        (
+            "HttpExporter",
+            "JsonlExporter",
+            "MetricsExporter",
+            "parse_exposition",
+            "read_samples",
+            "render_exposition",
+        ),
+        "export",
+    ),
+    **dict.fromkeys(
+        ("Counter", "Gauge", "Histogram", "MetricsRegistry", "Timer", "read_jsonl"),
+        "metrics",
+    ),
+    **dict.fromkeys(
+        ("RegressionReport", "check_history", "format_regression_report"),
+        "regress",
+    ),
+    **dict.fromkeys(
+        ("ALERTS_FILENAME", "SloAlert", "SloEvaluator", "SloRule", "read_alerts"),
+        "slo",
+    ),
+    **dict.fromkeys(
+        (
+            "DEFAULT_OBS_DIR",
+            "LOG_LEVELS",
+            "METRICS_FILENAME",
+            "TRACE_FILENAME",
+            "FrontierCacheStats",
+            "Observer",
+            "collecting",
+            "configure_logging",
+            "current",
+            "disable",
+            "enable",
+            "hit_rate",
+            "is_enabled",
+            "snapshot_meta",
+        ),
+        "observer",
+    ),
+    **dict.fromkeys(("format_snapshot", "render_report"), "report"),
+    "SpanTracer": "tracing",
+}
+
+
+def __getattr__(name: str):
+    submodule = _SUBMODULE_OF.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value
+    return value
+
+
+__all__ = sorted(_SUBMODULE_OF)

@@ -28,15 +28,18 @@ class FIFOScheduler(StageScheduler):
     holds_executors = True
 
     def select(self, view: ClusterView) -> StageChoice | None:
-        # The oldest job that can grow, its first stage in DAG order.
-        for job, stage_id in view.assignable_jobs():
-            # Over-assignment: parallelism limit equals the task count.
-            return StageChoice(
-                job_id=job.job_id,
-                stage_id=stage_id,
-                parallelism_limit=job.stages[stage_id].stage.num_tasks,
-            )
-        return None
+        # The oldest job that can grow, its first stage in DAG order: the
+        # walk the engine's has_assignable() already made.
+        first = view.first_assignable()
+        if first is None:
+            return None
+        job, stage_id = first
+        # Over-assignment: parallelism limit equals the task count.
+        return StageChoice(
+            job_id=job.job_id,
+            stage_id=stage_id,
+            parallelism_limit=job.stages[stage_id].stage.num_tasks,
+        )
 
 
 class KubernetesDefaultScheduler(StageScheduler):

@@ -112,10 +112,19 @@ class _ExecutorPool:
     instead of a linear affinity scan, while preserving the exact selection
     order of the scan it replaces: oldest matching general executor for
     affinity hits, newest general executor otherwise.
+
+    :attr:`free_count` and the per-job reserved counts are kept current by
+    every operation, so the engine reads them per step and per grant
+    without summing the reservations.
     """
 
     def __init__(self, count: int) -> None:
+        #: job id -> its idle reserved executors; never an empty list.
         self.reserved: dict[int, list[int]] = {}
+        #: job id -> ``len(reserved[job id])``.
+        self._reserved_counts: dict[int, int] = {}
+        #: Idle executors, general plus reserved.
+        self.free_count = count
         self.last_job: list[int | None] = [None] * count
         # Doubly-linked general list in release order (head = oldest).
         self._next: list[int | None] = [
@@ -148,6 +157,7 @@ class _ExecutorPool:
             self._prev[nxt] = prev
         self._in_general[executor_id] = False
         self._general_count -= 1
+        self.free_count -= 1
 
     def _append(self, executor_id: int) -> None:
         self._prev[executor_id] = self._tail
@@ -159,7 +169,20 @@ class _ExecutorPool:
         self._tail = executor_id
         self._in_general[executor_id] = True
         self._general_count += 1
+        self.free_count += 1
         self._token[executor_id] += 1
+
+    def _pop_reserved_of(self, job_id: int, held: list[int]) -> int:
+        """Remove ``job_id``'s newest reserved executor (``held`` is its
+        non-empty list)."""
+        executor_id = held.pop()
+        if held:
+            self._reserved_counts[job_id] -= 1
+        else:
+            del self.reserved[job_id]
+            del self._reserved_counts[job_id]
+        self.free_count -= 1
+        return executor_id
 
     # -------------------------------------------------------------------
     def take(self, job_id: int) -> tuple[int, bool]:
@@ -171,7 +194,7 @@ class _ExecutorPool:
         """
         held = self.reserved.get(job_id)
         if held:
-            return held.pop(), False
+            return self._pop_reserved_of(job_id, held), False
         queue = self._by_job.get(job_id)
         while queue:
             executor_id, token = queue[0]
@@ -190,6 +213,9 @@ class _ExecutorPool:
         self.last_job[executor_id] = job_id
         if hold:
             self.reserved.setdefault(job_id, []).append(executor_id)
+            counts = self._reserved_counts
+            counts[job_id] = counts.get(job_id, 0) + 1
+            self.free_count += 1
         else:
             self._append(executor_id)
             self._by_job.setdefault(job_id, deque()).append(
@@ -204,6 +230,9 @@ class _ExecutorPool:
         it keeps the pool observationally identical to a plain list scan.
         """
         held = self.reserved.pop(job_id, [])
+        if held:
+            del self._reserved_counts[job_id]
+            self.free_count -= len(held)
         for executor_id in held:
             self._append(executor_id)
             self._by_job.setdefault(self.last_job[executor_id], deque()).append(
@@ -233,14 +262,10 @@ class _ExecutorPool:
         first, newest reservation first — a pure function of pool state,
         so disrupted replays are identical.
         """
-        owners = sorted(job_id for job_id, held in self.reserved.items() if held)
-        if not owners:
+        if not self.reserved:
             return None
-        job_id = owners[0]
-        executor_id = self.reserved[job_id].pop()
-        if not self.reserved[job_id]:
-            del self.reserved[job_id]
-        return job_id, executor_id
+        job_id = min(self.reserved)
+        return job_id, self._pop_reserved_of(job_id, self.reserved[job_id])
 
     def add_back(self, executor_id: int) -> None:
         """Return a previously offlined executor to the general pool.
@@ -266,18 +291,19 @@ class _ExecutorPool:
         self._by_job.pop(job_id, None)
 
     def free_for(self, job_id: int) -> int:
-        return self._general_count + len(self.reserved.get(job_id, ()))
+        return self._general_count + self._reserved_counts.get(job_id, 0)
 
     @property
     def general_free(self) -> int:
         return self._general_count
 
-    @property
-    def free_count(self) -> int:
-        return self._general_count + sum(len(v) for v in self.reserved.values())
+    def reserved_count(self, job_id: int) -> int:
+        """Idle executors reserved for ``job_id``."""
+        return self._reserved_counts.get(job_id, 0)
 
     def reserved_counts(self) -> dict[int, int]:
-        return {job_id: len(v) for job_id, v in self.reserved.items() if v}
+        """``{job_id: reserved count}`` for every job holding any (a copy)."""
+        return dict(self._reserved_counts)
 
 
 class Simulation:
@@ -405,6 +431,8 @@ class SimulationStepper:
         self._submitted = 0
         self._pending_arrivals = 0
         self._pending_work = 0.0
+        #: A job finished since the last retire_finished().
+        self._finished_unretired = False
         # The frontier matrix shared by every view of the run, patched per
         # touched job: each event that can change a job's frontier rows
         # (arrival, grant, task finish, preemption, withdrawal) marks the
@@ -450,6 +478,8 @@ class SimulationStepper:
                 registry.counter("engine.events.capacity"),
                 registry.counter("engine.events.signal"),
             )
+            self._obs_steps = registry.counter("engine.steps")
+            self._obs_views = registry.counter("engine.views")
             self._obs_heap_hw = registry.gauge("engine.heap.high_water")
             self._obs_blocked = registry.counter("engine.blocked_retries")
             self._obs_preempted = registry.counter("engine.preemptions")
@@ -458,6 +488,8 @@ class SimulationStepper:
             self._cache_stats = FrontierCacheStats(registry)
         else:
             self._obs_events = None
+            self._obs_steps = None
+            self._obs_views = None
             self._obs_heap_hw = None
             self._obs_blocked = None
             self._obs_preempted = None
@@ -473,6 +505,8 @@ class SimulationStepper:
     _OBS_FIELDS = (
         "_obs",
         "_obs_events",
+        "_obs_steps",
+        "_obs_views",
         "_obs_heap_hw",
         "_obs_blocked",
         "_obs_preempted",
@@ -724,6 +758,7 @@ class SimulationStepper:
             )
         obs_events = self._obs_events
         if obs_events is not None:
+            self._obs_steps.inc()
             self._obs_heap_hw.high_water(len(events))
         # Drain every event at this timestamp before scheduling.
         while events and events[0][0] == now:
@@ -759,6 +794,7 @@ class SimulationStepper:
                 pool.release(executor_id, job_id, hold=holds and not job_done)
                 if job_done:
                     del active[job_id]
+                    self._finished_unretired = True
                     if holds:
                         # Close the job's hold intervals, free its roster.
                         pool.unreserve(job_id)
@@ -796,49 +832,21 @@ class SimulationStepper:
         capacity = self.capacity
         busy = capacity - pool.free_count
         quota = config.num_executors
+        # One view per step, built when first needed and brought up to
+        # date in place between select calls (see ClusterView).
+        view: ClusterView | None = None
         if sim.provisioner is not None:
-            pre_view = ClusterView(
-                time=now,
-                total_executors=capacity,
-                busy_executors=busy,
-                quota=quota,
-                jobs=jobs,
-                carbon=reading,
-                per_job_cap=config.per_job_executor_cap,
-                general_free=pool.general_free,
-                reserved_free=pool.reserved_counts(),
-                active=active,
-                frontier_table=table,
-                cache_stats=self._cache_stats,
-            )
-            quota = max(1, min(sim.provisioner.quota(pre_view), quota))
+            view = self._view(now, reading, busy, quota)
+            quota = max(1, min(sim.provisioner.quota(view), quota))
         if capacity < quota:
             quota = capacity
+        if view is not None:
+            view.set_quota(quota)
         trace.add_quota(now, quota)
 
-        blocked: set[tuple[int, int]] = set()
-        view: ClusterView | None = None
         while pool.free_count > 0 and busy < quota:
-            # A blocked choice changes nothing but the blocked set, so the
-            # view is reused across those retries (with its caches
-            # invalidated via block()); a successful grant changes
-            # occupancy and forces a fresh snapshot.
             if view is None:
-                view = ClusterView(
-                    time=now,
-                    total_executors=capacity,
-                    busy_executors=busy,
-                    quota=quota,
-                    jobs=jobs,
-                    carbon=reading,
-                    per_job_cap=config.per_job_executor_cap,
-                    blocked=frozenset(blocked),
-                    general_free=pool.general_free,
-                    reserved_free=pool.reserved_counts(),
-                    active=active,
-                    frontier_table=table,
-                    cache_stats=self._cache_stats,
-                )
+                view = self._view(now, reading, busy, quota)
             if not view.has_assignable():
                 break
             obs_select = self._obs_select
@@ -860,8 +868,10 @@ class SimulationStepper:
                 break
             if choice is NOTHING_GROWABLE:
                 break  # nothing held back for carbon: not a deferral
-            job = jobs[choice.job_id]
-            runtime = job.stages[choice.stage_id]
+            job_id = choice.job_id
+            stage_id = choice.stage_id
+            job = jobs[job_id]
+            runtime = job.stages[stage_id]
             limit = (
                 choice.parallelism_limit
                 if choice.parallelism_limit is not None
@@ -871,7 +881,7 @@ class SimulationStepper:
                 limit = sim.provisioner.scale_parallelism(limit, view)
             limit = max(1, limit)
             assignable = min(
-                pool.free_for(choice.job_id),
+                pool.free_for(job_id),
                 quota - busy,
                 runtime.unlaunched,
                 limit - runtime.running,
@@ -882,55 +892,46 @@ class SimulationStepper:
                     config.per_job_executor_cap - job.executors_in_use,
                 )
             if assignable <= 0:
-                blocked.add((choice.job_id, choice.stage_id))
-                view.block(choice.job_id, choice.stage_id)
+                # Only the blocked set changes: the view keeps the rest.
+                view.block(job_id, stage_id)
                 if obs_events is not None:
                     self._obs_blocked.inc()
                 continue
+            task_duration = runtime.stage.task_duration
             for _ in range(assignable):
-                executor_id, needs_move = pool.take(choice.job_id)
+                executor_id, needs_move = pool.take(job_id)
                 if holds:
-                    first_take.setdefault(choice.job_id, {}).setdefault(
+                    first_take.setdefault(job_id, {}).setdefault(
                         executor_id, now
                     )
-                delay = (
+                work_start = now + (
                     config.executor_move_delay if needs_move else 0.0
                 )
+                end = work_start + task_duration
                 task_index = runtime.launched
                 runtime.launch(1)
-                start = now
-                work_start = now + delay
-                end = work_start + runtime.stage.task_duration
                 trace_index = trace.add_task(
-                    TaskRecord(
-                        job_id=choice.job_id,
-                        stage_id=choice.stage_id,
-                        task_index=task_index,
-                        executor_id=executor_id,
-                        start=start,
-                        work_start=work_start,
-                        end=end,
+                    TaskRecord.launched(
+                        job_id, stage_id, task_index, executor_id,
+                        now, work_start, end,
                     )
                 )
                 token = next(self._task_tokens)
                 self._inflight[token] = (
-                    choice.job_id,
-                    choice.stage_id,
-                    executor_id,
-                    trace_index,
+                    job_id, stage_id, executor_id, trace_index
                 )
                 self._push(
-                    end,
-                    _TASK_DONE,
-                    (choice.job_id, choice.stage_id, executor_id, token),
+                    end, _TASK_DONE, (job_id, stage_id, executor_id, token)
                 )
                 busy += 1
             if table is not None:
-                table.mark(choice.job_id)
-            view = None
+                table.mark(job_id)
             # Choice objects need only job/stage/limit; ends_pass is opt-in.
             if getattr(choice, "ends_pass", False):
                 break
+            view.advance(
+                busy, pool.general_free, job_id, pool.reserved_count(job_id)
+            )
 
         # Keep carbon steps flowing while any work is outstanding, so
         # deferrals always have a future scheduling event to wake on.
@@ -939,6 +940,29 @@ class SimulationStepper:
             self._carbon_event_at = sim.carbon_api.trace.next_change_after(now)
             self._push(self._carbon_event_at, _CARBON_STEP)
         return now
+
+    def _view(
+        self, now: float, reading: CarbonReading, busy: int, quota: int
+    ) -> ClusterView:
+        """The step's view of the cluster, under ``quota``."""
+        if self._obs_views is not None:
+            self._obs_views.inc()
+        pool = self.pool
+        config = self.sim.config
+        return ClusterView(
+            time=now,
+            total_executors=self.capacity,
+            busy_executors=busy,
+            quota=quota,
+            jobs=self.jobs,
+            carbon=reading,
+            per_job_cap=config.per_job_executor_cap,
+            general_free=pool.general_free,
+            reserved_free=pool.reserved_counts(),
+            active=self.active,
+            frontier_table=self._frontier_table,
+            cache_stats=self._cache_stats,
+        )
 
     # -- finalization ---------------------------------------------------
     def retire_finished(self) -> list[tuple[int, float, float, float]]:
@@ -951,9 +975,13 @@ class SimulationStepper:
         retired job so the caller can fold completion metrics (JCT, stretch)
         before the state is gone. Retirement never alters scheduling:
         finished jobs are already out of :attr:`active` and their pool
-        queues are never consulted again.
+        queues are never consulted again. Returns at once unless a job
+        finished since the last call.
         """
         retired: list[tuple[int, float, float, float]] = []
+        if not self._finished_unretired:
+            return retired
+        self._finished_unretired = False
         done_ids = [job_id for job_id, job in self.jobs.items() if job.done]
         for job_id in done_ids:
             job = self.jobs.pop(job_id)

@@ -1,7 +1,8 @@
 """Runtime cluster state and the read-only view handed to schedulers.
 
-The structures here sit on the engine's hottest path: every executor grant
-builds a :class:`ClusterView` and walks the ready frontier, and schedulers
+The structures here sit on the engine's hottest path: every scheduling
+step builds one :class:`ClusterView`, advanced in place after each executor
+grant, and every ``select`` walks the ready frontier; schedulers
 query per-job aggregates (remaining work, bottleneck scores) on each
 ``select`` call. To keep a trial's cost near O(events) instead of
 O(events × jobs × stages), :class:`JobRuntime` maintains its frontier
@@ -15,8 +16,10 @@ frontier ``A_t`` as the columnar :class:`FrontierArrays` of
 :meth:`ClusterView.frontier_arrays`, served from the engine's
 :class:`FrontierTable`. The greedy baselines (FIFO, the Kubernetes
 default, weighted-fair) only pick a job and grow its first assignable
-stage, so they use the cache-free walk :meth:`ClusterView.assignable_jobs`,
-as does the engine's loop condition.
+stage, so they use the cache-free walk :meth:`ClusterView.assignable_jobs`;
+its first item, :meth:`ClusterView.first_assignable`, is memoized until
+the view changes and serves as both the engine's loop condition and
+FIFO's choice.
 """
 
 from __future__ import annotations
@@ -627,20 +630,32 @@ class FrontierTable:
         return full
 
 
+#: :attr:`ClusterView._first` before the walk has run.
+_UNWALKED = object()
+
+
 class ClusterView:
-    """Read-only snapshot handed to schedulers at a scheduling event.
+    """The cluster as a scheduler sees it during one ``select`` call.
 
     Exposes everything Definition 4.1's schedulers and the carbon-aware
     wrappers need: the frontier of ready stages, executor occupancy, the
-    current carbon reading, and per-job progress. Schedulers must treat it as
-    immutable; the view relies on that to cache its frontier arrays (the
-    engine builds a fresh view per grant, so within one view the frontier
-    cannot change).
+    current carbon reading, and per-job progress.
+
+    A view is valid for one ``select`` call. The engine builds one view per
+    scheduling step and, between ``select`` calls of the step's assignment
+    pass, updates it in place: :meth:`set_quota` once the provisioner has
+    set the pass's quota, :meth:`block` after a choice it could not grow,
+    :meth:`advance` after each grant. Each of these drops what the view
+    derived (frontier arrays, :meth:`first_assignable`), so within one
+    ``select`` call nothing the view reports changes and the view may
+    cache. Schedulers must treat the view as read-only and must not keep
+    it, or anything it returned, past the call.
 
     The engine hands every view of a run its :class:`FrontierTable`, so a
     view's frontier costs only the rebuild of the jobs touched since the
-    previous view. A view built without one (tests, hand-built views)
-    builds its frontier from scratch.
+    previous frontier. A view built without one (tests, hand-built views)
+    builds its frontier from scratch through a private table, dropped
+    whenever the view advances.
     """
 
     def __init__(
@@ -671,10 +686,13 @@ class ClusterView:
         #: the engine (arrival events insert, completions delete). ``None``
         #: means "derive from ``jobs``" — the slow path for hand-built views.
         self._active = active
-        #: The engine's frontier table, shared by consecutive views of one
-        #: run; ``None`` builds a private one on first use.
+        #: The engine's frontier table, shared by every view of one run;
+        #: ``None`` builds a private one on first use.
         self._table = frontier_table
+        self._own_table = frontier_table is None
         self._fa_cache: dict[bool, FrontierArrays] = {}
+        #: :meth:`first_assignable`'s result, or :data:`_UNWALKED`.
+        self._first = _UNWALKED
         #: Blocked pairs in arrival order plus the boolean masks already
         #: derived from them, so each block() retry extends the previous
         #: mask with one pair instead of re-deriving the conjunction.
@@ -737,14 +755,17 @@ class ClusterView:
         excluded, which guarantees the assignment loop terminates.
 
         Served from the :class:`FrontierTable`, which rebuilds only the
-        jobs touched since the previous view; this view supplies the
-        executor budget ``slots`` is clamped to. Cached per view.
+        jobs touched since its previous serve; this view supplies the
+        executor budget ``slots`` is clamped to. Cached until the view
+        changes.
         """
         cached = self._fa_cache.get(include_saturated)
         if cached is not None:
             return cached
         table = self._table
         if table is None:
+            # Private: _drop_derived() discards it, since no engine marks
+            # reach it.
             table = self._table = FrontierTable()
         active = self._active
         if active is None:
@@ -800,19 +821,60 @@ class ClusterView:
         self._fa_cache[include_saturated] = out
         return out
 
+    # -- engine-only updates between select calls -----------------------
     def block(self, job_id: int, stage_id: int) -> None:
         """Engine-only: add one blocked entry and invalidate view caches.
 
         Between a blocked choice and the next ``select`` retry nothing in
-        the cluster changes except the blocked set, so the engine reuses
-        this view (skipping snapshot construction) and records the block
-        here; both :meth:`frontier_arrays` and :meth:`assignable_jobs`
-        then skip the pair. Schedulers must never call this — the view
-        they receive is immutable for the duration of their ``select``.
+        the cluster changes except the blocked set, so the engine records
+        the block here; both :meth:`frontier_arrays` and
+        :meth:`assignable_jobs` then skip the pair. The frontier rows do
+        not change, so a private table is kept. Schedulers must never call
+        this.
         """
         self._blocked = frozenset((*self._blocked, (job_id, stage_id)))
         self._blocked_seq.append((job_id, stage_id))
         self._fa_cache.clear()
+        self._first = _UNWALKED
+
+    def set_quota(self, quota: int) -> None:
+        """Engine-only: the pass's quota, once the provisioner has read
+        this view under the quota it was built with."""
+        self.quota = quota
+        self._drop_derived()
+
+    def advance(
+        self,
+        busy_executors: int,
+        general_free: int,
+        job_id: int,
+        job_reserved: int,
+    ) -> None:
+        """Engine-only: the occupancy after a grant to ``job_id``.
+
+        A grant moves executors from the shared pool and ``job_id``'s
+        reserved ones to work, and changes ``job_id``'s frontier rows
+        (the engine marks the job in its table); nothing else a view
+        reports changes. ``job_reserved`` is the job's remaining reserved
+        count. The blocked set carries over, as it does across the
+        grants of one pass.
+        """
+        self.busy_executors = busy_executors
+        self.general_free = general_free
+        if job_reserved:
+            self.reserved_free[job_id] = job_reserved
+        else:
+            self.reserved_free.pop(job_id, None)
+        self._drop_derived()
+
+    def _drop_derived(self) -> None:
+        """Forget everything computed from occupancy, quota or frontier
+        rows. A private table saw none of the engine's marks, so it goes
+        too."""
+        self._fa_cache.clear()
+        self._first = _UNWALKED
+        if self._own_table:
+            self._table = None
 
     def assignable_jobs(self) -> Iterator[tuple[JobRuntime, int]]:
         """Each job that could take an executor now, with its first such stage.
@@ -846,11 +908,21 @@ class ClusterView:
                 yield job, sid
                 break
 
+    def first_assignable(self) -> tuple[JobRuntime, int] | None:
+        """The first item of :meth:`assignable_jobs`, or ``None``.
+
+        Memoized until the view changes, so the engine's loop condition
+        (:meth:`has_assignable`) and FIFO's choice share one walk.
+        """
+        first = self._first
+        if first is _UNWALKED:
+            first = self._first = next(self.assignable_jobs(), None)
+        return first
+
     def has_assignable(self) -> bool:
         """True iff any ready stage could receive an executor right now —
-        the engine's per-grant loop condition. Stops at the first job
-        :meth:`assignable_jobs` yields."""
-        return next(self.assignable_jobs(), None) is not None
+        the engine's loop condition before each ``select``."""
+        return self.first_assignable() is not None
 
     def queued_job_count(self) -> int:
         if self._active is not None:

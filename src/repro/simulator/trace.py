@@ -35,13 +35,16 @@ import numpy as np
 from repro.carbon.trace import CarbonTrace
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskRecord:
     """One task execution on one executor.
 
     ``start`` is when the executor was committed (including any move delay);
     ``work_start`` is when useful work began; ``end`` is task completion.
     The executor is busy over ``[start, end]``.
+
+    Slotted: a run holds one record per task placement, and the engine
+    creates them through :meth:`launched`.
     """
 
     job_id: int
@@ -61,6 +64,32 @@ class TaskRecord:
         if not (self.start <= self.work_start <= self.end):
             raise ValueError("need start <= work_start <= end")
 
+    @classmethod
+    def launched(
+        cls,
+        job_id: int,
+        stage_id: int,
+        task_index: int,
+        executor_id: int,
+        start: float,
+        work_start: float,
+        end: float,
+    ) -> "TaskRecord":
+        """The record of a task launched now: equal to the plain
+        constructor's, built without its frozen ``__setattr__`` path."""
+        if not (start <= work_start <= end):
+            raise ValueError("need start <= work_start <= end")
+        record = object.__new__(cls)
+        _set_job_id(record, job_id)
+        _set_stage_id(record, stage_id)
+        _set_task_index(record, task_index)
+        _set_executor_id(record, executor_id)
+        _set_start(record, start)
+        _set_work_start(record, work_start)
+        _set_end(record, end)
+        _set_preempted(record, False)
+        return record
+
     @property
     def busy_time(self) -> float:
         return self.end - self.start
@@ -68,6 +97,19 @@ class TaskRecord:
     @property
     def moved(self) -> bool:
         return self.work_start > self.start
+
+
+# The slot descriptors' setters, for TaskRecord.launched.
+(
+    _set_job_id,
+    _set_stage_id,
+    _set_task_index,
+    _set_executor_id,
+    _set_start,
+    _set_work_start,
+    _set_end,
+    _set_preempted,
+) = (TaskRecord.__dict__[name].__set__ for name in TaskRecord.__slots__)
 
 
 @dataclass(frozen=True)

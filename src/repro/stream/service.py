@@ -35,17 +35,20 @@ from __future__ import annotations
 import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro import obs
 from repro.experiments.runner import ExperimentConfig, simulation_for
 from repro.ioutil import atomic_write_bytes
-from repro.obs.export import MetricsExporter
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import SloAlert, SloEvaluator, SloRule
 from repro.simulator.engine import SimulationStepper
 from repro.simulator.streaming import StreamingAggregator
 from repro.workloads.stream import ArrivalStream, StreamSpec
+
+if TYPE_CHECKING:
+    # Live telemetry's modules load only when a run attaches it.
+    from repro.obs.export import MetricsExporter
+    from repro.obs.slo import SloAlert, SloRule
 
 #: Degradation actions a firing SLO may trigger on the runner.
 SLO_ACTIONS = ("none", "pause-admission")
@@ -200,11 +203,11 @@ class ServiceRunner:
             MetricsRegistry() if (self.exporters or slo_rules) else None
         )
         self._user_on_alert = on_alert
-        self.slo = (
-            SloEvaluator(slo_rules, on_alert=self._handle_alert)
-            if slo_rules
-            else None
-        )
+        self.slo = None
+        if slo_rules:
+            from repro.obs.slo import SloEvaluator
+
+            self.slo = SloEvaluator(slo_rules, on_alert=self._handle_alert)
 
     # ------------------------------------------------------------------
     @property

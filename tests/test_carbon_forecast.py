@@ -1,8 +1,9 @@
 """Unit tests for forecasts and the replaying carbon API."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.carbon.api import CarbonIntensityAPI
+from repro.carbon.api import CarbonIntensityAPI, CarbonReading
 from repro.carbon.forecast import CarbonForecaster, forecast_bounds
 
 from conftest import make_trace
@@ -90,3 +91,56 @@ class TestCarbonAPI:
         api = CarbonIntensityAPI(trace, lookahead_steps=2)
         assert api.intensity(0.0) == 100.0
         assert api.bounds(0.0) == (40.0, 100.0)
+
+
+def memo_free_reading(api: CarbonIntensityAPI, t: float) -> CarbonReading:
+    """A reading recomputed from the forecaster and the trace per call."""
+    low, high = api.bounds(t)
+    return CarbonReading(
+        time=t, intensity=api.intensity(t), lower_bound=low, upper_bound=high
+    )
+
+
+class TestReadingReuse:
+    """``reading`` reuses its step's intensity and bounds, yet reads and
+    draws exactly like a per-call recompute."""
+
+    @given(
+        calls=st.lists(
+            st.tuples(
+                st.sampled_from(("reading", "bounds", "intensity")),
+                st.integers(min_value=0, max_value=4),
+                st.sampled_from((0.0, 0.25, 0.5, 0.99)),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_interleaved_calls_match_a_memo_free_reference(self, calls, seed):
+        trace = make_trace([120.0, 40.0, 300.0, 80.0, 200.0], step_seconds=60.0)
+        api = CarbonIntensityAPI(
+            trace, lookahead_steps=2, forecast_error_std=0.4, seed=seed
+        )
+        ref = CarbonIntensityAPI(
+            trace, lookahead_steps=2, forecast_error_std=0.4, seed=seed
+        )
+        for kind, step, offset in calls:
+            t = (step + offset) * 60.0
+            if kind == "reading":
+                assert api.reading(t) == memo_free_reading(ref, t)
+            else:
+                assert getattr(api, kind)(t) == getattr(ref, kind)(t)
+        state = api._forecaster._rng.bit_generator.state
+        assert state == ref._forecaster._rng.bit_generator.state
+
+    def test_bounds_at_another_step_forces_a_redraw(self):
+        trace = make_trace([120.0, 40.0, 300.0], step_seconds=60.0)
+        api = CarbonIntensityAPI(trace, forecast_error_std=0.4, seed=1)
+        first = api.reading(0.0)
+        assert api.reading(30.0).upper_bound == first.upper_bound
+        api.bounds(90.0)  # a geo snapshot at another step
+        redrawn = api.reading(40.0)
+        assert redrawn.intensity == first.intensity
+        assert redrawn.upper_bound != first.upper_bound

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.threshold import (
     cap_quota,
@@ -151,6 +152,28 @@ class TestCapThresholds:
         thresholds = cap_thresholds(12, 5, L, U)
         for c in np.linspace(0, 2 * U, 40):
             assert thresholds.quota(float(c)) >= 5
+
+    @given(
+        K=st.integers(min_value=1, max_value=200),
+        b_share=st.floats(min_value=0.0, max_value=1.0),
+        low=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e3)),
+        span=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=2e3)),
+        pick=st.floats(min_value=0.0, max_value=1.0),
+        c=st.floats(min_value=-10.0, max_value=5e3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_quota_counts_thresholds_at_or_above_c(
+        self, K, b_share, low, span, pick, c
+    ):
+        """The bisection equals the plain count, also when ``c`` is one of
+        the thresholds exactly."""
+        B = max(1, round(b_share * K))
+        thresholds = cap_thresholds(K, B, low, low + span)
+        values = np.asarray(thresholds.values)
+        exact = float(values[min(K - 1, int(pick * K))])
+        for intensity in (c, exact, low, low + span):
+            expected = max(B, int(np.count_nonzero(values >= intensity)))
+            assert thresholds.quota(intensity) == expected
 
     def test_one_shot_helper(self):
         assert cap_quota(U, 10, 3, L, U) == 3

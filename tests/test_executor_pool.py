@@ -6,7 +6,8 @@ job's reserved executors, then the longest-waiting general executor last
 bound to the job, then the most recently released general executor. The
 O(1) linked-list implementation must be observationally identical to the
 straightforward list-scan it replaced; the property test checks exactly
-that against a reference implementation over randomized traffic.
+that against a reference implementation over randomized traffic, the
+capacity-disruption hooks and the incrementally kept counts included.
 """
 
 import pytest
@@ -45,12 +46,27 @@ class _ReferencePool:
         self.general.extend(held)
         return held
 
+    def pop_newest_general(self):
+        return self.general.pop()
+
+    def pop_reserved(self):
+        owners = sorted(job for job, held in self.reserved.items() if held)
+        if not owners:
+            return None
+        return owners[0], self.reserved[owners[0]].pop()
+
+    def add_back(self, executor_id):
+        self.general.append(executor_id)
+
     def free_for(self, job_id):
         return len(self.general) + len(self.reserved.get(job_id, ()))
 
     @property
     def free_count(self):
         return len(self.general) + sum(len(v) for v in self.reserved.values())
+
+    def reserved_counts(self):
+        return {job: len(held) for job, held in self.reserved.items() if held}
 
 
 class TestTakePreferences:
@@ -145,10 +161,11 @@ class TestMatchesReferenceImplementation:
         count, num_ops = traffic
         fast, ref = _ExecutorPool(count), _ReferencePool(count)
         out = []  # executors we hold, with the job that took them
+        offline = []  # executors taken offline, newest last
         jobs = list(range(3))
         for _ in range(num_ops):
             op = rng.random()
-            if op < 0.5 and ref.free_count > 0:
+            if op < 0.45 and ref.free_count > 0:
                 job = rng.choice(jobs)
                 if ref.free_for(job) == 0:
                     continue
@@ -156,11 +173,24 @@ class TestMatchesReferenceImplementation:
                 got_ref = ref.take(job)
                 assert got_fast == got_ref
                 out.append((got_fast[0], job))
-            elif op < 0.9 and out:
+            elif op < 0.8 and out:
                 eid, job = out.pop(rng.randrange(len(out)))
                 hold = rng.random() < 0.4
                 fast.release(eid, job, hold=hold)
                 ref.release(eid, job, hold=hold)
+            elif op < 0.85 and ref.general:
+                eid = fast.pop_newest_general()
+                assert eid == ref.pop_newest_general()
+                offline.append(eid)
+            elif op < 0.9:
+                popped = fast.pop_reserved()
+                assert popped == ref.pop_reserved()
+                if popped is not None:
+                    offline.append(popped[1])
+            elif op < 0.95 and offline:
+                eid = offline.pop()
+                fast.add_back(eid)
+                ref.add_back(eid)
             else:
                 job = rng.choice(jobs)
                 got_fast = sorted(fast.unreserve(job))
@@ -168,8 +198,10 @@ class TestMatchesReferenceImplementation:
                 assert got_fast == got_ref
             assert fast.free_count == ref.free_count
             assert fast.general_free == len(ref.general)
+            assert fast.reserved_counts() == ref.reserved_counts()
             for job in jobs:
                 assert fast.free_for(job) == ref.free_for(job)
+                assert fast.reserved_count(job) == len(ref.reserved.get(job, ()))
         # Drain both pools completely; order must still agree.
         while ref.free_count > 0:
             job = rng.choice(jobs)

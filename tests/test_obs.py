@@ -3,10 +3,15 @@
 Covers the metrics instruments (counter/gauge/histogram/timer), the
 registry snapshot + JSONL round trip, span tracing and its Chrome-trace
 export, the observer lifecycle (including restore-on-exit nesting), the
-text report, and the dashboard generator.
+text report, the dashboard generator, and the package's lazy exports.
 """
 
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -432,3 +437,40 @@ class TestAlertsPanel:
             bench_paths=[], store_paths=[], obs_dirs=[str(obs_dir)],
         )
         assert "SLO alerts" not in path.read_text()
+
+
+class TestLazyPackage:
+    """``repro.obs`` resolves its public names on first use."""
+
+    def test_every_public_name_resolves_to_its_submodule(self):
+        assert "collecting" in obs.__all__ and "SloRule" in obs.__all__
+        for name in obs.__all__:
+            module = importlib.import_module(
+                f"repro.obs.{obs._SUBMODULE_OF[name]}"
+            )
+            assert getattr(obs, name) is getattr(module, name)
+        from repro.obs import SloRule, collecting
+
+        assert SloRule is obs.SloRule and collecting is obs.collecting
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError):
+            getattr(obs, "no_such_name")
+
+    def test_entry_points_skip_the_live_telemetry_modules(self):
+        heavy = (
+            "http.server", "ssl", "email", "repro.obs.dashboard",
+            "repro.obs.export", "repro.obs.slo", "repro.obs.regress",
+            "repro.obs.report",
+        )
+        code = (
+            "import sys, repro.simulator.engine, repro.stream, repro.campaign\n"
+            f"print([m for m in {heavy!r} if m in sys.modules])"
+        )
+        src = str(Path(obs.__file__).resolve().parents[2])
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        ).stdout
+        assert out.strip() == "[]"

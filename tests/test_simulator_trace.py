@@ -1,5 +1,8 @@
 """Unit tests for schedule traces and derived series."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -42,6 +45,29 @@ class TestRecords:
     def test_hold_validation(self):
         with pytest.raises(ValueError):
             HoldRecord(job_id=0, executor_id=0, start=5.0, end=4.0)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [(0, 0, 0, 0, 0.0, 0.0, 0.0), (3, 7, 11, 2, 5.5, 6.0, 17.25)],
+    )
+    def test_launched_equals_the_dataclass_constructor(self, fields):
+        fast, plain = TaskRecord.launched(*fields), TaskRecord(*fields)
+        assert fast == plain
+        assert hash(fast) == hash(plain)
+        assert repr(fast) == repr(plain)
+        assert not fast.preempted
+        restored = pickle.loads(pickle.dumps(fast))
+        assert restored == plain and repr(restored) == repr(plain)
+        assert not hasattr(fast, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fast.end = 1.0
+        assert dataclasses.replace(fast, preempted=True) != plain
+
+    def test_launched_validation(self):
+        with pytest.raises(ValueError):
+            TaskRecord.launched(0, 0, 0, 0, 5.0, 4.0, 10.0)
+        with pytest.raises(ValueError):
+            TaskRecord.launched(0, 0, 0, 0, 0.0, 5.0, 4.0)
 
 
 class TestCarbonAccounting:

@@ -5,7 +5,12 @@ import pickle
 
 import pytest
 
-from repro.experiments.runner import ExperimentConfig
+from repro.experiments.runner import (
+    ExperimentConfig,
+    simulation_for,
+    workload_for,
+)
+from repro.simulator.engine import SimulationStepper
 from repro.stream import (
     ServiceConfig,
     ServiceRunner,
@@ -152,6 +157,34 @@ class TestServiceRunner:
         # the in-flight set, never the 60 total.
         assert max(peaks) < 60
         assert len(runner.stepper.jobs) == 0
+
+    def test_retire_finished_returns_the_finished_jobs_after_every_step(self):
+        """retire_finished() skips its scan unless a job finished since
+        its last call; after every step it still returns exactly the done
+        jobs, in the jobs mapping's order, across a checkpoint restore."""
+        config = ExperimentConfig(
+            scheduler="fifo", num_executors=4, seed=3,
+            workload=WorkloadSpec(
+                num_jobs=20, mean_interarrival=8.0, tpch_scales=(2,)
+            ),
+        )
+        stepper = simulation_for(config).stepper()
+        for sub in workload_for(config):
+            stepper.submit(sub)
+        retired = steps = 0
+        while stepper.events:
+            stepper.step()
+            steps += 1
+            if steps == 40:
+                stepper = SimulationStepper.restore(stepper.checkpoint())
+            expected = [
+                (job_id, job.arrival_time, job.finish_time, job.dag.total_work)
+                for job_id, job in stepper.jobs.items()
+                if job.done
+            ]
+            assert stepper.retire_finished() == expected
+            retired += len(expected)
+        assert retired == 20 and steps > 40
 
     def test_frontier_table_keeps_blocks_for_active_jobs_only(self):
         """PCAPS serves its frontier from the engine's table. Every epoch,
