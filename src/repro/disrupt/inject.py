@@ -16,16 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.carbon.api import CarbonIntensityAPI
 from repro.disrupt.schedule import DisruptionSchedule
 from repro.experiments.runner import (
     ExperimentConfig,
-    build_scheduler,
-    carbon_trace_for,
+    simulation_for,
     workload_for,
 )
 from repro.obs.observer import current as _current_observer
-from repro.simulator.engine import ClusterConfig, Simulation, SimulationStepper
+from repro.simulator.engine import SimulationStepper
 from repro.simulator.metrics import ExperimentResult
 
 
@@ -82,33 +80,14 @@ def run_disrupted_experiment(
 ) -> DisruptedRun:
     """Run one single-cluster experiment under a disruption schedule.
 
-    The exact materialization path of
-    :func:`~repro.experiments.runner.run_experiment` (same memoized
-    workload, trace slice, and scheduler construction), driven through a
-    stepper with the schedule installed. With
-    ``DisruptionSchedule.empty()`` the result is bit-identical to
-    ``run_experiment(config)``.
+    Drives the simulation :func:`~repro.experiments.runner.simulation_for`
+    builds, on the memoized workload
+    :func:`~repro.experiments.runner.run_experiment` runs, through a
+    stepper with the schedule installed. With ``DisruptionSchedule.empty()``
+    the result is bit-identical to ``run_experiment(config)``.
     """
-    trace = carbon_trace_for(config)
-    submissions = workload_for(config)
-    scheduler, provisioner = build_scheduler(config, trace)
-    cluster = ClusterConfig(
-        num_executors=config.num_executors,
-        executor_move_delay=config.executor_move_delay,
-        per_job_executor_cap=(
-            config.per_job_cap if config.mode == "kubernetes" else None
-        ),
-        mode=config.mode,
-    )
-    sim = Simulation(
-        config=cluster,
-        scheduler=scheduler,
-        carbon_api=CarbonIntensityAPI(trace),
-        provisioner=provisioner,
-        measure_latency=config.measure_latency,
-    )
-    stepper = sim.stepper()
-    for sub in submissions:
+    stepper = simulation_for(config).stepper()
+    for sub in workload_for(config):
         stepper.submit(sub)
     install_disruptions(stepper, schedule, region=region)
     stepper.run_to_completion()

@@ -163,15 +163,6 @@ class DisruptionSchedule:
             )
         )
 
-    def capacity_events(self) -> tuple[DisruptionEvent, ...]:
-        """Outage + curtailment events across all regions, by start time."""
-        return tuple(
-            sorted(
-                (e for e in self.events if e.affects_capacity),
-                key=lambda e: (e.start, e.region or ""),
-            )
-        )
-
     def outages(self) -> tuple[DisruptionEvent, ...]:
         return tuple(
             sorted(

@@ -21,14 +21,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.carbon.api import CarbonIntensityAPI
 from repro.dag.metrics import critical_path_length
 from repro.disrupt.inject import install_disruptions
-from repro.experiments.runner import (
-    build_scheduler,
-    carbon_trace_for,
-    memoized_workload,
-)
+from repro.experiments.runner import memoized_workload, simulation_for
 from repro.geo.config import FederationConfig, RegionConfig
 from repro.geo.result import (
     FederationResult,
@@ -42,7 +37,7 @@ from repro.geo.routing import (
     build_routing_policy,
 )
 from repro.obs.observer import current as _current_observer
-from repro.simulator.engine import ClusterConfig, Simulation, SimulationStepper
+from repro.simulator.engine import SimulationStepper
 from repro.workloads.arrivals import JobSubmission
 
 #: Salt mixed into the origin-assignment RNG so origins are independent of
@@ -56,24 +51,10 @@ class _Region:
     def __init__(self, index: int, spec: RegionConfig, config: FederationConfig):
         self.index = index
         self.spec = spec
-        exp_config = spec.to_experiment_config(config.workload, config.seed)
-        self.trace = carbon_trace_for(exp_config)
-        scheduler, provisioner = build_scheduler(exp_config, self.trace)
-        cluster = ClusterConfig(
-            num_executors=spec.num_executors,
-            executor_move_delay=spec.executor_move_delay,
-            per_job_executor_cap=(
-                spec.per_job_cap if spec.mode == "kubernetes" else None
-            ),
-            mode=spec.mode,
+        self.sim = simulation_for(
+            spec.to_experiment_config(config.workload, config.seed)
         )
-        self.api = CarbonIntensityAPI(self.trace)
-        self.sim = Simulation(
-            config=cluster,
-            scheduler=scheduler,
-            carbon_api=self.api,
-            provisioner=provisioner,
-        )
+        self.api = self.sim.carbon_api
         self.stepper: SimulationStepper | None = None
 
     def start(self) -> None:

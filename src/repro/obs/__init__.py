@@ -89,7 +89,6 @@ _SUBMODULE_OF = {
             "enable",
             "hit_rate",
             "is_enabled",
-            "snapshot_meta",
         ),
         "observer",
     ),

@@ -22,7 +22,7 @@ from __future__ import annotations
 import logging
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Iterator
 
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.tracing import SpanTracer
@@ -154,13 +154,3 @@ def configure_logging(level: str = "warning") -> logging.Logger:
     logger.setLevel(level.upper())
     logger.propagate = False
     return logger
-
-
-def snapshot_meta(extra: dict[str, Any] | None = None) -> dict[str, Any]:
-    """Common meta fields for a metrics snapshot header."""
-    from repro import __version__
-
-    meta: dict[str, Any] = {"repro_version": __version__}
-    if extra:
-        meta.update(extra)
-    return meta

@@ -39,9 +39,6 @@ class OptimalSchedule:
         """Total machine-steps of work performed."""
         return sum(len(s) for s in self.running)
 
-    def busy_machines(self, step: int) -> int:
-        return len(self.running[step]) if step < len(self.running) else 0
-
 
 def _durations_in_steps(dag: JobDAG, step_seconds: float) -> dict[int, int]:
     durations = {}

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import pickle
 import time as _wallclock
 from collections import deque
@@ -1035,8 +1034,3 @@ def simulate(
         **kwargs,
     )
     return sim.run(submissions)
-
-
-def expected_serial_work(submissions: Sequence[JobSubmission]) -> float:
-    """Total executor-seconds in a batch (sanity checks and sizing)."""
-    return math.fsum(sub.dag.total_work for sub in submissions)

@@ -371,12 +371,6 @@ class ScheduleTrace:
             for job_id in set(task_c) | set(hold_c)
         }
 
-    def job_finish_times(self) -> dict[int, float]:
-        finishes: dict[int, float] = {}
-        for t in self.tasks:
-            finishes[t.job_id] = max(finishes.get(t.job_id, 0.0), t.end)
-        return finishes
-
 
 def _interval_counts(
     times: np.ndarray, starts: np.ndarray, ends: np.ndarray

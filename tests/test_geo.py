@@ -1,5 +1,7 @@
 """Tests for the geo federation subsystem (``repro.geo``)."""
 
+import itertools
+
 import pytest
 
 from repro.carbon.grids import GRID_CODES
@@ -9,7 +11,11 @@ from repro.experiments.federation import (
     scaled_single_region,
     single_region_carbon_g,
 )
-from repro.experiments.runner import ExperimentConfig, run_experiment
+from repro.experiments.runner import (
+    SCHEDULER_NAMES,
+    ExperimentConfig,
+    run_experiment,
+)
 from repro.geo import (
     FederationConfig,
     RegionConfig,
@@ -28,6 +34,8 @@ from repro.geo.routing import (
 )
 from repro.workloads.arrivals import JobSubmission
 from repro.workloads.batch import WorkloadSpec
+
+from conftest import schedule_fingerprint
 
 
 def tiny_workload(num_jobs: int = 6) -> WorkloadSpec:
@@ -269,6 +277,31 @@ class TestFederationRun:
             (t.job_id, t.stage_id, t.executor_id, t.start, t.end)
             for t in standalone.trace.tasks
         ]
+
+    @pytest.mark.parametrize(
+        "scheduler,mode",
+        list(itertools.product(SCHEDULER_NAMES, ("standalone", "kubernetes"))),
+    )
+    def test_one_region_federation_matches_run_experiment(self, scheduler, mode):
+        """A region builds its cluster as run_experiment does, Kubernetes
+        mode's default per-job cap included."""
+        region = RegionConfig(
+            name="solo", grid="DE", scheduler=scheduler,
+            num_executors=30, mode=mode,
+        )
+        workload = WorkloadSpec(
+            family="tpch", num_jobs=4, mean_interarrival=30.0,
+            tpch_scales=(2, 10),
+        )
+        config = FederationConfig(
+            regions=(region,), routing="round-robin", workload=workload,
+            seed=2,
+        )
+        fed = run_federation(config)
+        alone = run_experiment(region.to_experiment_config(workload, 2))
+        assert schedule_fingerprint(fed.regions[0].result) == (
+            schedule_fingerprint(alone)
+        )
 
 
 class TestSixGridScenario:
