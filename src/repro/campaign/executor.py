@@ -273,13 +273,6 @@ class CampaignRunner:
         Resilience policy (timeouts, attempt budget, backoff, checkpoints);
         defaults to :class:`SupervisorConfig`'s defaults — two attempts,
         no timeout, no checkpointing.
-    exporter:
-        Optional live :class:`~repro.obs.export.MetricsExporter`, sampled
-        once per completed trial so a long campaign can be watched from a
-        JSONL series or scrape endpoint. Samples are keyed by the
-        done-count (campaigns have no simulated clock; elapsed wall
-        seconds ride along as the time axis). The caller owns the
-        exporter's lifecycle (``close``).
     """
 
     def __init__(
@@ -288,13 +281,11 @@ class CampaignRunner:
         workers: int | None = None,
         code_version: str | None = None,
         supervisor: SupervisorConfig | None = None,
-        exporter=None,
     ) -> None:
         self.store = store
         self.workers = workers
         self.code_version = code_version
         self.supervisor = supervisor if supervisor is not None else SupervisorConfig()
-        self.exporter = exporter
         self._stop = threading.Event()
 
     def request_shutdown(self) -> None:
@@ -361,22 +352,12 @@ class CampaignRunner:
         if observer is not None:
             registry = observer.registry
             tracer = observer.tracer
-        elif self.exporter is not None:
-            # No observer, but a live exporter wants samples: give the
-            # campaign counters a runner-local registry to land in.
-            from repro.obs.metrics import MetricsRegistry
-
-            registry = MetricsRegistry()
-            tracer = None
-        else:
-            registry = tracer = None
-        if registry is not None:
             registry.counter("campaign.store.hits").inc(stats.hits)
             registry.counter("campaign.store.misses").inc(stats.misses)
             obs_ok = registry.counter("campaign.trials.ok")
             obs_failed = registry.counter("campaign.trials.failed")
         else:
-            obs_ok = obs_failed = None
+            registry = tracer = obs_ok = obs_failed = None
 
         total = len(keyed)
         done = 0
@@ -403,10 +384,6 @@ class CampaignRunner:
                 )
             if obs_ok is not None:
                 (obs_ok if record.ok else obs_failed).inc()
-            if self.exporter is not None and registry is not None:
-                self.exporter.export(
-                    done, time.perf_counter() - started, registry
-                )
             if on_progress is not None:
                 verb = "ok   " if record.ok else "FAIL "
                 on_progress(done, total, f"{verb}{label} ({record.duration_s:.2f}s)")

@@ -294,16 +294,10 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     if args.cmd == "resume" and not ResultStore(args.store).path.exists():
         _error(f"nothing to resume: store {args.store!r} does not exist")
         return 2
-    exporter = None
-    if getattr(args, "export_jsonl", None):
-        from repro.obs.export import JsonlExporter
-
-        exporter = JsonlExporter(args.export_jsonl)
     runner = CampaignRunner(
         ResultStore(args.store),
         workers=args.workers,
         supervisor=_supervisor_from_args(args),
-        exporter=exporter,
     )
     print(
         f"campaign {spec.name!r}: {len(runner.keyed_trials(spec))} trials "
@@ -715,8 +709,6 @@ def _cmd_disrupt(args: argparse.Namespace) -> int:
 
 
 def _cmd_stream_run(args: argparse.Namespace) -> int:
-    from repro.obs.export import HttpExporter, JsonlExporter
-    from repro.obs.slo import ALERTS_FILENAME, SloRule
     from repro.stream import (
         ServiceConfig,
         ServiceRunner,
@@ -727,13 +719,6 @@ def _cmd_stream_run(args: argparse.Namespace) -> int:
     if args.jobs is None and args.horizon is None:
         _error("bound the run with --jobs and/or --horizon")
         return 2
-    slo_rules = []
-    for text in args.slo or []:
-        try:
-            slo_rules.append(SloRule.parse(text))
-        except ValueError as exc:
-            _error(str(exc))
-            return 2
     experiment = ExperimentConfig(
         scheduler=args.scheduler,
         grid=args.grid,
@@ -771,41 +756,10 @@ def _cmd_stream_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
 
-    exporters = []
-    if args.export_jsonl:
-        exporters.append(JsonlExporter(args.export_jsonl))
-    if args.export_port is not None:
-        endpoint = HttpExporter(port=args.export_port)
-        exporters.append(endpoint)
-        print(f"exposition endpoint: {endpoint.url}", file=sys.stderr)
-
-    runner = ServiceRunner(
-        config,
-        on_epoch=progress,
-        exporters=exporters,
-        slo_rules=slo_rules,
-        slo_action=args.slo_action,
+    report = ServiceRunner(config, on_epoch=progress).run(
+        max_epochs=args.max_epochs
     )
-    try:
-        report = runner.run(max_epochs=args.max_epochs)
-    finally:
-        runner.close_exporters()
     print(format_stream_report(report))
-    if runner.slo is not None:
-        alerts_path = args.alerts_output or os.path.join(
-            args.obs_dir, ALERTS_FILENAME
-        )
-        runner.slo.write_alerts(
-            alerts_path,
-            meta={"label": "stream run", "scheduler": args.scheduler},
-        )
-        print(
-            f"slo: {len(runner.slo.alerts)} alert transition(s), "
-            f"wrote {alerts_path}",
-            file=sys.stderr,
-        )
-    if args.export_jsonl:
-        print(f"export: wrote {args.export_jsonl}", file=sys.stderr)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(report.to_dict(), fh, indent=2)
@@ -1082,11 +1036,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "--checkpoint-every", type=int, default=200, metavar="EVENTS",
                 help="engine events between checkpoints (default: 200)",
             )
-            c.add_argument(
-                "--export-jsonl", default=None, metavar="PATH",
-                help="append one metrics sample per completed trial to "
-                "PATH (live campaign progress as a JSONL time series)",
-            )
             _add_obs_args(c)
 
     c = campaign_sub.add_parser(
@@ -1317,32 +1266,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument(
         "--output", default=None,
         help="also write the report JSON here (for 'stream report')",
-    )
-    s.add_argument(
-        "--export-port", type=int, default=None, metavar="PORT",
-        help="serve Prometheus-style text exposition on 127.0.0.1:PORT "
-        "while running (0 = pick an ephemeral port; the address is "
-        "printed to stderr)",
-    )
-    s.add_argument(
-        "--export-jsonl", default=None, metavar="PATH",
-        help="append one registry sample per epoch to PATH "
-        "(JSONL time series, torn-tail safe)",
-    )
-    s.add_argument(
-        "--slo", action="append", default=None, metavar="RULE",
-        help="SLO rule evaluated each epoch, e.g. 'avg_jct>120@3' or "
-        "'gauge:stream.jobs_active>500'; repeatable "
-        "(see docs/observability.md)",
-    )
-    s.add_argument(
-        "--slo-action", default="none", choices=("none", "pause-admission"),
-        help="degradation action while any SLO alert fires "
-        "(pause-admission sheds load; breaks exact replayability)",
-    )
-    s.add_argument(
-        "--alerts-output", default=None, metavar="PATH",
-        help="write the SLO alert log here (default: <obs-dir>/alerts.jsonl)",
     )
     s.add_argument("--quiet", action="store_true")
     _add_obs_args(s)

@@ -10,6 +10,9 @@ Implements the paper's theory so experiments can check bounds empirically:
 - **Theorems 4.4 / 4.6** — exact carbon-savings decompositions
   ``W (s₋ - s₊ - c_tail)``, computed here from two recorded schedules; the
   decomposition is an identity, so predicted and measured savings agree.
+  The per-step series it splits is the power the footprint charges: task
+  time at full power plus, for schedulers that hoard executors, idle held
+  time at ``idle_power_fraction`` (Appendix A.1.2's FIFO carbon penalty).
 """
 
 from __future__ import annotations
@@ -93,11 +96,14 @@ class SavingsDecomposition:
       valleys).
     - ``c_tail``: weighted-average intensity of the make-up work after the
       baseline finished.
-    - ``predicted_savings``: ``W (s_minus - s_plus - c_tail)``.
+    - ``predicted_savings``: the avoided minus the added and the tail
+      carbon, which is ``W (s_minus - s_plus - c_tail)`` whenever ``W > 0``.
     - ``measured_savings``: direct footprint difference (Definition 3.2).
 
     The decomposition is an identity, so the two savings values agree up to
-    floating-point error.
+    floating-point error. With ``W = 0`` the three intensities are 0, yet
+    a run that never fell behind may still add work before and after the
+    baseline's finish; ``predicted_savings`` then is minus that carbon.
     """
 
     excess_work: float
@@ -108,19 +114,43 @@ class SavingsDecomposition:
     measured_savings: float
 
 
-def _busy_per_step(result: ExperimentResult, num_steps: int) -> np.ndarray:
-    """Average busy executors per carbon step (the ``E_t`` series)."""
-    step = result.carbon_trace.step_seconds
-    busy = np.zeros(num_steps)
-    for task in result.trace.tasks:
-        first = int(task.start // step)
-        last = int(math.ceil(task.end / step))
+def _seconds_per_step(intervals, step: float, num_steps: int) -> np.ndarray:
+    """Interval seconds falling in each carbon step."""
+    seconds = np.zeros(num_steps)
+    for start, end in intervals:
+        first = int(start // step)
+        last = int(math.ceil(end / step))
         for i in range(first, min(last, num_steps)):
-            lo = max(task.start, i * step)
-            hi = min(task.end, (i + 1) * step)
+            lo = max(start, i * step)
+            hi = min(end, (i + 1) * step)
             if hi > lo:
-                busy[i] += hi - lo
-    return busy / step
+                seconds[i] += hi - lo
+    return seconds
+
+
+def _busy_per_step(result: ExperimentResult, num_steps: int) -> np.ndarray:
+    """Average busy executors per carbon step (task intervals only)."""
+    step = result.carbon_trace.step_seconds
+    tasks = ((task.start, task.end) for task in result.trace.tasks)
+    return _seconds_per_step(tasks, step, num_steps) / step
+
+
+def _powered_per_step(result: ExperimentResult, num_steps: int) -> np.ndarray:
+    """The ``E_t`` series the footprint charges, per carbon step.
+
+    Busy executors count at full power; executors a hoarding job holds
+    idle count at ``idle_power_fraction``, as in
+    :meth:`~repro.simulator.trace.ScheduleTrace.carbon_footprint`. Without
+    hold records this is :func:`_busy_per_step`.
+    """
+    busy = _busy_per_step(result, num_steps)
+    trace = result.trace
+    if not trace.holds:
+        return busy
+    step = result.carbon_trace.step_seconds
+    holds = ((hold.start, hold.end) for hold in trace.holds)
+    held = _seconds_per_step(holds, step, num_steps) / step
+    return busy + trace.idle_power_fraction * (held - busy)
 
 
 def average_step_savings(
@@ -133,15 +163,17 @@ def average_step_savings(
     utilization gap times the step's intensity. This function measures that
     series directly from two recorded schedules: entry ``t`` is
     ``(E_base[t] - E_aware[t]) * c_t * step_seconds``, whose sum equals the
-    total carbon savings (Definition 3.2).
+    total carbon savings (Definition 3.2). ``E`` is the powered series, so
+    idle executors a hoarding scheduler holds count at
+    ``idle_power_fraction``.
     """
     trace = baseline.carbon_trace
     if carbon_aware.carbon_trace is not trace:
         raise ValueError("both results must share one carbon trace")
     step = trace.step_seconds
     num_steps = int(math.ceil(max(baseline.ect, carbon_aware.ect) / step)) + 1
-    e_base = _busy_per_step(baseline, num_steps)
-    e_aware = _busy_per_step(carbon_aware, num_steps)
+    e_base = _powered_per_step(baseline, num_steps)
+    e_aware = _powered_per_step(carbon_aware, num_steps)
     intensities = np.array(
         [trace.intensity_at(i * step) for i in range(num_steps)]
     )
@@ -195,8 +227,8 @@ def savings_decomposition(
     t_base = baseline.ect
     t_aware = carbon_aware.ect
     num_steps = int(math.ceil(max(t_base, t_aware) / step)) + 1
-    e_base = _busy_per_step(baseline, num_steps)
-    e_aware = _busy_per_step(carbon_aware, num_steps)
+    e_base = _powered_per_step(baseline, num_steps)
+    e_aware = _powered_per_step(carbon_aware, num_steps)
     intensities = np.array(
         [trace.intensity_at(i * step) for i in range(num_steps)]
     )
@@ -207,25 +239,20 @@ def savings_decomposition(
     deferred = np.clip(diff, 0.0, None)
     opportunistic = np.clip(-diff, 0.0, None)
     excess_work = float(deferred.sum() * step)
-
-    tail_work = float(e_aware[boundary:].sum() * step)
+    avoided = float((deferred * c_window).sum() * step)
+    added = float((opportunistic * c_window).sum() * step)
+    tail = float((e_aware[boundary:] * intensities[boundary:]).sum() * step)
     if excess_work <= 0:
         s_minus = s_plus = c_tail = 0.0
     else:
-        s_minus = float((deferred * c_window).sum() * step / excess_work)
-        s_plus = float((opportunistic * c_window).sum() * step / excess_work)
-        c_tail = float(
-            (e_aware[boundary:] * intensities[boundary:]).sum()
-            * step
-            / excess_work
-        )
-    predicted = excess_work * (s_minus - s_plus - c_tail)
-    measured = carbon_savings(baseline, carbon_aware)
-    # The baseline's series is zero beyond `boundary`, so `predicted`
+        s_minus = avoided / excess_work
+        s_plus = added / excess_work
+        c_tail = tail / excess_work
+    # The baseline's series is zero beyond `boundary`, so the prediction
     # telescopes to the full footprint difference: the decomposition is an
-    # identity (validated in tests). `tail_work` equals `excess_work` when
-    # both runs perform identical busy time.
-    del tail_work
+    # identity (validated in tests).
+    predicted = avoided - added - tail
+    measured = carbon_savings(baseline, carbon_aware)
     return SavingsDecomposition(
         excess_work=excess_work,
         s_minus=s_minus,

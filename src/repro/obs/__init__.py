@@ -18,19 +18,10 @@ Artifacts:
   loadable in Perfetto;
 - the **dashboard** generator (:mod:`repro.obs.dashboard`) renders
   ``BENCH_*.json`` history, campaign-store aggregates, and obs snapshots
-  into a static ``dashboard/index.html`` (stdlib only, no server).
-
-The live half (this PR's :mod:`~repro.obs.export`, :mod:`~repro.obs.slo`,
-and :mod:`~repro.obs.regress`):
-
-- **exporters** publish one registry sample per service epoch, either
-  appended to a JSONL time series or served as Prometheus text exposition
-  from a background thread (``repro stream run --export-port N``);
-- **SLO rules** are evaluated at epoch boundaries against the streaming
-  windows, emitting alert transitions (``obs/alerts.jsonl``) that show in
-  ``repro obs report`` and the dashboard;
-- the **regression gate** (``repro obs regress``) compares the newest
-  bench-history snapshot against a trailing baseline for CI.
+  into a static ``dashboard/index.html`` (stdlib only, no server);
+- the **regression gate** (:mod:`~repro.obs.regress`, ``repro obs
+  regress``) compares the newest bench-history snapshot against a
+  trailing baseline for CI.
 
 Enable collection from the CLI with ``--obs`` on ``run`` / ``campaign`` /
 ``geo`` / ``disrupt`` / ``perf``, or programmatically::
@@ -47,21 +38,9 @@ import importlib
 #: Public name -> the submodule defining it. Names resolve on first access
 #: (module ``__getattr__``), so importing one submodule — as the engine
 #: does with :mod:`repro.obs.observer` — does not load the dashboard,
-#: exporter and report modules and what they import (``http.server``,
-#: ``ssl``, ``email``).
+#: report and regression modules and what they import.
 _SUBMODULE_OF = {
     **dict.fromkeys(("build_dashboard", "render_dashboard"), "dashboard"),
-    **dict.fromkeys(
-        (
-            "HttpExporter",
-            "JsonlExporter",
-            "MetricsExporter",
-            "parse_exposition",
-            "read_samples",
-            "render_exposition",
-        ),
-        "export",
-    ),
     **dict.fromkeys(
         ("Counter", "Gauge", "Histogram", "MetricsRegistry", "Timer", "read_jsonl"),
         "metrics",
@@ -69,10 +48,6 @@ _SUBMODULE_OF = {
     **dict.fromkeys(
         ("RegressionReport", "check_history", "format_regression_report"),
         "regress",
-    ),
-    **dict.fromkeys(
-        ("ALERTS_FILENAME", "SloAlert", "SloEvaluator", "SloRule", "read_alerts"),
-        "slo",
     ),
     **dict.fromkeys(
         (

@@ -32,7 +32,6 @@ from typing import Any, Sequence
 from repro.obs.metrics import read_jsonl
 from repro.obs.observer import DEFAULT_OBS_DIR, METRICS_FILENAME
 from repro.obs.report import derived_rates
-from repro.obs.slo import ALERTS_FILENAME, read_alerts
 from repro.ioutil import atomic_write_text
 
 logger = logging.getLogger("repro.obs.dashboard")
@@ -411,48 +410,6 @@ def _obs_section(directory: str) -> str:
                 ],
             )
         )
-    out.append(_alerts_panel(directory))
-    return "".join(out)
-
-
-def _alerts_panel(directory: str) -> str:
-    """SLO alert transitions for one obs dir (empty string when absent)."""
-    alerts_path = os.path.join(directory, ALERTS_FILENAME)
-    if not os.path.exists(alerts_path):
-        return ""
-    try:
-        meta, rows = read_alerts(alerts_path)
-    except (OSError, json.JSONDecodeError) as exc:
-        return f'<p class="empty">unreadable {ALERTS_FILENAME}: {_esc(exc)}</p>'
-    firing = meta.get("firing", [])
-    out = [
-        "<h3>SLO alerts</h3>",
-        '<p class="meta">'
-        + f"{len(meta.get('rules', []))} rules, "
-        + f"{meta.get('evaluations', 0)} evaluations, firing at exit: "
-        + (_esc(", ".join(firing)) if firing else "none")
-        + "</p>",
-    ]
-    if not rows:
-        out.append('<p class="empty">(no alert transitions)</p>')
-        return "".join(out)
-    out.append(
-        _table(
-            ("epoch", "sim time (s)", "rule", "state", "value", "threshold"),
-            [
-                (
-                    r["epoch"],
-                    f"{r['sim_time']:,.0f}",
-                    r["rule"],
-                    r["state"],
-                    f"{r['value']:.3f}",
-                    ("> " if r["direction"] == "above" else "< ")
-                    + f"{r['threshold']:g}",
-                )
-                for r in rows
-            ],
-        )
-    )
     return "".join(out)
 
 

@@ -81,18 +81,5 @@ def format_snapshot(meta: dict[str, Any], rows: list[dict[str, Any]]) -> str:
 
 
 def render_report(metrics_path: str | Path) -> str:
-    """Load a snapshot file and render the text report.
-
-    If an SLO alert log (``alerts.jsonl``) sits next to the snapshot, its
-    transitions are appended — the operator reading the report is exactly
-    who needs to know an SLO fired mid-run.
-    """
-    from repro.obs.slo import ALERTS_FILENAME, format_alerts, read_alerts
-
-    meta, rows = read_jsonl(metrics_path)
-    text = format_snapshot(meta, rows)
-    alerts_path = Path(metrics_path).parent / ALERTS_FILENAME
-    if alerts_path.exists():
-        alert_meta, alert_rows = read_alerts(alerts_path)
-        text += "\n\n" + "\n".join(format_alerts(alert_meta, alert_rows))
-    return text
+    """Load a snapshot file and render the text report."""
+    return format_snapshot(*read_jsonl(metrics_path))

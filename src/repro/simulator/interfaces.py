@@ -21,54 +21,18 @@ import numpy as np
 from repro.simulator.state import ClusterView, FrontierArrays, ReadyStage
 
 
-def _verify_inline_choice() -> bool:
-    """Check that the inlined sampler reproduces ``Generator.choice``.
-
-    The sampling entry points inline the cumsum/searchsorted core of
-    ``Generator.choice(n, p=...)`` to skip its per-call validation
-    overhead. The inline is only used when this probe — a spread of sizes,
-    skews, and seeds, including the post-draw generator state — confirms
-    the installed numpy's ``choice`` consumes and transforms randomness
-    the same way; otherwise the real method is called and only the
-    validation savings are lost.
-    """
-    probe = np.random.default_rng(0)
-    for _ in range(64):
-        n = int(probe.integers(1, 40))
-        weights = probe.random(n) ** 2 + 1e-12
-        p = weights / weights.sum()
-        seed = int(probe.integers(0, 2**31))
-        real, ours = np.random.default_rng(seed), np.random.default_rng(seed)
-        cdf = p.cumsum()
-        cdf /= cdf[-1]
-        if int(real.choice(n, p=p)) != int(
-            cdf.searchsorted(ours.random(), side="right")
-        ):
-            return False
-        if real.random() != ours.random():
-            return False
-    return True
-
-
-_INLINE_CHOICE_OK: bool | None = None
-
-
 def _sample_index(rng: np.random.Generator, p: np.ndarray) -> int:
     """``int(rng.choice(len(p), p=p))``, minus the validation overhead.
 
-    Bit-identical to the real call (same cdf arithmetic, same single
-    ``rng.random()`` draw), enforced by :func:`_verify_inline_choice` once
-    per process with automatic fallback — so a seeded policy draws the
-    same schedule whether or not the inline is in use.
+    The inverse-CDF draw at the core of ``Generator.choice``: one
+    ``rng.random()`` against the normalized cumulative weights. A seeded
+    policy's schedule therefore depends only on the generator's
+    ``random()`` stream; ``tests/test_simulator_interfaces.py`` checks the
+    index and the next draw against ``Generator.choice``.
     """
-    global _INLINE_CHOICE_OK
-    if _INLINE_CHOICE_OK is None:
-        _INLINE_CHOICE_OK = _verify_inline_choice()
-    if _INLINE_CHOICE_OK:
-        cdf = p.cumsum()
-        cdf /= cdf[-1]
-        return int(cdf.searchsorted(rng.random(), side="right"))
-    return int(rng.choice(len(p), p=p))
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 class NothingGrowable(enum.Enum):
@@ -162,13 +126,9 @@ class ProbabilisticPolicy(StageScheduler):
         self.temperature = temperature
         self._seed = seed
         self._rng = np.random.default_rng(seed)
-        # (matrix object, probs) of the last frontier scored; see
-        # sample_row.
-        self._dist_cache: tuple | None = None
 
     def reset(self) -> None:
         self._rng = np.random.default_rng(self._seed)
-        self._dist_cache = None
 
     @abc.abstractmethod
     def scores_from_arrays(
@@ -177,9 +137,9 @@ class ProbabilisticPolicy(StageScheduler):
         """Unnormalized preference scores, one per row of ``frontier``.
 
         Must be a *pure function of the frontier matrix*
-        (``frontier.data``): the sampling entry points cache the scored
-        distribution per matrix object, so scores that secretly read
-        other view state would go stale.
+        (``frontier.data``): :meth:`_raw_scores` may cache scores per
+        matrix object (Decima does), so scores that secretly read other
+        view state would go stale.
         """
 
     def _raw_scores(
@@ -258,41 +218,15 @@ class ProbabilisticPolicy(StageScheduler):
         ``view.frontier_arrays(include_saturated=True)`` (PCAPS passes the
         stages below their parallelism limit); the default is every row
         with free slots. Returns ``None`` when there are no candidates.
-
-        The distribution is cached per frontier matrix object, so deferral
-        streaks re-sampling an unchanged frontier and PCAPS redraws only
-        advance the RNG. The candidate mask selects which rows the draw
-        may pick, never what the distribution is.
+        The candidate mask selects which rows the draw may pick, never
+        what the distribution is.
         """
         full = view.frontier_arrays(include_saturated=True)
         if candidates is None:
             candidates = np.flatnonzero(full.slots > 0)
         if candidates.size == 0:
             return None
-        cache = self._dist_cache
-        if cache is not None and cache[0] is full.data:
-            # Same matrix object as the last call (nothing launched or
-            # finished in between — e.g. a deferral streak across carbon
-            # steps): the distribution is unchanged; only the RNG advances.
-            return self._finish_sample(full, cache[1], candidates)
         probs = self._softmax(self._checked_scores(view, full))
-        # Only unfiltered matrices repeat across calls (mid-pass filtered
-        # retries are one-shot); caching them would evict the reusable
-        # entry.
-        if full.parent_data is None:
-            self._dist_cache = (full.data, probs)
-        return self._finish_sample(full, probs, candidates)
-
-    def _finish_sample(
-        self,
-        full: FrontierArrays,
-        probs: np.ndarray,
-        candidates: np.ndarray,
-    ) -> tuple[int, float]:
-        """The action-mask tail of :meth:`sample_row`:
-        renormalize the candidate slice, draw, compute the Definition 4.2
-        importance over the whole frontier. Cache hits and misses share it,
-        so both take the same float operations in the same order."""
         weights = probs[candidates]
         total = weights.sum()
         if total <= 0:

@@ -9,7 +9,6 @@ checkpoints and windowed-metric emission. See ``docs/streaming.md``.
 """
 
 from repro.stream.service import (
-    SLO_ACTIONS,
     ServiceConfig,
     ServiceRunner,
     StreamReport,
@@ -18,7 +17,6 @@ from repro.stream.service import (
 )
 
 __all__ = [
-    "SLO_ACTIONS",
     "ServiceConfig",
     "ServiceRunner",
     "StreamReport",

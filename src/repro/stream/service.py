@@ -12,22 +12,14 @@
   folding their completion metrics on the way out.
 
 Epochs are event-count slices of the run. At epoch boundaries the runner
-emits windowed gauges into the live registry (the active observer's, or a
-runner-local one when only exporters/SLOs need it), evaluates any attached
-:class:`~repro.obs.slo.SloRule` set, pushes one sample to each attached
-:class:`~repro.obs.export.MetricsExporter`, invokes the ``on_epoch``
-callback, and — every ``checkpoint_every_epochs`` — writes a
-crash-consistent checkpoint from which :meth:`ServiceRunner.restore`
-resumes bit-identically (the stepper checkpoint carries the aggregator,
-and the arrival stream pickles its generator state exactly).
-
-Live telemetry is measurement, not control: exporters and SLO evaluation
-read the aggregator and registry but never touch RNG state or event
-ordering, so attaching them leaves the schedule byte-identical (pinned by
-``tests/test_obs_fingerprints.py``). The single sanctioned feedback path
-is the explicit ``slo_action="pause-admission"`` degradation mode, which
-sheds load while an alert fires — opting into it is opting out of
-replaying the exact un-degraded schedule.
+emits windowed gauges into the active observer's registry (when ``--obs``
+is on), invokes the ``on_epoch`` callback, and — every
+``checkpoint_every_epochs`` — writes a crash-consistent checkpoint from
+which :meth:`ServiceRunner.restore` resumes bit-identically (the stepper
+checkpoint carries the aggregator, and the arrival stream pickles its
+generator state exactly). The gauges read the aggregator but never touch
+RNG state or event ordering, so observing a run leaves its schedule
+byte-identical (pinned by ``tests/test_obs_fingerprints.py``).
 """
 
 from __future__ import annotations
@@ -35,7 +27,7 @@ from __future__ import annotations
 import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import Any, Callable
 
 from repro import obs
 from repro.experiments.runner import ExperimentConfig, simulation_for
@@ -44,14 +36,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.simulator.engine import SimulationStepper
 from repro.simulator.streaming import StreamingAggregator
 from repro.workloads.stream import ArrivalStream, StreamSpec
-
-if TYPE_CHECKING:
-    # Live telemetry's modules load only when a run attaches it.
-    from repro.obs.export import MetricsExporter
-    from repro.obs.slo import SloAlert, SloRule
-
-#: Degradation actions a firing SLO may trigger on the runner.
-SLO_ACTIONS = ("none", "pause-admission")
 
 #: Filename of the rolling service checkpoint inside ``checkpoint_dir``.
 CHECKPOINT_FILENAME = "service.ckpt"
@@ -152,10 +136,6 @@ class ServiceRunner:
         self,
         config: ServiceConfig,
         on_epoch: Callable[["ServiceRunner"], None] | None = None,
-        exporters: Sequence[MetricsExporter] = (),
-        slo_rules: Sequence[SloRule] = (),
-        slo_action: str = "none",
-        on_alert: Callable[[SloAlert], None] | None = None,
     ) -> None:
         self.config = config
         self.on_epoch = on_epoch
@@ -175,39 +155,6 @@ class ServiceRunner:
         self.checkpoints_written = 0
         self._draining = False
         self.sim_now = 0.0
-        self._init_live(exporters, slo_rules, slo_action, on_alert)
-
-    def _init_live(
-        self,
-        exporters: Sequence[MetricsExporter],
-        slo_rules: Sequence[SloRule],
-        slo_action: str,
-        on_alert: Callable[[SloAlert], None] | None,
-    ) -> None:
-        """Attach the live-telemetry surface (exporters + SLO evaluation).
-
-        None of this state is checkpointed — exporters hold sockets and
-        file handles, and alert history is an operator artifact, not
-        schedule state — so :meth:`restore` re-attaches it from arguments.
-        """
-        if slo_action not in SLO_ACTIONS:
-            raise ValueError(
-                f"slo_action must be one of {SLO_ACTIONS}, got {slo_action!r}"
-            )
-        self.exporters = list(exporters)
-        self.slo_action = slo_action
-        self._paused = False
-        #: Local registry backing exporters/SLOs when no observer is on —
-        #: live telemetry must not require ``--obs`` snapshot artifacts.
-        self._local_registry = (
-            MetricsRegistry() if (self.exporters or slo_rules) else None
-        )
-        self._user_on_alert = on_alert
-        self.slo = None
-        if slo_rules:
-            from repro.obs.slo import SloEvaluator
-
-            self.slo = SloEvaluator(slo_rules, on_alert=self._handle_alert)
 
     # ------------------------------------------------------------------
     @property
@@ -225,47 +172,17 @@ class ServiceRunner:
         """Graceful stop: admit no new jobs, let in-flight work finish."""
         self._draining = True
 
-    # ------------------------------------------------------------------
-    # Degradation hooks (the sanctioned SLO feedback path)
-    # ------------------------------------------------------------------
-    @property
-    def admission_paused(self) -> bool:
-        return self._paused
-
-    def pause_admission(self) -> None:
-        """Stop admitting new jobs until :meth:`resume_admission`.
-
-        Unlike :meth:`drain` this is reversible — the degradation action a
-        firing SLO takes to shed load without ending the run.
-        """
-        self._paused = True
-
-    def resume_admission(self) -> None:
-        self._paused = False
-
-    def _handle_alert(self, alert: SloAlert) -> None:
-        if self.slo_action == "pause-admission":
-            if self.slo is not None and self.slo.firing:
-                self.pause_admission()
-            else:
-                self.resume_admission()
-        if self._user_on_alert is not None:
-            self._user_on_alert(alert)
-
     @property
     def registry(self) -> MetricsRegistry | None:
-        """Where live telemetry lands: the active observer's registry when
-        ``--obs`` is on, else the runner-local one (when exporters or SLO
-        rules need it), else ``None``."""
+        """The active observer's registry when ``--obs`` is on, else
+        ``None``."""
         observer = obs.current()
-        if observer is not None:
-            return observer.registry
-        return self._local_registry
+        return observer.registry if observer is not None else None
 
     # ------------------------------------------------------------------
     def _admit(self) -> None:
-        """Prime the heap with pending arrivals (unless draining/paused)."""
-        if self._draining or self._paused:
+        """Prime the heap with pending arrivals (unless draining)."""
+        if self._draining:
             return
         for sub in self.stream.feed(self.stepper):
             self.aggregator.observe_arrival(sub.job_id, sub.arrival_time)
@@ -314,12 +231,6 @@ class ServiceRunner:
             self._retire()
         self.epochs += 1
         self._emit_obs()
-        self._evaluate_slo()
-        self._export()
-        if self._paused and not self.stepper.events:
-            # Admission paused with nothing in flight: no event can close a
-            # window, so no SLO can ever resolve. Resume rather than wedge.
-            self.resume_admission()
         if (
             self.config.checkpoint_every_epochs
             and self.epochs % self.config.checkpoint_every_epochs == 0
@@ -353,42 +264,12 @@ class ServiceRunner:
         registry.gauge("stream.windows_closed").set(
             self.aggregator.windows_closed
         )
-        registry.gauge("stream.admission_paused").set(int(self._paused))
-        if self.slo is not None:
-            registry.gauge("stream.slo.firing").set(len(self.slo.firing))
-            registry.gauge("stream.slo.alerts").set(len(self.slo.alerts))
         windows = self.aggregator.recent_windows()
         if windows:
             latest = windows[-1]
             registry.gauge("stream.window.avg_jct").set(latest["avg_jct"])
             registry.gauge("stream.window.busy_s").set(latest["busy_s"])
             registry.gauge("stream.window.carbon").set(latest["carbon"])
-
-    def _evaluate_slo(self) -> None:
-        if self.slo is None:
-            return
-        self.slo.evaluate(
-            self.epochs,
-            self.sim_now,
-            windows=self.aggregator.recent_windows(),
-            registry=self.registry,
-        )
-
-    def _export(self) -> None:
-        if not self.exporters:
-            return
-        registry = self.registry
-        if registry is None:  # pragma: no cover - exporters imply a registry
-            return
-        for exporter in self.exporters:
-            exporter.export(self.epochs, self.sim_now, registry)
-
-    def close_exporters(self) -> None:
-        """Release exporter resources (threads, sockets). The runner does
-        not call this itself — whoever attached the exporters owns them —
-        but the CLI and examples do on the way out."""
-        for exporter in self.exporters:
-            exporter.close()
 
     # ------------------------------------------------------------------
     def checkpoint(self) -> bytes:
@@ -402,7 +283,6 @@ class ServiceRunner:
             "epochs": self.epochs,
             "draining": self._draining,
             "sim_now": self.sim_now,
-            "paused": self._paused,
         }
         return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
 
@@ -418,20 +298,12 @@ class ServiceRunner:
         cls,
         blob: bytes,
         on_epoch: Callable[["ServiceRunner"], None] | None = None,
-        exporters: Sequence[MetricsExporter] = (),
-        slo_rules: Sequence[SloRule] = (),
-        slo_action: str = "none",
-        on_alert: Callable[[SloAlert], None] | None = None,
     ) -> "ServiceRunner":
         """Rebuild a runner from :meth:`checkpoint` output.
 
         The determinism contract (pinned by ``tests/test_stream.py``):
         restoring at any epoch boundary and continuing produces metrics
-        bit-identical to the uninterrupted run. Live-telemetry state is
-        *not* part of the blob — exporters hold OS resources and alert
-        history is an operator artifact — so pass ``exporters`` /
-        ``slo_rules`` again to re-attach them; a restored evaluator starts
-        with a clean firing set and re-fires on the next violating epoch.
+        bit-identical to the uninterrupted run.
         """
         payload = pickle.loads(blob)
         runner = cls.__new__(cls)
@@ -448,8 +320,6 @@ class ServiceRunner:
         runner._draining = payload["draining"]
         runner.sim_now = payload.get("sim_now", 0.0)
         runner.checkpoints_written = 0
-        runner._init_live(exporters, slo_rules, slo_action, on_alert)
-        runner._paused = payload.get("paused", False)
         return runner
 
     # ------------------------------------------------------------------
@@ -479,19 +349,9 @@ def run_service(
     config: ServiceConfig,
     max_epochs: int | None = None,
     on_epoch: Callable[[ServiceRunner], None] | None = None,
-    exporters: Sequence[MetricsExporter] = (),
-    slo_rules: Sequence[SloRule] = (),
-    slo_action: str = "none",
 ) -> StreamReport:
     """Convenience wrapper: build a runner and drive it to completion."""
-    runner = ServiceRunner(
-        config,
-        on_epoch=on_epoch,
-        exporters=exporters,
-        slo_rules=slo_rules,
-        slo_action=slo_action,
-    )
-    return runner.run(max_epochs=max_epochs)
+    return ServiceRunner(config, on_epoch=on_epoch).run(max_epochs=max_epochs)
 
 
 def format_stream_report(report: StreamReport) -> str:
@@ -532,7 +392,6 @@ def format_stream_report(report: StreamReport) -> str:
 
 __all__ = [
     "CHECKPOINT_FILENAME",
-    "SLO_ACTIONS",
     "ServiceConfig",
     "ServiceRunner",
     "StreamReport",

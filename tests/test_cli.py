@@ -376,45 +376,20 @@ class TestObsRegressCommand:
         assert code == 0
 
 
-class TestStreamExportCommands:
-    def test_bad_slo_rule_fails_cleanly(self, capsys):
-        code = main(
-            ["stream", "run", "--jobs", "2", "--slo", "not a rule !!"]
-        )
-        assert code == 2
-        assert "cannot parse SLO rule" in capsys.readouterr().err
+class TestStreamObsCommand:
+    def test_stream_run_obs_writes_service_gauges(self, tmp_path, capsys):
+        from repro.obs.metrics import read_jsonl
 
-    def test_stream_run_with_export_and_slo(self, tmp_path, capsys):
-        from repro.obs.export import read_samples
-        from repro.obs.slo import read_alerts
-
-        samples = tmp_path / "samples.jsonl"
-        alerts = tmp_path / "alerts.jsonl"
+        obs_dir = tmp_path / "obs"
         code = main(
             [
                 "stream", "run", "--jobs", "4", "--seed", "1",
                 "--epoch-events", "64", "--quiet",
-                "--export-jsonl", str(samples),
-                "--slo", "jct=avg_jct>0.0@1",
-                "--alerts-output", str(alerts),
+                "--obs", "--obs-dir", str(obs_dir),
             ]
         )
         assert code == 0
-        captured = capsys.readouterr()
-        assert "jobs arrived" in captured.out
-        assert "alert transition(s)" in captured.err
-        rows = read_samples(samples)
-        assert rows and rows[0]["epoch"] == 1
-        meta, transitions = read_alerts(alerts)
-        assert meta["label"] == "stream run"
-        assert any(t["state"] == "firing" for t in transitions)
-
-    def test_stream_run_with_ephemeral_export_port(self, capsys):
-        code = main(
-            [
-                "stream", "run", "--jobs", "3", "--seed", "2",
-                "--epoch-events", "64", "--quiet", "--export-port", "0",
-            ]
-        )
-        assert code == 0
-        assert "exposition endpoint: http://" in capsys.readouterr().err
+        assert "obs: wrote" in capsys.readouterr().err
+        _meta, rows = read_jsonl(obs_dir / "metrics.jsonl")
+        gauges = {r["name"]: r["value"] for r in rows if r["type"] == "gauge"}
+        assert gauges["stream.jobs_completed"] == 4

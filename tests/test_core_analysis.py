@@ -1,8 +1,12 @@
 """Unit tests for the theory module (stretch factors, savings identities)."""
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from repro.carbon.grids import GRID_CODES, PAPER_TRACE_HOURS
 from repro.core.analysis import (
+    average_step_savings,
     cap_stretch_factor,
     carbon_savings,
     deferral_fraction,
@@ -13,9 +17,16 @@ from repro.core.analysis import (
 )
 from repro.core.pcaps import PCAPSScheduler
 from repro.dag.graph import JobDAG, Stage
+from repro.experiments.runner import (
+    SCHEDULER_NAMES,
+    ExperimentConfig,
+    carbon_trace_for,
+    run_experiment,
+)
 from repro.schedulers.decima import DecimaScheduler
 from repro.schedulers.fifo import KubernetesDefaultScheduler
 from repro.simulator.trace import ScheduleTrace
+from repro.workloads.batch import WorkloadSpec
 
 from conftest import run_sim, staggered_jobs
 
@@ -137,3 +148,112 @@ class TestSavingsDecomposition:
         b = run_sim(KubernetesDefaultScheduler(), subs, flat_trace)
         with pytest.raises(ValueError):
             savings_decomposition(a, b)
+
+
+#: The baselines the paper normalizes to, each in the mode it runs in:
+#: FIFO in standalone mode (Table 3), the Kubernetes default in Kubernetes
+#: mode (Table 2) and Decima in standalone mode (Fig. 13).
+BASELINE_MODES = {
+    "fifo": "standalone",
+    "k8s-default": "kubernetes",
+    "decima": "standalone",
+}
+MATCHUPS = [
+    (baseline, scheduler)
+    for baseline in BASELINE_MODES
+    for scheduler in SCHEDULER_NAMES
+    if scheduler != baseline
+]
+BATCH = WorkloadSpec(family="tpch", num_jobs=3, tpch_scales=(2,))
+
+
+@st.composite
+def clusters(draw) -> tuple[int, int, int]:
+    """``(K, B, per-job cap)``: K in 4-8 and CAP's floor B in 1-K/2."""
+    executors = draw(st.integers(min_value=4, max_value=8))
+    return (
+        executors,
+        draw(st.integers(min_value=1, max_value=executors // 2)),
+        draw(st.integers(min_value=1, max_value=executors)),
+    )
+
+
+def matchup_property(test):
+    """Drive ``test`` over small TPC-H matchups on any Table 1 grid slice,
+    plus a pinned Kubernetes-mode case whose FIFO run never falls behind
+    the baseline (``W = 0``) yet adds carbon."""
+    return settings(max_examples=3, deadline=None)(
+        given(
+            workload=st.just(BATCH),
+            grid=st.sampled_from(GRID_CODES),
+            start=st.integers(min_value=0, max_value=PAPER_TRACE_HOURS - 1),
+            cluster=clusters(),
+            seed=st.integers(min_value=0, max_value=2**16),
+        )(
+            example(
+                workload=WorkloadSpec(
+                    family="tpch", num_jobs=4, tpch_scales=(2, 10)
+                ),
+                grid="ZA",
+                start=0,
+                cluster=(8, 1, 4),
+                seed=2,
+            )(test)
+        )
+    )
+
+
+def run_matchup_pair(baseline, scheduler, workload, grid, start, cluster, seed):
+    """The baseline's and the other scheduler's runs on one carbon trace."""
+    executors, min_quota, per_job_cap = cluster
+    config = ExperimentConfig(
+        scheduler=baseline,
+        grid=grid,
+        num_executors=executors,
+        mode=BASELINE_MODES[baseline],
+        per_job_cap=per_job_cap,
+        workload=workload,
+        trace_start_step=start,
+        cap_min_quota=min_quota,
+        seed=seed,
+    )
+    trace = carbon_trace_for(config)
+    return (
+        run_experiment(config, trace),
+        run_experiment(config.with_scheduler(scheduler), trace),
+    )
+
+
+@pytest.mark.parametrize("baseline,scheduler", MATCHUPS)
+@matchup_property
+def test_savings_identity(baseline, scheduler, workload, grid, start, cluster, seed):
+    """Theorems 4.4/4.6: the decomposition predicts the measured savings
+    exactly, also when a scheduler that hoards executors (FIFO,
+    GreenHadoop, CAP-FIFO) keeps idle executors powered on either side."""
+    base, aware = run_matchup_pair(
+        baseline, scheduler, workload, grid, start, cluster, seed
+    )
+    d = savings_decomposition(base, aware)
+    assert np.isclose(d.predicted_savings, d.measured_savings, rtol=1e-9)
+    if d.excess_work > 0:
+        theorem = d.excess_work * (d.s_minus - d.s_plus - d.c_tail)
+        assert np.isclose(theorem, d.predicted_savings, rtol=1e-9)
+    else:
+        assert d.s_minus == d.s_plus == d.c_tail == 0.0
+
+
+@pytest.mark.parametrize("baseline,scheduler", MATCHUPS)
+@matchup_property
+def test_step_savings_sum_to_measured(
+    baseline, scheduler, workload, grid, start, cluster, seed
+):
+    """Corollaries B.1/B.2: the per-step savings series sums to the
+    measured savings (Definition 3.2)."""
+    base, aware = run_matchup_pair(
+        baseline, scheduler, workload, grid, start, cluster, seed
+    )
+    assert np.isclose(
+        average_step_savings(base, aware).sum(),
+        carbon_savings(base, aware),
+        rtol=1e-9,
+    )

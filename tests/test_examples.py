@@ -34,10 +34,6 @@ SMOKE_EXAMPLES = [
         "streaming_service.py",
         {"NUM_EXECUTORS": 4, "NUM_JOBS": 8, "MEAN_INTERARRIVAL_S": 10.0},
     ),
-    (
-        "live_telemetry.py",
-        {"NUM_EXECUTORS": 4, "NUM_JOBS": 8, "MEAN_INTERARRIVAL_S": 10.0},
-    ),
 ]
 
 

@@ -357,7 +357,6 @@ class TestVectorizedPathEquivalence:
         assert policy._score_cache is not None
         policy.reset()
         assert policy._score_cache is None
-        assert policy._dist_cache is None
 
 
 class CountingDecima(DecimaScheduler):

@@ -398,70 +398,29 @@ class TestHistorySeries:
         assert (snapshots, series, skipped) == ([], {}, [])
 
 
-class TestAlertsPanel:
-    def test_report_and_dashboard_include_alerts(self, tmp_path):
-        from repro.obs.slo import SloEvaluator, SloRule
-
-        with obs.collecting("alerting") as observer:
-            observer.registry.counter("engine.events.task_done").inc(3)
-        obs_dir = tmp_path / "obs"
-        metrics_path, _ = observer.write_artifacts(obs_dir)
-
-        evaluator = SloEvaluator(
-            [SloRule(name="busy", metric="counter:engine.events.task_done",
-                     threshold=0.0)]
-        )
-        evaluator.evaluate(1, 600.0, registry=observer.registry)
-        evaluator.write_alerts(obs_dir / "alerts.jsonl")
-
-        rendered = render_report(metrics_path)
-        assert "alerts" in rendered
-        assert "firing" in rendered and "busy" in rendered
-
-        path = build_dashboard(
-            output=tmp_path / "index.html",
-            bench_paths=[], store_paths=[], obs_dirs=[str(obs_dir)],
-        )
-        text = path.read_text()
-        assert "SLO alerts" in text
-        assert "busy" in text
-
-    def test_no_alerts_file_no_panel(self, tmp_path):
-        with obs.collecting("quiet") as observer:
-            observer.registry.counter("c").inc()
-        obs_dir = tmp_path / "obs"
-        metrics_path, _ = observer.write_artifacts(obs_dir)
-        assert "alerts" not in render_report(metrics_path)
-        path = build_dashboard(
-            output=tmp_path / "index.html",
-            bench_paths=[], store_paths=[], obs_dirs=[str(obs_dir)],
-        )
-        assert "SLO alerts" not in path.read_text()
-
-
 class TestLazyPackage:
     """``repro.obs`` resolves its public names on first use."""
 
     def test_every_public_name_resolves_to_its_submodule(self):
-        assert "collecting" in obs.__all__ and "SloRule" in obs.__all__
+        assert "collecting" in obs.__all__ and "check_history" in obs.__all__
         for name in obs.__all__:
             module = importlib.import_module(
                 f"repro.obs.{obs._SUBMODULE_OF[name]}"
             )
             assert getattr(obs, name) is getattr(module, name)
-        from repro.obs import SloRule, collecting
+        from repro.obs import check_history, collecting
 
-        assert SloRule is obs.SloRule and collecting is obs.collecting
+        assert check_history is obs.check_history
+        assert collecting is obs.collecting
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError):
             getattr(obs, "no_such_name")
 
-    def test_entry_points_skip_the_live_telemetry_modules(self):
+    def test_entry_points_skip_the_artifact_modules(self):
         heavy = (
             "http.server", "ssl", "email", "repro.obs.dashboard",
-            "repro.obs.export", "repro.obs.slo", "repro.obs.regress",
-            "repro.obs.report",
+            "repro.obs.regress", "repro.obs.report",
         )
         code = (
             "import sys, repro.simulator.engine, repro.stream, repro.campaign\n"

@@ -2,8 +2,9 @@
 
 The ``repro.obs`` determinism contract, enforced against the engine's
 bit-identity suite: every one of the nine pinned SHA-256 scenarios must
-produce a byte-identical fingerprint with collection enabled — probes
-count, time, and record, but never touch RNG state or event ordering.
+produce a byte-identical fingerprint with collection enabled, in batch and
+in service mode — probes count, time, and record, but never touch RNG
+state or event ordering.
 The suite also pins the obs-off fast path (a stepper built without an
 observer holds ``None`` in every probe slot, so the per-event cost is one
 attribute load + ``is None`` test) and that enabling collection actually
@@ -17,13 +18,6 @@ import pytest
 
 from repro import obs
 from repro.experiments.runner import workload_for
-from repro.obs.export import (
-    JsonlExporter,
-    parse_exposition,
-    read_samples,
-    render_exposition,
-)
-from repro.obs.slo import SloEvaluator, SloRule
 from repro.simulator import engine as engine_mod
 from repro.stream import ServiceRunner, run_service
 
@@ -34,6 +28,7 @@ from fingerprint_scenarios import (
     pinned,
     run_fingerprint,
     schedule_fingerprint,
+    service_fingerprint,
     stream_config_for,
 )
 
@@ -141,95 +136,26 @@ class TestFingerprintNeutrality:
             assert names[kind] == name
 
 
-class TestLiveTelemetryNeutrality:
-    """PR-9 contract: exporting and evaluating SLOs mid-run never changes
-    a schedule. All nine pinned scenarios replay byte-identically with a
-    JSONL exporter, exposition rendering, and live SLO evaluation active
-    between epochs."""
+@pytest.mark.parametrize("config", PINNED_SCENARIOS, ids=SCENARIO_IDS)
+def test_service_run_under_observer_is_bit_identical(config):
+    """Service mode: a run whose epochs emit gauges into an observer's
+    registry reproduces the plain run's streaming metrics fingerprint, and
+    the gauges it emitted describe that run."""
+    baseline = service_fingerprint(config)
+    with obs.collecting(f"service-{config.scheduler}") as observer:
+        report = run_service(stream_config_for(config))
+    assert report.fingerprint == baseline
+    assert report.drained
+    registry = observer.registry
+    assert registry.value("stream.epochs") == report.epochs > 1
+    assert registry.value("stream.jobs_completed") == report.jobs_completed
 
-    @pytest.mark.parametrize("config", PINNED_SCENARIOS, ids=SCENARIO_IDS)
-    def test_export_and_slo_during_run_is_bit_identical(
-        self, config, tmp_path
-    ):
-        """Drive the pinned stepper in epochs with the full live surface
-        active: every epoch boundary appends a JSONL sample, renders (and
-        parses) an exposition document, and re-evaluates SLO rules against
-        the live registry."""
-        baseline = run_fingerprint(config)
-        jsonl = JsonlExporter(tmp_path / "samples.jsonl")
-        evaluator = SloEvaluator(
-            [
-                # Fires almost immediately: proves evaluation measured.
-                SloRule(
-                    name="saw-work",
-                    metric="counter:engine.events.task_done",
-                    threshold=0.0,
-                ),
-                # Never fires: an absurd ceiling held under observation.
-                SloRule(
-                    name="heap-bound",
-                    metric="gauge:engine.heap.high_water",
-                    threshold=1e12,
-                ),
-            ]
-        )
-        with obs.collecting(f"live-{config.scheduler}") as observer:
-            stepper = build_simulation(config).stepper()
-            for sub in workload_for(config):
-                stepper.submit(sub)
-            epoch = 0
-            now = 0.0
-            while stepper.events:
-                for _ in range(64):
-                    if not stepper.events:
-                        break
-                    now = stepper.step()
-                epoch += 1
-                evaluator.evaluate(epoch, now, registry=observer.registry)
-                jsonl.export(epoch, now, observer.registry)
-                parse_exposition(
-                    render_exposition(
-                        observer.registry, epoch=epoch, sim_time=now
-                    )
-                )
-            fingerprint = schedule_fingerprint(stepper.result())
-        assert fingerprint == baseline
-        # The live surface actually ran: samples on disk, rules measured.
-        assert epoch > 0
-        assert jsonl.samples_written == epoch
-        assert len(read_samples(jsonl.path)) == epoch
-        assert evaluator.evaluations == epoch
-        assert evaluator.firing == frozenset({"saw-work"})
 
-    @pytest.mark.parametrize("config", PINNED_SCENARIOS, ids=SCENARIO_IDS)
-    def test_service_run_with_live_telemetry_is_bit_identical(
-        self, config, tmp_path
-    ):
-        """Service mode: a run with exporters + SLO rules attached (and the
-        default ``slo_action="none"``) reproduces the plain run's streaming
-        metrics fingerprint exactly."""
-        service = stream_config_for(config)
-        plain = run_service(service)
-        jsonl = JsonlExporter(tmp_path / "samples.jsonl")
-        runner = ServiceRunner(
-            service,
-            exporters=[jsonl],
-            slo_rules=[
-                SloRule(
-                    name="jct", metric="avg_jct", threshold=1.0, window=2
-                ),
-                SloRule(
-                    name="active",
-                    metric="gauge:stream.jobs_active",
-                    threshold=1e9,
-                ),
-            ],
-        )
-        try:
-            live = runner.run()
-        finally:
-            runner.close_exporters()
-        assert live.fingerprint == plain.fingerprint
-        assert live.drained
-        assert jsonl.samples_written == live.epochs
-        assert runner.slo.evaluations == live.epochs
+def test_service_without_observer_has_no_registry():
+    """With no observer active the runner emits nothing: its registry is
+    ``None`` and a full run leaves no observer behind."""
+    assert obs.current() is None
+    runner = ServiceRunner(stream_config_for(pinned("fifo")))
+    assert runner.registry is None
+    runner.run()
+    assert runner.registry is None and obs.current() is None

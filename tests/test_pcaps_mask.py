@@ -155,10 +155,16 @@ class RecordingDecima(DecimaScheduler):
         super().__init__(seed=seed)
         self.draws: list[tuple[np.ndarray, int, float, bool]] = []
 
-    def _finish_sample(self, full, probs, candidates):
-        row, importance = super()._finish_sample(full, probs, candidates)
-        self.draws.append((probs, row, importance, row in candidates))
-        return row, importance
+    def sample_row(self, view, candidates=None):
+        drawn = super().sample_row(view, candidates)
+        if drawn is not None:
+            full = view.frontier_arrays(include_saturated=True)
+            if candidates is None:
+                candidates = np.flatnonzero(full.slots > 0)
+            probs = self._softmax(self._checked_scores(view, full))
+            row, importance = drawn
+            self.draws.append((probs, row, importance, row in candidates))
+        return drawn
 
 
 class RecordingScheduler(StageScheduler):

@@ -9,6 +9,7 @@ from repro.simulator.interfaces import (
     ProbabilisticPolicy,
     StageChoice,
     StaticProvisioner,
+    _sample_index,
 )
 from repro.simulator.state import ClusterView, JobRuntime
 
@@ -218,28 +219,26 @@ class TestCandidateMask:
         ) == fresh.sample_with_importance(view)
 
 
-class TestDistributionCache:
-    """The columnar path scores each frontier matrix once; repeated draws
-    over it only advance the RNG."""
+SAMPLER_CASES = [(n, w) for n in (1, 2, 7, 39) for w in ("uniform", "squared")]
 
-    def test_unchanged_frontier_is_scored_once(self):
-        view = masked_view()
-        policy = SkewedPolicy(seed=0)
-        for _ in range(5):
-            policy.sample_with_importance(view)
-        assert policy.scorings == 1
-        policy.sample_with_importance(masked_view())  # a new matrix object
-        assert policy.scorings == 2
 
-    def test_cache_hits_draw_like_fresh_scoring(self):
-        view = masked_view()
-        cached, uncached = SkewedPolicy(seed=7), SkewedPolicy(seed=7)
-        for _ in range(20):
-            uncached._dist_cache = None
-            assert cached.sample_with_importance(
-                view
-            ) == uncached.sample_with_importance(view)
-        assert cached.scorings == 1 and uncached.scorings == 20
+@pytest.mark.parametrize(
+    "n, weighting", SAMPLER_CASES, ids=[f"n{n}-{w}" for n, w in SAMPLER_CASES]
+)
+def test_inline_sampler_matches_generator_choice(n, weighting):
+    """The policies' inverse-CDF draw is ``Generator.choice(n, p=p)``: the
+    same index from the same generator state, and the same state after it,
+    so a seeded schedule is the one ``choice`` would draw."""
+    weight_rng = np.random.default_rng(n)
+    for seed in range(16):
+        if weighting == "uniform":
+            weights = np.ones(n)
+        else:
+            weights = weight_rng.random(n) ** 2 + 1e-12
+        p = weights / weights.sum()
+        ours, real = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert _sample_index(ours, p) == int(real.choice(n, p=p))
+        assert ours.random() == real.random()
 
 
 class TestStaticProvisioner:

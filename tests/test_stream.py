@@ -22,6 +22,12 @@ from repro.stream.service import CHECKPOINT_FILENAME
 from repro.workloads.batch import WorkloadSpec, build_workload
 from repro.workloads.stream import ArrivalStream, StreamSpec
 
+from fingerprint_scenarios import (
+    PINNED_SCENARIOS,
+    SCENARIO_IDS,
+    stream_config_for,
+)
+
 
 def tiny_service(max_jobs=12, **overrides) -> ServiceConfig:
     params = dict(
@@ -296,6 +302,33 @@ class TestServiceRunner:
         runner.run()
         with pytest.raises(RuntimeError):
             runner.stepper.result()
+
+
+#: What a service checkpoint holds: engine, stream and runner position.
+CHECKPOINT_KEYS = {
+    "config", "stepper", "stream", "job_meta", "epochs", "draining",
+    "sim_now",
+}
+
+
+@pytest.mark.parametrize("epochs", [1, 2], ids=["epoch1", "epoch2"])
+@pytest.mark.parametrize("config", PINNED_SCENARIOS, ids=SCENARIO_IDS)
+def test_service_restore_is_bit_identical(config, epochs):
+    """Every pinned scenario's service run, checkpointed after ``epochs``
+    epochs and restored, finishes with the uninterrupted run's metrics
+    fingerprint and summary: restore is exact under every scheduler, not
+    only FIFO."""
+    service = stream_config_for(config)
+    plain = run_service(service)
+    runner = ServiceRunner(service)
+    for _ in range(epochs):
+        assert runner.run_epoch()
+    blob = runner.checkpoint()
+    assert set(pickle.loads(blob)) == CHECKPOINT_KEYS
+    resumed = ServiceRunner.restore(blob).run()
+    assert resumed.fingerprint == plain.fingerprint
+    assert resumed.summary == plain.summary
+    assert resumed.epochs == plain.epochs
 
 
 class TestStreamReport:
