@@ -155,7 +155,11 @@ class PCAPSScheduler(StageScheduler):
         # draw. They stay in the frontier the policy normalizes over, so
         # importance is still relative to the whole of A_t.
         limits = self.parallelism_limits(view, full)
-        growable = np.flatnonzero((full.slots > 0) & (full.running < limits))
+        data = full.data
+        growable = (
+            (data[:, FrontierArrays.SLOTS] > 0)
+            & (data[:, FrontierArrays.RUNNING] < limits)
+        ).nonzero()[0]
         if growable.size == 0:
             return NOTHING_GROWABLE
         attempts = self.max_resamples if self.defer_scope == "sample" else 1
@@ -170,7 +174,7 @@ class PCAPSScheduler(StageScheduler):
                 shape=self.threshold_shape,
             )
             if threshold >= reading.intensity or no_machines_busy:
-                job_id, stage_id = full.data[pick, :2].tolist()
+                job_id, stage_id = data[pick, :2].tolist()
                 return StageChoice(
                     job_id=int(job_id),
                     stage_id=int(stage_id),

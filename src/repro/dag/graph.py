@@ -63,6 +63,11 @@ class JobDAG:
     topological order — is cached).
     """
 
+    #: :meth:`chain_map`'s cache. A class default, so a DAG that never
+    #: asks for it (the greedy schedulers' jobs) pickles no extra field
+    #: into a checkpoint.
+    _chains: dict[int, float] | None = None
+
     def __init__(self, stages: Iterable[Stage], name: str = "") -> None:
         stage_list = list(stages)
         if not stage_list:
@@ -180,6 +185,26 @@ class JobDAG:
                 sid: descendant_work(self, sid) for sid in self._stages
             }
         return self._descendant_work
+
+    def chain_map(self) -> Mapping[int, float]:
+        """Stage id → longest dependency chain starting at it, in seconds,
+        its own ``task_duration`` included (cached).
+
+        ``bottleneck_scores`` needs each incomplete stage's longest chain
+        through incomplete stages. Every descendant of an incomplete stage
+        is incomplete too (a stage completes only after its parents), so
+        that chain never changes while the stage is live: it is this
+        constant, summed in the order the per-call walk used.
+        """
+        if self._chains is None:
+            chains: dict[int, float] = {}
+            for sid in reversed(self._topo_order):
+                below = max(
+                    (chains[c] for c in self._children[sid]), default=0.0
+                )
+                chains[sid] = self._stages[sid].task_duration + below
+            self._chains = chains
+        return self._chains
 
     @property
     def total_work(self) -> float:

@@ -86,31 +86,25 @@ def bottleneck_scores(
     longest downstream dependency chain, both normalized by the job's
     remaining totals so scores are comparable across jobs. Higher means more
     critical. Used by the Decima surrogate's policy head.
+
+    ``completed`` must be closed under ancestors (a completed stage's
+    parents are completed), as a running job's always is: the chains and
+    gated work are then constants of the DAG (:meth:`JobDAG.chain_map`,
+    :meth:`JobDAG.descendant_work_map`), and the longest chain of any stage
+    is at most that of an incomplete one, so each call only sums the
+    remaining work, takes the longest live chain and scores.
     """
     done = set(completed)
     remaining = remaining_work(dag, done)
     if remaining <= 0:
         return {}
-    # Longest chain *starting* at each stage, over remaining stages.
-    downstream: dict[int, float] = {}
-    for sid in reversed(dag.topological_order()):
-        stage = dag.stage(sid)
-        own = 0.0 if sid in done else stage.task_duration
-        below = max((downstream[c] for c in dag.children(sid)), default=0.0)
-        downstream[sid] = own + below
-    max_chain = max(downstream.values(), default=0.0)
-    # Descendant work ignores completion, so the per-stage totals are
-    # constants of the DAG — read the cached map instead of re-running the
-    # O(S) reachability sweep per stage on every call (the values are the
-    # identical floats a direct descendant_work() call produces).
+    chains = dag.chain_map()
     gated_work = dag.descendant_work_map()
+    live = [sid for sid in dag.stage_ids() if sid not in done]
+    max_chain = max((chains[sid] for sid in live), default=0.0)
     scores: dict[int, float] = {}
-    for sid in dag.stage_ids():
-        if sid in done:
-            continue
-        gated = gated_work[sid]
-        chain = downstream[sid]
-        scores[sid] = 0.5 * (gated / remaining) + 0.5 * (
-            chain / max_chain if max_chain > 0 else 0.0
+    for sid in live:
+        scores[sid] = 0.5 * (gated_work[sid] / remaining) + 0.5 * (
+            chains[sid] / max_chain if max_chain > 0 else 0.0
         )
     return scores

@@ -69,8 +69,8 @@ class DecimaScheduler(ProbabilisticPolicy):
         self.srpt_weight = srpt_weight
         self.bottleneck_weight = bottleneck_weight
         self.locality_weight = locality_weight
-        # (matrix object, raw scores, denominator) of the last frontier
-        # scored; see _raw_scores.
+        # (matrix object, raw scores) of the last frontier scored; see
+        # _raw_scores.
         self._score_cache: tuple | None = None
 
     def reset(self) -> None:
@@ -90,13 +90,15 @@ class DecimaScheduler(ProbabilisticPolicy):
         loop, which ``tests/test_frontier_arrays.py`` keeps as the
         reference the result must match bit for bit.
         """
-        remaining = frontier.remaining_work
-        denominator = max(float(remaining.max()), 1e-9)
+        data = frontier.data
+        remaining = data[:, FrontierArrays.REMAINING_WORK]
+        denominator = max(float(np.maximum.reduce(remaining)), 1e-9)
         srpt = self.srpt_weight * (1.0 - remaining / denominator)
         locality = self.locality_weight * (
-            frontier.executors_in_use > 0
+            data[:, FrontierArrays.EXECUTORS_IN_USE] > 0
         ).astype(float)
-        return srpt + self.bottleneck_weight * frontier.bottleneck + locality
+        bottleneck = data[:, FrontierArrays.BOTTLENECK]
+        return srpt + self.bottleneck_weight * bottleneck + locality
 
     def _raw_scores(
         self, view: ClusterView, frontier: FrontierArrays
@@ -119,18 +121,21 @@ class DecimaScheduler(ProbabilisticPolicy):
         if cached is not None:
             if cached[0] is data:
                 return cached[1]
-            if frontier.parent_data is not None and cached[0] is frontier.parent_data:
+            parent = frontier.parent_data
+            if parent is not None and cached[0] is parent:
                 remaining = frontier.remaining_work
-                if remaining.size:
-                    denominator = max(float(remaining.max()), 1e-9)
-                    if denominator == cached[2]:
-                        return cached[1][frontier.filter_mask]
+                if remaining.size and max(
+                    float(np.maximum.reduce(remaining)), 1e-9
+                ) == max(
+                    float(np.maximum.reduce(
+                        parent[:, FrontierArrays.REMAINING_WORK]
+                    )),
+                    1e-9,
+                ):
+                    return cached[1][frontier.filter_mask]
         raw = self.scores_from_arrays(view, frontier)
         if frontier.parent_data is None:
-            denominator = max(
-                float(frontier.remaining_work.max()), 1e-9
-            ) if len(frontier) else 1e-9
-            self._score_cache = (data, raw, denominator)
+            self._score_cache = (data, raw)
         return raw
 
     def parallelism_limit(self, view: ClusterView, choice: ReadyStage) -> int:

@@ -433,9 +433,10 @@ class SimulationStepper:
         #: A job finished since the last retire_finished().
         self._finished_unretired = False
         # The frontier matrix shared by every view of the run, patched per
-        # touched job: each event that can change a job's frontier rows
-        # (arrival, grant, task finish, preemption, withdrawal) marks the
-        # job dirty. None makes every view build its frontier from scratch.
+        # touched job: a grant or a task finish that completes no stage
+        # touches its row; an arrival, a stage completion, a preemption or
+        # a withdrawal marks the job for a rebuild. None makes every view
+        # build its frontier from scratch.
         self._frontier_table: FrontierTable | None = FrontierTable()
         # -- disruption state (inert unless the disrupt verbs are used) --
         #: Executors currently online; set_capacity/suspend/resume move it.
@@ -787,9 +788,13 @@ class SimulationStepper:
                     continue  # task was preempted; its relaunch is pending
                 trace_index = self._inflight.pop(token)[3]
                 trace.task_done(trace_index)
+                job = jobs[job_id]
+                job_done = job.record_task_finish(stage_id, now)
                 if table is not None:
-                    table.mark(job_id)
-                job_done = jobs[job_id].record_task_finish(stage_id, now)
+                    if stage_id in job.completed_stages:
+                        table.mark(job_id)  # rows come or go
+                    else:
+                        table.touch(job_id, stage_id)
                 pool.release(executor_id, job_id, hold=holds and not job_done)
                 if job_done:
                     del active[job_id]
@@ -924,7 +929,7 @@ class SimulationStepper:
                 )
                 busy += 1
             if table is not None:
-                table.mark(job_id)
+                table.touch(job_id, stage_id)
             # Choice objects need only job/stage/limit; ends_pass is opt-in.
             if getattr(choice, "ends_pass", False):
                 break

@@ -189,9 +189,10 @@ class ProbabilisticPolicy(StageScheduler):
         probability, and with it the seeded schedule.
         """
         scaled = raw / self.temperature
-        scaled -= scaled.max()
-        weights = np.exp(scaled)
-        return weights / weights.sum()
+        scaled -= np.maximum.reduce(scaled)
+        np.exp(scaled, out=scaled)
+        scaled /= np.add.reduce(scaled)
+        return scaled
 
     def sample_with_importance(
         self, view: ClusterView, candidates: np.ndarray | None = None
@@ -223,18 +224,18 @@ class ProbabilisticPolicy(StageScheduler):
         """
         full = view.frontier_arrays(include_saturated=True)
         if candidates is None:
-            candidates = np.flatnonzero(full.slots > 0)
+            candidates = (full.slots > 0).nonzero()[0]
         if candidates.size == 0:
             return None
         probs = self._softmax(self._checked_scores(view, full))
         weights = probs[candidates]
-        total = weights.sum()
+        total = np.add.reduce(weights)
         if total <= 0:
             weights = np.full(len(candidates), 1.0 / len(candidates))
         else:
-            weights = weights / total
+            weights /= total
         pick = int(candidates[_sample_index(self._rng, weights)])
-        peak = probs.max()
+        peak = np.maximum.reduce(probs)
         importance = float(probs[pick] / peak) if peak > 0 else 1.0
         return pick, importance
 

@@ -463,21 +463,53 @@ def _job_block(job: JobRuntime) -> np.ndarray:
     return np.array(rows, dtype=float) if rows else _EMPTY_FRONTIER
 
 
+def _patch_block(
+    block: np.ndarray, job: JobRuntime, stage_ids: set[int]
+) -> None:
+    """Bring ``job``'s block up to date, in place, after launches and
+    finishes on ``stage_ids`` that left its frontier's rows as they were.
+
+    Writes the cells :func:`_job_block` would compute differently: each
+    stage's ``unlaunched``, ``running`` and ``slots``, and the job's
+    ``remaining_work`` and ``executors_in_use``. Bottleneck scores change
+    only when a stage completes, which rebuilds the block instead.
+    """
+    frontier = job.ready_stage_ids(include_running=True)
+    stages = job.stages
+    counts = slice(FrontierArrays.UNLAUNCHED, FrontierArrays.SLOTS + 1)
+    for sid in stage_ids:
+        runtime = stages[sid]
+        unlaunched = runtime.stage.num_tasks - runtime.launched
+        block[frontier.index(sid), counts] = (
+            unlaunched, runtime.launched - runtime.finished, unlaunched,
+        )
+    block[:, FrontierArrays.REMAINING_WORK] = job.remaining_work()
+    block[:, FrontierArrays.EXECUTORS_IN_USE] = job.executors_in_use
+
+
 class FrontierTable:
     """The frontier matrix, one block per active job, patched per touched job.
 
     A job's block is its rows of the full frontier (Definition 4.1's
     ``A_t``, ``include_saturated=True``) with ``slots`` left equal to
     ``unlaunched``; the active jobs' blocks in arrival order make up one
-    ``(n, 9)`` matrix. The engine owns one table per run and marks a job
-    dirty at each of the five events that can change its rows: arrival,
-    grant, task finish, preemption and withdrawal. The next
-    :meth:`serve` rebuilds only the dirty jobs' blocks. When every
-    rebuilt block keeps its row count (a launch, or a finish that
-    completes no stage) it is written over its rows in a copy of the
-    previous matrix; only when rows come or go (arrivals, stage and job
-    completions, withdrawals) are the cached blocks concatenated again.
-    So a grant costs O(touched jobs), not O(active jobs).
+    ``(n, 9)`` matrix. The engine owns one table per run and tells it
+    about every event that can change a job's rows, in one of two ways:
+
+    - :meth:`touch` after a grant or a task finish that completes no
+      stage: one stage's task counts and its job's aggregates changed,
+      and no row came or went. The next refresh writes that row's
+      ``unlaunched``, ``running`` and ``slots`` cells and the job's
+      ``remaining_work`` and ``executors_in_use`` cells;
+    - :meth:`mark` after an arrival, a stage or job completion, a
+      preemption or a withdrawal: the next refresh rebuilds the job's
+      block from its runtime.
+
+    When every changed block keeps its row count it is written over its
+    rows in a copy of the previous matrix; only when rows come or go
+    (arrivals, stage and job completions, withdrawals) are the cached
+    blocks concatenated again. So a grant costs a few cell writes, not
+    O(active jobs).
 
     The assignable frontier (``include_saturated=False``) is the full
     matrix's rows with unlaunched tasks, derived once per matrix. A view
@@ -485,19 +517,19 @@ class FrontierTable:
     budget at or above every ``unlaunched`` count clamps nothing and gets
     the unclamped matrix itself, and a clamped matrix is memoized per
     (matrix, budget). An unchanged frontier under an unchanged budget is
-    therefore the same matrix object, which keeps the score and
-    distribution caches of the probabilistic schedulers (keyed by matrix
-    identity) hitting.
+    therefore the same matrix object, which keeps the score cache of the
+    probabilistic schedulers (keyed by matrix identity) hitting; a
+    changed one is always a new object, never one written in place.
 
-    Marks are ignored until the table first serves, so a run that never
-    asks for the frontier (the greedy schedulers) holds no dirty ids.
-    The table is a pure accelerator: every served matrix equals a
-    from-scratch walk bit for bit, and a pickled table (a checkpoint's)
-    comes back empty.
+    Marks and touches are ignored until the table first serves, so a run
+    that never asks for the frontier (the greedy schedulers) holds no
+    dirty ids. The table is a pure accelerator: every served matrix
+    equals a from-scratch walk bit for bit, and a pickled table (a
+    checkpoint's) comes back empty.
     """
 
     __slots__ = (
-        "_blocks", "_offsets", "_dirty", "_full", "_saturation",
+        "_blocks", "_offsets", "_dirty", "_touched", "_full", "_saturation",
         "_assignable", "_served",
     )
 
@@ -509,6 +541,9 @@ class FrontierTable:
         self._offsets: dict[int, int] = {}
         #: Jobs whose rows may have changed since the last refresh.
         self._dirty: set[int] = set()
+        #: job id -> stages whose task counts changed since the last
+        #: refresh, with no row added or removed.
+        self._touched: dict[int, set[int]] = {}
         #: The full frontier matrix; ``None`` until the first refresh.
         self._full: np.ndarray | None = None
         #: Largest ``unlaunched`` in :attr:`_full`: no budget at or above
@@ -528,6 +563,17 @@ class FrontierTable:
         """Engine-only: ``job_id``'s frontier rows may have changed."""
         if self._full is not None:
             self._dirty.add(job_id)
+
+    def touch(self, job_id: int, stage_id: int) -> None:
+        """Engine-only: ``stage_id`` of ``job_id`` launched or finished a
+        task and stayed on the frontier, so only its row's counts and the
+        job's aggregates changed."""
+        if self._full is not None:
+            touched = self._touched.get(job_id)
+            if touched is None:
+                self._touched[job_id] = {stage_id}
+            else:
+                touched.add(stage_id)
 
     def serve(
         self,
@@ -575,17 +621,19 @@ class FrontierTable:
     def _refresh(
         self, active: Mapping[int, JobRuntime], stats
     ) -> np.ndarray:
-        """Bring the full matrix up to date with the dirty jobs."""
+        """Bring the full matrix up to date with the dirty and touched
+        jobs."""
         full = self._full
         dirty = self._dirty
-        if full is not None and not dirty:
+        touched = self._touched
+        if full is not None and not dirty and not touched:
             if stats is not None:
                 stats.matrix_hits.inc()
             return full
         blocks = self._blocks
         # The first refresh builds every active job's block.
         reshape = full is None
-        rebuilt = []
+        changed = []
         for job_id in list(active) if full is None else dirty:
             job = active.get(job_id)
             if job is None:
@@ -598,8 +646,15 @@ class FrontierTable:
             if old is None or len(old) != len(block):
                 reshape = True
             blocks[job_id] = block
-            rebuilt.append((job_id, block))
+            changed.append((job_id, block))
+        for job_id, stage_ids in touched.items():
+            if job_id in dirty:
+                continue  # rebuilt above
+            block = blocks[job_id]
+            _patch_block(block, active[job_id], stage_ids)
+            changed.append((job_id, block))
         dirty.clear()
+        touched.clear()
         if reshape:
             offsets = self._offsets = {}
             parts = []
@@ -610,23 +665,25 @@ class FrontierTable:
                 row += len(block)
                 parts.append(block)
             full = np.concatenate(parts) if parts else _EMPTY_FRONTIER
-        elif rebuilt:
+        elif changed:
+            # Copy on write: a served matrix is never changed in place,
+            # so caches keyed by its identity stay sound.
             full = full.copy()
             offsets = self._offsets
-            for job_id, block in rebuilt:
+            for job_id, block in changed:
                 start = offsets[job_id]
                 full[start : start + len(block)] = block
         if full is not self._full:
             self._full = full
             self._saturation = (
-                float(full[:, FrontierArrays.UNLAUNCHED].max())
+                float(np.maximum.reduce(full[:, FrontierArrays.UNLAUNCHED]))
                 if len(full)
                 else 0.0
             )
         if stats is not None:
             stats.matrix_misses.inc()
-            stats.column_misses.inc(len(rebuilt))
-            stats.column_hits.inc(len(active) - len(rebuilt))
+            stats.column_misses.inc(len(changed))
+            stats.column_hits.inc(len(active) - len(changed))
         return full
 
 
@@ -854,7 +911,7 @@ class ClusterView:
 
         A grant moves executors from the shared pool and ``job_id``'s
         reserved ones to work, and changes ``job_id``'s frontier rows
-        (the engine marks the job in its table); nothing else a view
+        (the engine touches the stage's row in its table); nothing else a view
         reports changes. ``job_reserved`` is the job's remaining reserved
         count. The blocked set carries over, as it does across the
         grants of one pass.

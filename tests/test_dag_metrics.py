@@ -1,5 +1,7 @@
 """Unit tests for DAG structural metrics."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro.dag.graph import JobDAG, Stage, chain_dag, diamond_dag
 from repro.dag.metrics import (
     bottleneck_scores,
@@ -100,3 +102,71 @@ class TestBottleneckScores:
     def test_empty_when_all_done(self):
         dag = diamond_dag()
         assert bottleneck_scores(dag, completed=set(dag.stage_ids())) == {}
+
+
+def per_call_bottleneck_scores(dag, completed):
+    """``bottleneck_scores`` as it was before the chains became a DAG
+    constant: every call walks the whole DAG for the longest chains over
+    incomplete stages and takes the maximum over all stages."""
+    done = set(completed)
+    remaining = remaining_work(dag, done)
+    if remaining <= 0:
+        return {}
+    downstream = {}
+    for sid in reversed(dag.topological_order()):
+        stage = dag.stage(sid)
+        own = 0.0 if sid in done else stage.task_duration
+        below = max((downstream[c] for c in dag.children(sid)), default=0.0)
+        downstream[sid] = own + below
+    max_chain = max(downstream.values(), default=0.0)
+    gated_work = dag.descendant_work_map()
+    scores = {}
+    for sid in dag.stage_ids():
+        if sid in done:
+            continue
+        chain = downstream[sid]
+        scores[sid] = 0.5 * (gated_work[sid] / remaining) + 0.5 * (
+            chain / max_chain if max_chain > 0 else 0.0
+        )
+    return scores
+
+
+@st.composite
+def dag_and_completed(draw):
+    """A random DAG of up to nine stages, and a completion set closed
+    under ancestors (a stage is done only if its parents are)."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    stages = []
+    for sid in range(n):
+        parents = tuple(p for p in range(sid) if draw(st.booleans()))
+        stages.append(
+            Stage(
+                sid,
+                draw(st.integers(min_value=1, max_value=6)),
+                draw(st.floats(min_value=0.01, max_value=500.0)),
+                parents=parents,
+            )
+        )
+    dag = JobDAG(stages)
+    done: set[int] = set()
+    for sid in dag.topological_order():
+        if all(p in done for p in dag.parents(sid)) and draw(st.booleans()):
+            done.add(sid)
+    return dag, done
+
+
+@settings(max_examples=200, deadline=None)
+@given(dag_and_completed())
+def test_bottleneck_scores_equal_the_per_call_walk(case):
+    """The cached chains give the per-call walk's floats bit for bit, on
+    every completion set a running job can reach."""
+    dag, done = case
+    assert repr(bottleneck_scores(dag, done)) == repr(
+        per_call_bottleneck_scores(dag, done)
+    )
+
+
+def test_chain_map_is_the_longest_chain_from_each_stage():
+    dag = diamond_dag(top=1.0, left=2.0, right=3.0, bottom=4.0)
+    assert dict(dag.chain_map()) == {0: 8.0, 1: 6.0, 2: 7.0, 3: 4.0}
+    assert dag.chain_map() is dag.chain_map()

@@ -10,7 +10,7 @@ entry at a time.
   round-trip;
 - a hypothesis property test drives random submit / launch / finish /
   preempt / withdraw interleavings through views sharing one
-  :class:`FrontierTable` (with the engine's dirty-marking discipline)
+  :class:`FrontierTable` (with the engine's touch-and-mark discipline)
   and asserts every served matrix stays bit-equal to a from-scratch
   rebuild, that an unchanged frontier is served as the same matrix
   object, and that ``assignable_jobs`` yields each job's first reference
@@ -554,9 +554,11 @@ def test_incremental_arrays_equal_from_scratch_rebuild(ops):
     """Random submit / launch / finish / preempt / withdraw interleavings
     keep one frontier table bit-equal to a from-scratch frontier rebuild.
 
-    Mirrors the engine's discipline exactly: one table across views, every
-    operation marking the job it touched dirty, and finished or withdrawn
-    jobs leaving the active set. After every operation, views under a
+    Mirrors the engine's discipline exactly: one table across views,
+    grants and task finishes that complete no stage touching their row,
+    every other operation marking its job dirty, and finished or withdrawn
+    jobs leaving the active set. After about two operations in three
+    (so changes also pile up between serves), views under a
     random quota, busy count, shared pool, per-job cap, hoarded
     reservations and blocked pairs must serve both variants equal to the
     reference walk and to ``FrontierArrays.from_entries`` of it, as must a
@@ -604,10 +606,15 @@ def test_incremental_arrays_equal_from_scratch_rebuild(ops):
             job, sid = assignable[int(op_rng.integers(len(assignable)))]
             runtime = job.stages[sid]
             runtime.launch(int(op_rng.integers(1, runtime.unlaunched + 1)))
+            table.touch(job.job_id, sid)
+            return
         elif action == "finish":
             job, sid = launched[int(op_rng.integers(len(launched)))]
             if job.record_task_finish(sid, now=1.0):
                 del active[job.job_id]
+            if sid not in job.completed_stages:
+                table.touch(job.job_id, sid)
+                return
         elif action == "preempt":
             job, sid = launched[int(op_rng.integers(len(launched)))]
             job.stages[sid].unlaunch(1)
@@ -620,6 +627,8 @@ def test_incremental_arrays_equal_from_scratch_rebuild(ops):
     for op_seed in ops:
         mutate(op_seed)
         op_rng = np.random.default_rng(op_seed + 1)
+        if op_rng.integers(3) == 0:
+            continue  # let marks and touches pile up, as within one step
         quota = int(op_rng.integers(1, 9))
         blocked_pool = [
             (job.job_id, sid)
@@ -695,9 +704,10 @@ def scratch_twin(view: ClusterView) -> ClusterView:
 
 
 class TestEngineFrontierTable:
-    """The stepper's table, fed only by the engine's five marking sites
-    (arrival, grant, task finish, preemption, withdrawal), serves what a
-    from-scratch build would serve."""
+    """The stepper's table, fed only by the engine's touches (grant, task
+    finish completing no stage) and marks (arrival, stage completion,
+    preemption, withdrawal), serves what a from-scratch build would
+    serve."""
 
     @pytest.mark.parametrize(
         "scheduler",
