@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.core.threshold import CAPThresholds, cap_thresholds
 from repro.simulator.interfaces import Provisioner
 from repro.simulator.state import ClusterView
@@ -87,6 +89,16 @@ class CAPProvisioner(Provisioner):
             return limit
         ratio = self._last_quota / self.total_executors
         return max(1, math.ceil(limit * ratio))
+
+    def scale_parallelism_column(
+        self, limits: np.ndarray, view: ClusterView
+    ) -> np.ndarray:
+        """:meth:`scale_parallelism` of every element, as one array
+        expression with the same float operations."""
+        if not self.scale_parallelism_enabled:
+            return limits
+        ratio = self._last_quota / self.total_executors
+        return np.maximum(np.ceil(limits * ratio), 1)
 
     def min_quota_seen(self) -> int:
         """``M(B, c)``: the smallest quota this run (Theorem 4.5's constant);

@@ -37,10 +37,12 @@ TRACE_FILENAME = "trace.json"
 class FrontierCacheStats:
     """Hit/miss counters of the engine's frontier table.
 
-    A *matrix* hit is a frontier served while no job was dirty, so the
-    table's matrix was reused as it stood; a miss is a serve that first
-    refreshed the dirty jobs. At each refresh every active job counts one
-    *column* hit (its block reused) or miss (its block rebuilt).
+    A *matrix* hit is a frontier served while no job was marked or
+    touched, so the table's matrix was reused as it stood; a miss is a
+    serve that first refreshed those jobs. At each refresh every active
+    job counts one
+    *column* hit (its block reused) or miss (its block rebuilt, or its
+    touched rows patched).
 
     One instance per stepper, handed to every :class:`ClusterView` it
     builds, which passes it to the table. ``None`` in the view means

@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 from repro.simulator.interfaces import ProbabilisticPolicy
-from repro.simulator.state import ClusterView, FrontierArrays, ReadyStage
+from repro.simulator.state import ClusterView, FrontierArrays
 
 
 class DecimaScheduler(ProbabilisticPolicy):
@@ -106,51 +106,28 @@ class DecimaScheduler(ProbabilisticPolicy):
         """Score-cache interposer for the sampling entry points.
 
         Decima's scores are a pure function of the frontier matrix, so
-        the same matrix object scores identically (cache hit by identity).
-        A row-filtered matrix (blocked entries dropped mid-pass) whose
-        parent is the cached matrix reuses the parent's per-row scores
-        whenever the SRPT denominator — the only cross-row term —
-        survived the filter: each kept row's score then has bit-identical
-        inputs, so slicing the cached array equals recomputing. The cache
-        stays anchored to the unfiltered matrix (filters within one
-        scheduling pass all derive from it), and both shortcuts preserve
-        the fingerprint contract exactly.
+        the same matrix object scores identically: a repeated draw on an
+        unchanged frontier (PCAPS's resamples, a deferral streak) reuses
+        the last scores.
         """
         cached = self._score_cache
         data = frontier.data
-        if cached is not None:
-            if cached[0] is data:
-                return cached[1]
-            parent = frontier.parent_data
-            if parent is not None and cached[0] is parent:
-                remaining = frontier.remaining_work
-                if remaining.size and max(
-                    float(np.maximum.reduce(remaining)), 1e-9
-                ) == max(
-                    float(np.maximum.reduce(
-                        parent[:, FrontierArrays.REMAINING_WORK]
-                    )),
-                    1e-9,
-                ):
-                    return cached[1][frontier.filter_mask]
+        if cached is not None and cached[0] is data:
+            return cached[1]
         raw = self.scores_from_arrays(view, frontier)
-        if frontier.parent_data is None:
-            self._score_cache = (data, raw)
+        self._score_cache = (data, raw)
         return raw
-
-    def parallelism_limit(self, view: ClusterView, choice: ReadyStage) -> int:
-        """Split the cluster among active jobs (Decima's learned moderation).
-
-        Decima learns that flooding one stage with executors starves other
-        jobs; its limits end up near an even division of executors across
-        jobs. We cap the chosen stage at ``ceil(K / active jobs)``.
-        """
-        return max(1, min(choice.stage.num_tasks, self._share(view)))
 
     def parallelism_limits(
         self, view: ClusterView, frontier: FrontierArrays
     ) -> np.ndarray:
-        """Columnar :meth:`parallelism_limit`: the same limit per row."""
+        """Split the cluster among active jobs (Decima's learned moderation).
+
+        Decima learns that flooding one stage with executors starves other
+        jobs; its limits end up near an even division of executors across
+        jobs. Every row's stage is capped at ``ceil(K / active jobs)``, and
+        at least 1.
+        """
         return np.maximum(np.minimum(frontier.num_tasks, self._share(view)), 1)
 
     @staticmethod

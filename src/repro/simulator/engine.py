@@ -953,6 +953,7 @@ class SimulationStepper:
             self._obs_views.inc()
         pool = self.pool
         config = self.sim.config
+        provisioner = self.sim.provisioner
         return ClusterView(
             time=now,
             total_executors=self.capacity,
@@ -966,6 +967,11 @@ class SimulationStepper:
             active=self.active,
             frontier_table=self._frontier_table,
             cache_stats=self._cache_stats,
+            parallelism_scale=(
+                None
+                if provisioner is None
+                else provisioner.scale_parallelism_column
+            ),
         )
 
     # -- finalization ---------------------------------------------------

@@ -42,10 +42,10 @@ class NothingGrowable(enum.Enum):
 
 
 #: A scheduler's "end the pass, but not a deferral" reply: stages are
-#: assignable, yet the scheduler will grow none of them (PCAPS when every
-#: assignable stage already runs at its parallelism limit ``P'``). The
-#: engine ends the assignment pass without counting a deferral, because
-#: nothing was held back for carbon.
+#: assignable, yet the scheduler will grow none of them (a probabilistic
+#: policy, or PCAPS, when every assignable stage already runs at its
+#: parallelism limit). The engine ends the assignment pass without
+#: counting a deferral, because nothing was held back for carbon.
 NOTHING_GROWABLE = NothingGrowable.NOTHING_GROWABLE
 
 
@@ -164,20 +164,16 @@ class ProbabilisticPolicy(StageScheduler):
             )
         return raw
 
-    def parallelism_limit(self, view: ClusterView, choice: ReadyStage) -> int:
-        """Parallelism limit for a chosen stage (default: all its tasks)."""
-        return choice.stage.num_tasks
-
     def parallelism_limits(
         self, view: ClusterView, frontier: FrontierArrays
     ) -> np.ndarray:
-        """:meth:`parallelism_limit` of every row's stage, as one column.
+        """The parallelism limit of every row's stage, as one column
+        (default: all its tasks).
 
-        PCAPS masks its draw with this column and limits the sampled stage
-        to the same column's value, while :meth:`select` limits its choice
-        with :meth:`parallelism_limit`; a subclass overriding one must
-        override both to give each stage the same value. Under PCAPS the
-        column alone binds: a stage may grow to the value it states.
+        The one definition of the policy's limit: :meth:`select` masks its
+        draw with this column (scaled by the provisioner) and PCAPS with
+        its carbon-reduced ``P'`` of it, and both hand the drawn row's
+        value to the engine as the choice's ``parallelism_limit``.
         """
         return frontier.num_tasks
 
@@ -228,30 +224,63 @@ class ProbabilisticPolicy(StageScheduler):
         if candidates.size == 0:
             return None
         probs = self._softmax(self._checked_scores(view, full))
+        pick = self._draw(probs, candidates)
+        peak = np.maximum.reduce(probs)
+        importance = float(probs[pick] / peak) if peak > 0 else 1.0
+        return pick, importance
+
+    def _draw(self, probs: np.ndarray, candidates: np.ndarray) -> int:
+        """One draw from ``probs`` restricted to the rows ``candidates``:
+        row ``i`` with weight ``probs[i] / sum(probs[candidates])``
+        (uniform if that sum underflows to 0)."""
         weights = probs[candidates]
         total = np.add.reduce(weights)
         if total <= 0:
             weights = np.full(len(candidates), 1.0 / len(candidates))
         else:
             weights /= total
-        pick = int(candidates[_sample_index(self._rng, weights)])
-        peak = np.maximum.reduce(probs)
-        importance = float(probs[pick] / peak) if peak > 0 else 1.0
-        return pick, importance
+        return int(candidates[_sample_index(self._rng, weights)])
 
-    def select(self, view: ClusterView) -> StageChoice | None:
+    def select(
+        self, view: ClusterView
+    ) -> StageChoice | NothingGrowable | None:
+        """Draw one stage the engine will grow: a masked softmax draw.
+
+        The softmax runs over the assignable rows with free slots. The
+        draw keeps only those running fewer tasks than their
+        :meth:`parallelism_limits` value scaled by the provisioner
+        (:meth:`ClusterView.scaled_limits`), which is the limit the
+        engine enforces on the grant. Capped rows keep their mass in the
+        softmax, as under PCAPS. When every row can grow this is the
+        plain softmax draw; when none can, the pass ends without a draw
+        (:data:`NOTHING_GROWABLE`), and a grant of the last row that can
+        grow ends it too (``ends_pass``).
+        """
         frontier = view.frontier_arrays()
-        mask = frontier.slots > 0
-        if not mask.any():
+        data = frontier.data
+        free = data[:, FrontierArrays.SLOTS] > 0
+        if not free.any():
             return None
-        if not mask.all():
-            frontier = frontier.compress(mask)
+        if not free.all():
+            frontier = frontier.compress(free)
+            data = frontier.data
+        limits = self.parallelism_limits(view, frontier)
+        growable = (
+            data[:, FrontierArrays.RUNNING] < view.scaled_limits(limits)
+        ).nonzero()[0]
+        if growable.size == 0:
+            return NOTHING_GROWABLE
         probs = self._softmax(self._checked_scores(view, frontier))
-        chosen = frontier.entry(_sample_index(self._rng, probs))
+        if growable.size == len(probs):
+            row = _sample_index(self._rng, probs)
+        else:
+            row = self._draw(probs, growable)
+        job_id, stage_id = data[row, :2].tolist()
         return StageChoice(
-            job_id=chosen.job_id,
-            stage_id=chosen.stage_id,
-            parallelism_limit=self.parallelism_limit(view, chosen),
+            job_id=int(job_id),
+            stage_id=int(stage_id),
+            parallelism_limit=int(limits[row]),
+            ends_pass=growable.size == 1,
         )
 
 
@@ -275,6 +304,19 @@ class Provisioner(abc.ABC):
         (Section 5.1, "Setting level of parallelism").
         """
         return limit
+
+    def scale_parallelism_column(
+        self, limits: np.ndarray, view: ClusterView
+    ) -> np.ndarray:
+        """:meth:`scale_parallelism` of every element of ``limits``.
+
+        The engine hands this to its views, and the probabilistic
+        schedulers mask their draws with it
+        (:meth:`ClusterView.scaled_limits`); a subclass overriding one
+        must override both with the same values, or the engine blocks
+        the choices the mask let through. Default: identity.
+        """
+        return limits
 
     def reset(self) -> None:
         """Clear any per-experiment state (default: stateless)."""

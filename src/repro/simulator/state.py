@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -304,7 +304,7 @@ class FrontierArrays:
     - the instance is immutable once handed to a scheduler.
     """
 
-    __slots__ = ("data", "_jobs", "parent_data", "filter_mask")
+    __slots__ = ("data", "_jobs")
 
     #: Column indices of :attr:`data`.
     JOB_ID, STAGE_ID, UNLAUNCHED, RUNNING, SLOTS = 0, 1, 2, 3, 4
@@ -312,21 +312,10 @@ class FrontierArrays:
     NUM_COLS = 9
 
     def __init__(
-        self,
-        data: np.ndarray,
-        jobs: Mapping[int, "JobRuntime"],
-        parent_data: np.ndarray | None = None,
-        filter_mask: np.ndarray | None = None,
+        self, data: np.ndarray, jobs: Mapping[int, "JobRuntime"]
     ) -> None:
         self.data = data
         self._jobs = jobs
-        #: Provenance of row-filtered instances: the matrix this one was
-        #: masked out of, and the boolean mask applied. Score caches use
-        #: the pair to derive filtered scores from scores of the parent
-        #: (see :meth:`DecimaScheduler.scores_from_arrays`'s caching) —
-        #: ``None`` for unfiltered instances.
-        self.parent_data = parent_data
-        self.filter_mask = filter_mask
 
     def __len__(self) -> int:
         return self.data.shape[0]
@@ -375,10 +364,7 @@ class FrontierArrays:
     # -------------------------------------------------------------------
     def compress(self, mask: np.ndarray) -> "FrontierArrays":
         """Rows selected by a boolean mask, as a new instance."""
-        return FrontierArrays(
-            self.data[mask], self._jobs,
-            parent_data=self.data, filter_mask=mask,
-        )
+        return FrontierArrays(self.data[mask], self._jobs)
 
     def entry(self, index: int) -> ReadyStage:
         """Materialize row ``index`` as the equivalent :class:`ReadyStage`."""
@@ -730,6 +716,9 @@ class ClusterView:
         active: Mapping[int, JobRuntime] | None = None,
         frontier_table: FrontierTable | None = None,
         cache_stats=None,
+        parallelism_scale: (
+            Callable[[np.ndarray, "ClusterView"], np.ndarray] | None
+        ) = None,
     ) -> None:
         self.time = time
         self.total_executors = total_executors
@@ -759,6 +748,10 @@ class ClusterView:
         #: owning stepper: the table's block and matrix hit/miss counters.
         #: ``None`` (collection off, or hand-built views) counts nothing.
         self._cache_stats = cache_stats
+        #: The provisioner's parallelism rule in columnar form,
+        #: ``(limits, view) -> scaled limits`` (its
+        #: ``scale_parallelism_column``); ``None`` without a provisioner.
+        self._parallelism_scale = parallelism_scale
         #: Executors in the shared pool (any job may take these). Under
         #: hoarding semantics idle-but-bound executors are *not* here.
         self.general_free = (
@@ -790,6 +783,15 @@ class ClusterView:
 
     def job(self, job_id: int) -> JobRuntime:
         return self._jobs[job_id]
+
+    def scaled_limits(self, limits: np.ndarray) -> np.ndarray:
+        """The limit the engine enforces on a choice whose
+        ``parallelism_limit`` is each element of ``limits``: the
+        provisioner's scale of it, and at least 1."""
+        scale = self._parallelism_scale
+        if scale is not None:
+            limits = scale(limits, self)
+        return np.maximum(limits, 1)
 
     def ready_stages(self, include_saturated: bool = False) -> list[ReadyStage]:
         """:meth:`frontier_arrays` as a list of :class:`ReadyStage` tuples.
@@ -870,9 +872,7 @@ class ClusterView:
                     keep = (job_col != job_id) | (stage_col != stage_id)
                     mask = keep if mask is None else mask & keep
                 self._mask_state[include_saturated] = (data, len(seq), mask)
-            out = FrontierArrays(
-                data[mask], self._jobs, parent_data=data, filter_mask=mask
-            )
+            out = FrontierArrays(data[mask], self._jobs)
         else:
             out = FrontierArrays(data, self._jobs)
         self._fa_cache[include_saturated] = out

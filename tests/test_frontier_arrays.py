@@ -22,6 +22,8 @@ entry at a time.
   schedule a reference sampler draws from the reference walk and scores.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,7 +35,7 @@ from repro.schedulers.decima import DecimaScheduler
 from repro.schedulers.fifo import FIFOScheduler, KubernetesDefaultScheduler
 from repro.schedulers.weighted_fair import WeightedFairScheduler
 from repro.simulator.engine import ClusterConfig, Simulation
-from repro.simulator.interfaces import StageChoice
+from repro.simulator.interfaces import NOTHING_GROWABLE, StageChoice
 from repro.simulator.state import (
     ClusterView,
     FrontierArrays,
@@ -174,16 +176,29 @@ def reference_scores(policy, view, ready):
 
 def reference_select(policy, rng, view):
     """Decima's ``select`` from the reference walk, reference scores and
-    ``Generator.choice``."""
+    ``Generator.choice``: the softmax over the entries with free slots,
+    the draw over those running fewer tasks than their share
+    ``max(1, min(num_tasks, ceil(K / active jobs)))``."""
     ready = [r for r in reference_entries(view, False) if r.slots > 0]
     if not ready:
         return None
+    share = math.ceil(view.total_executors / max(view.queued_job_count(), 1))
+    limits = [max(1, min(r.stage.num_tasks, share)) for r in ready]
+    growable = [i for i, r in enumerate(ready) if r.running < limits[i]]
+    if not growable:
+        return NOTHING_GROWABLE
     probs = policy._softmax(reference_scores(policy, view, ready))
-    chosen = ready[int(rng.choice(len(ready), p=probs))]
+    if len(growable) == len(ready):
+        pick = int(rng.choice(len(ready), p=probs))
+    else:
+        weights = probs[growable] / probs[growable].sum()
+        pick = growable[int(rng.choice(len(growable), p=weights))]
+    chosen = ready[pick]
     return StageChoice(
         job_id=chosen.job_id,
         stage_id=chosen.stage_id,
-        parallelism_limit=policy.parallelism_limit(view, chosen),
+        parallelism_limit=limits[pick],
+        ends_pass=len(growable) == 1,
     )
 
 
@@ -258,19 +273,6 @@ class TestColumnarRepresentation:
         assert len(fa) == 0
         assert fa.data.shape == (0, FrontierArrays.NUM_COLS)
 
-    def test_compress_tracks_provenance(self):
-        job = JobRuntime(0, fan_dag(), arrival_time=0.0)
-        job.stages[0].launch(1)
-        job.record_task_finish(0, now=1.0)  # stages 1,2,3 become ready
-        jobs = {0: job}
-        view = build_view(jobs, active=jobs)
-        fa = view.frontier_arrays()
-        mask = fa.slots > 0
-        sub = fa.compress(mask)
-        assert sub.parent_data is fa.data
-        assert sub.filter_mask is mask
-        assert sub.data.tolist() == fa.data[mask].tolist()
-
     def test_blocked_entries_are_filtered(self):
         job = JobRuntime(0, fan_dag(), arrival_time=0.0)
         job.stages[0].launch(1)
@@ -307,13 +309,20 @@ class TestVectorizedPathEquivalence:
     """Decima's sampling entry points draw exactly like the reference
     sampler: same rows, same scores, same softmax, same RNG draws."""
 
-    def _twin_views(self, per_job_cap=None):
+    def _twin_views(self, per_job_cap=None, capped=False):
+        """Two part-run jobs; with ``capped``, a third whose wide stage
+        already runs more tasks than the ``ceil(6 / 3) = 2`` share."""
         def fresh():
             jobs = {
                 0: JobRuntime(0, diamond_dag(), arrival_time=0.0),
                 1: JobRuntime(1, fan_dag(), arrival_time=1.0),
             }
             jobs[1].stages[0].launch(1)
+            if capped:
+                jobs[2] = JobRuntime(
+                    2, JobDAG([Stage(0, 8, 5.0)]), arrival_time=2.0
+                )
+                jobs[2].stages[0].launch(3)
             return build_view(jobs, active=jobs, per_job_cap=per_job_cap)
 
         return fresh
@@ -327,6 +336,16 @@ class TestVectorizedPathEquivalence:
             assert policy.select(fresh()) == reference_select(
                 policy, rng, fresh()
             )
+
+    def test_select_sequences_identical_with_a_capped_stage(self):
+        fresh = self._twin_views(capped=True)
+        policy = DecimaScheduler(seed=11)
+        rng = np.random.default_rng(11)
+        choices = [policy.select(fresh()) for _ in range(25)]
+        assert choices == [
+            reference_select(policy, rng, fresh()) for _ in range(25)
+        ]
+        assert all(choice.job_id != 2 for choice in choices)
 
     @pytest.mark.parametrize("per_job_cap", [None, 2])
     def test_sample_with_importance_identical(self, per_job_cap):
@@ -380,46 +399,20 @@ class TestDecimaScoreCache:
         fan.record_task_finish(0, now=1.0)  # stages 1-3 ready
         jobs = {0: chain, 1: fan}
         view = build_view(jobs, active=jobs)
-        full = view.frontier_arrays()
-        # The SRPT denominator (max remaining work) belongs to one job.
-        heavy = full.remaining_work == full.remaining_work.max()
-        assert heavy.any() and not heavy.all()
-        return view, full, heavy
+        return view, view.frontier_arrays()
 
     def assert_fresh(self, view, frontier, raw):
         fresh = DecimaScheduler(seed=0).scores_from_arrays(view, frontier)
         assert raw.tobytes() == fresh.tobytes()
 
     def test_same_matrix_is_scored_once(self):
-        view, full, _ = self._frontier()
+        view, full = self._frontier()
         policy = CountingDecima()
         first = policy._raw_scores(view, full)
         second = policy._raw_scores(view, full)
         assert policy.scorings == 1
         self.assert_fresh(view, full, second)
         assert second is first
-
-    def test_filter_keeping_the_denominator_slices_the_parent(self):
-        view, full, heavy = self._frontier()
-        keep = heavy.copy()
-        keep[np.flatnonzero(~heavy)[1:]] = True  # drop one light row
-        sub = full.compress(keep)
-        policy = CountingDecima()
-        policy._raw_scores(view, full)
-        raw = policy._raw_scores(view, sub)
-        assert policy.scorings == 1
-        self.assert_fresh(view, sub, raw)
-
-    def test_filter_dropping_the_denominator_rescores(self):
-        view, full, heavy = self._frontier()
-        sub = full.compress(~heavy)
-        policy = CountingDecima()
-        policy._raw_scores(view, full)
-        raw = policy._raw_scores(view, sub)
-        assert policy.scorings == 2
-        self.assert_fresh(view, sub, raw)
-        # The cache stays anchored to the unfiltered matrix.
-        assert policy._score_cache[0] is full.data
 
 
 # -- the greedy baselines against tuple-list references ----------------
@@ -541,11 +534,13 @@ def op_sequences(draw):
     return [draw(st.integers(min_value=0, max_value=2**31)) for _ in range(n_ops)]
 
 
-def served_matrix(frontier: FrontierArrays) -> np.ndarray:
-    """The matrix a view was served, before its blocked pairs were dropped."""
-    if frontier.parent_data is not None:
-        return frontier.parent_data
-    return frontier.data
+class RecordingTable(FrontierTable):
+    """A frontier table that keeps the matrix it served last: what a view
+    was served, before the view dropped its blocked pairs."""
+
+    def serve(self, *args, **kwargs):
+        self.served = super().serve(*args, **kwargs)
+        return self.served
 
 
 @given(op_sequences())
@@ -569,7 +564,7 @@ def test_incremental_arrays_equal_from_scratch_rebuild(ops):
     """
     jobs: dict[int, JobRuntime] = {}
     active: dict[int, JobRuntime] = {}
-    table = FrontierTable()
+    table = RecordingTable()
     next_job_id = 0
 
     def mutate(op_seed: int) -> None:
@@ -666,11 +661,12 @@ def test_incremental_arrays_equal_from_scratch_rebuild(ops):
             entries = reference_entries(plain_view, flag)
             reference = FrontierArrays.from_entries(entries, jobs)
             served = view.frontier_arrays(flag)
+            matrix = table.served
             assert_same_matrix(served, reference)
             assert served.entries() == entries
             assert_same_matrix(plain_view.frontier_arrays(flag), reference)
             again = revisit.frontier_arrays(flag)
-            assert served_matrix(again) is served_matrix(served)
+            assert table.served is matrix
             assert_same_matrix(again, reference)
         assert set(table._blocks) == set(active)
         first_free = {}
