@@ -433,10 +433,10 @@ class SimulationStepper:
         #: A job finished since the last retire_finished().
         self._finished_unretired = False
         # The frontier matrix shared by every view of the run, patched per
-        # touched job: a grant or a task finish that completes no stage
-        # touches its row; an arrival, a stage completion, a preemption or
-        # a withdrawal marks the job for a rebuild. None makes every view
-        # build its frontier from scratch.
+        # touched job: a grant or a task finish touches its stage's row
+        # (the table rebuilds the job's block if the stage completed); an
+        # arrival, a preemption or a withdrawal marks the job for a
+        # rebuild. None makes every view build its frontier from scratch.
         self._frontier_table: FrontierTable | None = FrontierTable()
         # -- disruption state (inert unless the disrupt verbs are used) --
         #: Executors currently online; set_capacity/suspend/resume move it.
@@ -788,13 +788,9 @@ class SimulationStepper:
                     continue  # task was preempted; its relaunch is pending
                 trace_index = self._inflight.pop(token)[3]
                 trace.task_done(trace_index)
-                job = jobs[job_id]
-                job_done = job.record_task_finish(stage_id, now)
                 if table is not None:
-                    if stage_id in job.completed_stages:
-                        table.mark(job_id)  # rows come or go
-                    else:
-                        table.touch(job_id, stage_id)
+                    table.touch(job_id, stage_id)
+                job_done = jobs[job_id].record_task_finish(stage_id, now)
                 pool.release(executor_id, job_id, hold=holds and not job_done)
                 if job_done:
                     del active[job_id]

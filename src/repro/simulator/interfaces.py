@@ -251,10 +251,10 @@ class ProbabilisticPolicy(StageScheduler):
         :meth:`parallelism_limits` value scaled by the provisioner
         (:meth:`ClusterView.scaled_limits`), which is the limit the
         engine enforces on the grant. Capped rows keep their mass in the
-        softmax, as under PCAPS. When every row can grow this is the
-        plain softmax draw; when none can, the pass ends without a draw
-        (:data:`NOTHING_GROWABLE`), and a grant of the last row that can
-        grow ends it too (``ends_pass``).
+        softmax, as under PCAPS, so the draw's weights are
+        ``p[G] / sum(p[G])`` over the rows ``G`` that can grow. When none
+        can, the pass ends without a draw (:data:`NOTHING_GROWABLE`), and
+        a grant of the last row that can grow ends it too (``ends_pass``).
         """
         frontier = view.frontier_arrays()
         data = frontier.data
@@ -271,10 +271,7 @@ class ProbabilisticPolicy(StageScheduler):
         if growable.size == 0:
             return NOTHING_GROWABLE
         probs = self._softmax(self._checked_scores(view, frontier))
-        if growable.size == len(probs):
-            row = _sample_index(self._rng, probs)
-        else:
-            row = self._draw(probs, growable)
+        row = self._draw(probs, growable)
         job_id, stage_id = data[row, :2].tolist()
         return StageChoice(
             job_id=int(job_id),

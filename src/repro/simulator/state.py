@@ -420,6 +420,13 @@ class FrontierArrays:
 _EMPTY_FRONTIER = np.empty((0, FrontierArrays.NUM_COLS))
 
 
+def _row_counts(runtime: StageRuntime) -> tuple[int, int, int]:
+    """A stage's ``unlaunched``, ``running`` and ``slots`` cells in its
+    job's block, with ``slots`` left equal to ``unlaunched``."""
+    unlaunched = runtime.stage.num_tasks - runtime.launched
+    return unlaunched, runtime.launched - runtime.finished, unlaunched
+
+
 def _job_block(job: JobRuntime) -> np.ndarray:
     """``job``'s rows of the full frontier, with ``slots`` equal to
     ``unlaunched`` (no executor budget applied)."""
@@ -431,19 +438,15 @@ def _job_block(job: JobRuntime) -> np.ndarray:
     rows = []
     for sid in job.ready_stage_ids(include_running=True):
         runtime = stages[sid]
-        num_tasks = runtime.stage.num_tasks
-        unlaunched = num_tasks - runtime.launched
         rows.append(
             (
                 job_id,
                 sid,
-                unlaunched,
-                runtime.launched - runtime.finished,
-                unlaunched,
+                *_row_counts(runtime),
                 bottlenecks.get(sid, 0.0),
                 remaining,
                 in_use,
-                num_tasks,
+                runtime.stage.num_tasks,
             )
         )
     return np.array(rows, dtype=float) if rows else _EMPTY_FRONTIER
@@ -453,22 +456,18 @@ def _patch_block(
     block: np.ndarray, job: JobRuntime, stage_ids: set[int]
 ) -> None:
     """Bring ``job``'s block up to date, in place, after launches and
-    finishes on ``stage_ids`` that left its frontier's rows as they were.
+    finishes on ``stage_ids``, none of which completed a stage.
 
     Writes the cells :func:`_job_block` would compute differently: each
-    stage's ``unlaunched``, ``running`` and ``slots``, and the job's
-    ``remaining_work`` and ``executors_in_use``. Bottleneck scores change
+    stage's :func:`_row_counts`, and the job's ``remaining_work`` and
+    ``executors_in_use``. The rows and their bottleneck scores change
     only when a stage completes, which rebuilds the block instead.
     """
     frontier = job.ready_stage_ids(include_running=True)
     stages = job.stages
     counts = slice(FrontierArrays.UNLAUNCHED, FrontierArrays.SLOTS + 1)
     for sid in stage_ids:
-        runtime = stages[sid]
-        unlaunched = runtime.stage.num_tasks - runtime.launched
-        block[frontier.index(sid), counts] = (
-            unlaunched, runtime.launched - runtime.finished, unlaunched,
-        )
+        block[frontier.index(sid), counts] = _row_counts(stages[sid])
     block[:, FrontierArrays.REMAINING_WORK] = job.remaining_work()
     block[:, FrontierArrays.EXECUTORS_IN_USE] = job.executors_in_use
 
@@ -482,14 +481,14 @@ class FrontierTable:
     ``(n, 9)`` matrix. The engine owns one table per run and tells it
     about every event that can change a job's rows, in one of two ways:
 
-    - :meth:`touch` after a grant or a task finish that completes no
-      stage: one stage's task counts and its job's aggregates changed,
-      and no row came or went. The next refresh writes that row's
+    - :meth:`touch` after a grant or a task finish: one stage's task
+      counts and its job's aggregates changed. The next refresh rebuilds
+      the job's block if the stage completed (its row leaves, and its
+      children's may come), and otherwise writes only that row's
       ``unlaunched``, ``running`` and ``slots`` cells and the job's
       ``remaining_work`` and ``executors_in_use`` cells;
-    - :meth:`mark` after an arrival, a stage or job completion, a
-      preemption or a withdrawal: the next refresh rebuilds the job's
-      block from its runtime.
+    - :meth:`mark` after an arrival, a preemption or a withdrawal: the
+      next refresh rebuilds the job's block from its runtime.
 
     When every changed block keeps its row count it is written over its
     rows in a copy of the previous matrix; only when rows come or go
@@ -552,8 +551,8 @@ class FrontierTable:
 
     def touch(self, job_id: int, stage_id: int) -> None:
         """Engine-only: ``stage_id`` of ``job_id`` launched or finished a
-        task and stayed on the frontier, so only its row's counts and the
-        job's aggregates changed."""
+        task. The refresh patches its row, or rebuilds the job's block if
+        the stage (or the job) completed."""
         if self._full is not None:
             touched = self._touched.get(job_id)
             if touched is None:
@@ -617,6 +616,18 @@ class FrontierTable:
                 stats.matrix_hits.inc()
             return full
         blocks = self._blocks
+        # A touched stage that completed took its row with it (and the
+        # job, if it was the last): rebuild the job. Otherwise only
+        # counts moved: patch.
+        patches = []
+        for job_id, stage_ids in touched.items():
+            if job_id in dirty:
+                continue
+            job = active.get(job_id)
+            if job is None or not stage_ids.isdisjoint(job.completed_stages):
+                dirty.add(job_id)
+            else:
+                patches.append((job_id, job, stage_ids))
         # The first refresh builds every active job's block.
         reshape = full is None
         changed = []
@@ -633,11 +644,9 @@ class FrontierTable:
                 reshape = True
             blocks[job_id] = block
             changed.append((job_id, block))
-        for job_id, stage_ids in touched.items():
-            if job_id in dirty:
-                continue  # rebuilt above
+        for job_id, job, stage_ids in patches:
             block = blocks[job_id]
-            _patch_block(block, active[job_id], stage_ids)
+            _patch_block(block, job, stage_ids)
             changed.append((job_id, block))
         dirty.clear()
         touched.clear()

@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import json
+import statistics
+from pathlib import Path
+from typing import Callable
+
 import pytest
 
 from repro.carbon.api import CarbonIntensityAPI
 from repro.carbon.trace import CarbonTrace
 from repro.dag.graph import JobDAG, Stage
+from repro.dag.metrics import descendant_work, remaining_work
+from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.simulator.engine import ClusterConfig, Simulation
 from repro.workloads.arrivals import JobSubmission
+from repro.workloads.batch import WorkloadSpec
 
 
 def make_trace(
@@ -134,6 +142,67 @@ def assert_valid_schedule(result, submissions) -> None:
 
 def total_work(submissions) -> float:
     return sum(s.dag.total_work for s in submissions)
+
+
+def reference_bottleneck_scores(dag: JobDAG, completed) -> dict[int, float]:
+    """``repro.dag.metrics.bottleneck_scores`` without its caches, the
+    reference they must match bit for bit: every call walks the whole DAG
+    for the longest chains through incomplete stages, takes the maximum
+    over all stages, and sweeps each stage's descendants for its gated
+    work."""
+    done = set(completed)
+    remaining = remaining_work(dag, done)
+    if remaining <= 0:
+        return {}
+    downstream = {}
+    for sid in reversed(dag.topological_order()):
+        stage = dag.stage(sid)
+        own = 0.0 if sid in done else stage.task_duration
+        below = max((downstream[c] for c in dag.children(sid)), default=0.0)
+        downstream[sid] = own + below
+    max_chain = max(downstream.values(), default=0.0)
+    scores = {}
+    for sid in dag.stage_ids():
+        if sid in done:
+            continue
+        gated = descendant_work(dag, sid)
+        chain = downstream[sid]
+        scores[sid] = 0.5 * (gated / remaining) + 0.5 * (
+            chain / max_chain if max_chain > 0 else 0.0
+        )
+    return scores
+
+
+def pinned_quality_changes(
+    pin_name: str, group_key: str, config_for: Callable[[str], dict]
+) -> dict[str, tuple[float, float]]:
+    """Per group of a quality pin: the paired mean relative change of
+    ``(carbon, ECT)`` from the pinned per-seed values to this code's.
+
+    A pin under ``data/`` holds a config (grid, mode, executors, workload
+    and seeds) and, under ``group_key``, one ``[carbon, ECT]`` row per
+    seed for each group, recorded with the code it retired. A group is a
+    scheduler or a γ; ``config_for`` maps its key to the
+    :class:`ExperimentConfig` fields that select it.
+    """
+    pin = json.loads((Path(__file__).parent / "data" / pin_name).read_text())
+    base = pin["config"]
+    out = {}
+    for group, rows in pin[group_key].items():
+        carbon, ect = [], []
+        for seed, (old_carbon, old_ect) in zip(base["seeds"], rows):
+            result = run_experiment(
+                ExperimentConfig(
+                    grid=base["grid"], mode=base["mode"],
+                    num_executors=base["num_executors"],
+                    workload=WorkloadSpec(**base["workload"]),
+                    seed=seed, **config_for(group),
+                )
+            )
+            carbon.append(result.carbon_footprint / old_carbon - 1.0)
+            ect.append(result.ect / old_ect - 1.0)
+        out[group] = (statistics.fmean(carbon), statistics.fmean(ect))
+    return out
 
 
 # Re-exported from the shared differential-testing harness so older

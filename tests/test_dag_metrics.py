@@ -11,6 +11,8 @@ from repro.dag.metrics import (
     remaining_work,
 )
 
+from conftest import reference_bottleneck_scores
+
 
 class TestCriticalPath:
     def test_chain_is_sum(self):
@@ -104,33 +106,6 @@ class TestBottleneckScores:
         assert bottleneck_scores(dag, completed=set(dag.stage_ids())) == {}
 
 
-def per_call_bottleneck_scores(dag, completed):
-    """``bottleneck_scores`` as it was before the chains became a DAG
-    constant: every call walks the whole DAG for the longest chains over
-    incomplete stages and takes the maximum over all stages."""
-    done = set(completed)
-    remaining = remaining_work(dag, done)
-    if remaining <= 0:
-        return {}
-    downstream = {}
-    for sid in reversed(dag.topological_order()):
-        stage = dag.stage(sid)
-        own = 0.0 if sid in done else stage.task_duration
-        below = max((downstream[c] for c in dag.children(sid)), default=0.0)
-        downstream[sid] = own + below
-    max_chain = max(downstream.values(), default=0.0)
-    gated_work = dag.descendant_work_map()
-    scores = {}
-    for sid in dag.stage_ids():
-        if sid in done:
-            continue
-        chain = downstream[sid]
-        scores[sid] = 0.5 * (gated_work[sid] / remaining) + 0.5 * (
-            chain / max_chain if max_chain > 0 else 0.0
-        )
-    return scores
-
-
 @st.composite
 def dag_and_completed(draw):
     """A random DAG of up to nine stages, and a completion set closed
@@ -158,11 +133,11 @@ def dag_and_completed(draw):
 @settings(max_examples=200, deadline=None)
 @given(dag_and_completed())
 def test_bottleneck_scores_equal_the_per_call_walk(case):
-    """The cached chains give the per-call walk's floats bit for bit, on
+    """The cached chains give the uncached walk's floats bit for bit, on
     every completion set a running job can reach."""
     dag, done = case
     assert repr(bottleneck_scores(dag, done)) == repr(
-        per_call_bottleneck_scores(dag, done)
+        reference_bottleneck_scores(dag, done)
     )
 
 

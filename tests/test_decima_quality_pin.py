@@ -11,10 +11,11 @@ pins instead that quality stays where it was across seeds.
 
 ``data/decima_rejection_loop_pin.json`` holds per-seed ``(carbon, ECT)``
 of the retired loop on the Fig. 11 config (DE, standalone, 40 executors,
-25 TPC-H jobs, 45 s mean interarrival, seeds 0–29), recorded once with
-:func:`trial` at the last commit that had the loop. It cannot be
-re-recorded: :func:`trial` now measures the masked draw. Measured when
-the mask landed (paired mean ± standard error over the 30 seeds):
+25 TPC-H jobs, 45 s mean interarrival, seeds 0–29), recorded once at
+the last commit that had the loop. It cannot be re-recorded: the same
+trials now measure the masked draw (``conftest.pinned_quality_changes``
+runs them, as for the PCAPS pin). Measured when the mask landed (paired
+mean ± standard error over the 30 seeds):
 
 ==========  ================  ================
 scheduler   carbon change     ECT change
@@ -33,49 +34,22 @@ rarer passes. The test holds both changes to ±0.5% for both schedulers.
 
 from __future__ import annotations
 
-import json
-import statistics
-from pathlib import Path
-
 import pytest
 
-from repro.experiments.runner import ExperimentConfig, run_experiment
-from repro.workloads.batch import WorkloadSpec
-
-PIN = Path(__file__).parent / "data" / "decima_rejection_loop_pin.json"
+from conftest import pinned_quality_changes
 
 #: Largest paired mean change of carbon or ECT the pin accepts.
 TOLERANCE = 0.005
 
 
-def trial(scheduler: str, seed: int) -> tuple[float, float]:
-    """``(carbon, ECT)`` of ``scheduler`` on the pinned Fig. 11 config."""
-    result = run_experiment(
-        ExperimentConfig(
-            scheduler=scheduler, grid="DE", mode="standalone",
-            num_executors=40,
-            workload=WorkloadSpec(
-                family="tpch", num_jobs=25, mean_interarrival=45.0
-            ),
-            seed=seed,
-        )
-    )
-    return result.carbon_footprint, result.ect
-
-
 @pytest.fixture(scope="module")
 def changes() -> dict[str, tuple[float, float]]:
     """Per scheduler: paired mean relative change of (carbon, ECT)."""
-    pin = json.loads(PIN.read_text())
-    out = {}
-    for scheduler, rows in pin["schedulers"].items():
-        carbon, ect = [], []
-        for seed, (old_carbon, old_ect) in zip(pin["config"]["seeds"], rows):
-            new_carbon, new_ect = trial(scheduler, seed)
-            carbon.append(new_carbon / old_carbon - 1.0)
-            ect.append(new_ect / old_ect - 1.0)
-        out[scheduler] = (statistics.fmean(carbon), statistics.fmean(ect))
-    return out
+    return pinned_quality_changes(
+        "decima_rejection_loop_pin.json",
+        "schedulers",
+        lambda scheduler: {"scheduler": scheduler},
+    )
 
 
 @pytest.mark.parametrize("scheduler", ["decima", "cap-decima"])

@@ -30,7 +30,11 @@ from repro.schedulers.fifo import FIFOScheduler
 from repro.simulator.engine import ClusterConfig, Simulation
 from repro.workloads.batch import WorkloadSpec
 
-from conftest import make_trace, schedule_fingerprint
+from conftest import (
+    make_trace,
+    reference_bottleneck_scores,
+    schedule_fingerprint,
+)
 
 
 def tiny_workload(num_jobs: int = 6) -> WorkloadSpec:
@@ -735,34 +739,6 @@ class TestDisruptCLI:
 # Satellite: bottleneck descendant-work cache
 # ----------------------------------------------------------------------
 class TestBottleneckCache:
-    def _reference_scores(self, dag, completed):
-        """The pre-cache implementation, verbatim (per-stage sweeps)."""
-        from repro.dag.metrics import descendant_work, remaining_work
-
-        done = set(completed)
-        remaining = remaining_work(dag, done)
-        if remaining <= 0:
-            return {}
-        downstream = {}
-        for sid in reversed(dag.topological_order()):
-            stage = dag.stage(sid)
-            own = 0.0 if sid in done else stage.task_duration
-            below = max(
-                (downstream[c] for c in dag.children(sid)), default=0.0
-            )
-            downstream[sid] = own + below
-        max_chain = max(downstream.values(), default=0.0)
-        scores = {}
-        for sid in dag.stage_ids():
-            if sid in done:
-                continue
-            gated = descendant_work(dag, sid)
-            chain = downstream[sid]
-            scores[sid] = 0.5 * (gated / remaining) + 0.5 * (
-                chain / max_chain if max_chain > 0 else 0.0
-            )
-        return scores
-
     def test_scores_bit_identical_on_pinned_workload(self):
         """Cached descendant work reproduces the exact reference floats."""
         from repro.dag.metrics import bottleneck_scores
@@ -773,8 +749,8 @@ class TestBottleneckCache:
             dag = sub.dag
             done: set[int] = set()
             for sid in dag.topological_order():
-                assert bottleneck_scores(dag, done) == self._reference_scores(
-                    dag, done
+                assert bottleneck_scores(dag, done) == (
+                    reference_bottleneck_scores(dag, done)
                 )
                 done.add(sid)
 

@@ -188,11 +188,8 @@ def reference_select(policy, rng, view):
     if not growable:
         return NOTHING_GROWABLE
     probs = policy._softmax(reference_scores(policy, view, ready))
-    if len(growable) == len(ready):
-        pick = int(rng.choice(len(ready), p=probs))
-    else:
-        weights = probs[growable] / probs[growable].sum()
-        pick = growable[int(rng.choice(len(growable), p=weights))]
+    weights = probs[growable] / probs[growable].sum()
+    pick = growable[int(rng.choice(len(growable), p=weights))]
     chosen = ready[pick]
     return StageChoice(
         job_id=chosen.job_id,
@@ -550,9 +547,9 @@ def test_incremental_arrays_equal_from_scratch_rebuild(ops):
     keep one frontier table bit-equal to a from-scratch frontier rebuild.
 
     Mirrors the engine's discipline exactly: one table across views,
-    grants and task finishes that complete no stage touching their row,
-    every other operation marking its job dirty, and finished or withdrawn
-    jobs leaving the active set. After about two operations in three
+    grants and task finishes touching their stage's row, every other
+    operation marking its job dirty, and finished or withdrawn jobs
+    leaving the active set. After about two operations in three
     (so changes also pile up between serves), views under a
     random quota, busy count, shared pool, per-job cap, hoarded
     reservations and blocked pairs must serve both variants equal to the
@@ -607,9 +604,8 @@ def test_incremental_arrays_equal_from_scratch_rebuild(ops):
             job, sid = launched[int(op_rng.integers(len(launched)))]
             if job.record_task_finish(sid, now=1.0):
                 del active[job.job_id]
-            if sid not in job.completed_stages:
-                table.touch(job.job_id, sid)
-                return
+            table.touch(job.job_id, sid)
+            return
         elif action == "preempt":
             job, sid = launched[int(op_rng.integers(len(launched)))]
             job.stages[sid].unlaunch(1)
@@ -701,9 +697,8 @@ def scratch_twin(view: ClusterView) -> ClusterView:
 
 class TestEngineFrontierTable:
     """The stepper's table, fed only by the engine's touches (grant, task
-    finish completing no stage) and marks (arrival, stage completion,
-    preemption, withdrawal), serves what a from-scratch build would
-    serve."""
+    finish) and marks (arrival, preemption, withdrawal), serves what a
+    from-scratch build would serve."""
 
     @pytest.mark.parametrize(
         "scheduler",

@@ -11,9 +11,9 @@ ones; instead this pins that quality did not get worse across seeds.
 ``data/pcaps_rejection_loop_pin.json`` holds per-seed ``(carbon, ECT)``
 of the retired loop on the Fig. 11 config (DE, standalone, 40 executors,
 25 TPC-H jobs, 45 s mean interarrival, seeds 0–29, γ ∈ {0.5, 0.9}),
-recorded once with :func:`trial` at the last commit that had the loop.
-It cannot be re-recorded: :func:`trial` now measures the masked
-scheduler. Measured when the mask
+recorded once at the last commit that had the loop. It cannot be
+re-recorded: the same trials now measure the masked scheduler
+(``conftest.pinned_quality_changes`` runs them). Measured when the mask
 landed (paired mean ± standard error over the 30 seeds):
 
 =====  =================  =================
@@ -36,46 +36,19 @@ and ECT to ±1% at γ=0.5.
 
 from __future__ import annotations
 
-import json
-import statistics
-from pathlib import Path
-
 import pytest
 
-from repro.experiments.runner import ExperimentConfig, run_experiment
-from repro.workloads.batch import WorkloadSpec
-
-PIN = Path(__file__).parent / "data" / "pcaps_rejection_loop_pin.json"
-
-
-def trial(gamma: float, seed: int) -> tuple[float, float]:
-    """``(carbon, ECT)`` of PCAPS on the pinned Fig. 11 config."""
-    result = run_experiment(
-        ExperimentConfig(
-            scheduler="pcaps", grid="DE", mode="standalone",
-            num_executors=40,
-            workload=WorkloadSpec(
-                family="tpch", num_jobs=25, mean_interarrival=45.0
-            ),
-            gamma=gamma, seed=seed,
-        )
-    )
-    return result.carbon_footprint, result.ect
+from conftest import pinned_quality_changes
 
 
 @pytest.fixture(scope="module")
 def changes() -> dict[str, tuple[float, float]]:
     """Per γ: paired mean relative change of (carbon, ECT) vs the pin."""
-    pin = json.loads(PIN.read_text())
-    out = {}
-    for gamma, rows in pin["gammas"].items():
-        carbon, ect = [], []
-        for seed, (old_carbon, old_ect) in zip(pin["config"]["seeds"], rows):
-            new_carbon, new_ect = trial(float(gamma), seed)
-            carbon.append(new_carbon / old_carbon - 1.0)
-            ect.append(new_ect / old_ect - 1.0)
-        out[gamma] = (statistics.fmean(carbon), statistics.fmean(ect))
-    return out
+    return pinned_quality_changes(
+        "pcaps_rejection_loop_pin.json",
+        "gammas",
+        lambda gamma: {"scheduler": "pcaps", "gamma": float(gamma)},
+    )
 
 
 @pytest.mark.parametrize("gamma", ["0.5", "0.9"])

@@ -195,14 +195,14 @@ class TestServiceRunner:
     def test_frontier_table_keeps_blocks_for_active_jobs_only(self):
         """PCAPS serves its frontier from the engine's table. Every epoch,
         the table holds a block for each active job and, until its next
-        refresh, for jobs finished since the last one; never for the
-        stream's retired past."""
+        refresh, for jobs finished since the last one (their last finish
+        touched them); never for the stream's retired past."""
         seen = []
 
         def check(runner):
             table = runner.stepper._frontier_table
             stale = set(table._blocks) - set(runner.stepper.active)
-            assert stale <= table._dirty
+            assert stale <= table._dirty | set(table._touched)
             assert not stale & set(runner.stepper.jobs)  # all retired
             seen.append(len(table._blocks))
 
@@ -221,12 +221,13 @@ class TestServiceRunner:
 
     def test_fifo_never_builds_a_frontier_table(self):
         """FIFO never asks for the frontier, so its table ignores every
-        mark: no dirty ids accumulate over the stream."""
+        mark and touch: no dirty ids accumulate over the stream."""
 
         def check(runner):
             table = runner.stepper._frontier_table
             assert table._full is None
-            assert not table._dirty and not table._blocks
+            assert not table._dirty and not table._touched
+            assert not table._blocks
 
         report = ServiceRunner(tiny_service(max_jobs=60), on_epoch=check).run()
         assert report.jobs_completed == 60
