@@ -7,11 +7,11 @@ measurements are written to ``BENCH_engine.json`` so successive PRs can
 diff engine throughput.
 
 The gate is on work counters, which repeat exactly on every machine: the
-200-job Decima+PCAPS trial must make no blocked retries (PCAPS masks
-stages at their parallelism limit ``P'`` out of its draw) and at most one
-scheduler select per task, and no trial may build more cluster views
-than it takes scheduling steps (the engine advances one view per step in
-place). The speedup against the pre-refactor wall
+200-job Decima+PCAPS trial must make at most one scheduler select per
+task (PCAPS masks stages at their parallelism limit ``P'`` out of its
+draw, so no select is spent on a stage that cannot grow), and no trial
+may build more cluster views than it takes scheduling steps (the engine
+advances one view per step in place). The speedup against the pre-refactor wall
 times (commit 50c23a5) is reported, not asserted: that baseline was
 recorded on another machine.
 
@@ -62,13 +62,11 @@ def test_engine_throughput(benchmark):
     # fifo-200 wall (same event loop, barely touched by PCAPS costs).
     machine_scale = by_name["fifo-200"].wall_s / POST_REFACTOR_FIFO_200_S
     benchmark.extra_info["gate"] = {
-        "pcaps_200_blocked_retries": pcaps.blocked_retries,
         "pcaps_200_selects_per_task": round(pcaps.select_calls / pcaps.tasks, 3),
         "pcaps_200_speedup_rescaled": round(
             PRE_REFACTOR_BASELINE_S["pcaps-200"] * machine_scale / pcaps.wall_s,
             2,
         ),
     }
-    assert pcaps.blocked_retries == 0
     assert pcaps.select_calls <= pcaps.tasks
 

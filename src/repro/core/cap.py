@@ -32,23 +32,15 @@ class CAPProvisioner(Provisioner):
     min_quota:
         The paper's ``B``: machines always allowed, guaranteeing progress.
         The paper's "moderate" prototype setting is B=20 on K=100.
-    scale_parallelism:
-        Apply the ``P' = ceil(P * r(t)/K)`` reduction (ablation flag).
     """
 
-    def __init__(
-        self,
-        total_executors: int,
-        min_quota: int,
-        scale_parallelism: bool = True,
-    ) -> None:
+    def __init__(self, total_executors: int, min_quota: int) -> None:
         if total_executors < 1:
             raise ValueError("total_executors must be >= 1")
         if not 1 <= min_quota <= total_executors:
             raise ValueError("need 1 <= min_quota <= total_executors")
         self.total_executors = total_executors
         self.min_quota = min_quota
-        self.scale_parallelism_enabled = scale_parallelism
         self.name = f"cap(B={min_quota}/K={total_executors})"
         self._thresholds: CAPThresholds | None = None
         self._bounds: tuple[float, float] | None = None
@@ -85,8 +77,6 @@ class CAPProvisioner(Provisioner):
 
     def scale_parallelism(self, limit: int, view: ClusterView) -> int:
         """``P' = ceil(P * r(t)/K)`` — Section 5.1's CAP parallelism rule."""
-        if not self.scale_parallelism_enabled:
-            return limit
         ratio = self._last_quota / self.total_executors
         return max(1, math.ceil(limit * ratio))
 
@@ -95,8 +85,6 @@ class CAPProvisioner(Provisioner):
     ) -> np.ndarray:
         """:meth:`scale_parallelism` of every element, as one array
         expression with the same float operations."""
-        if not self.scale_parallelism_enabled:
-            return limits
         ratio = self._last_quota / self.total_executors
         return np.maximum(np.ceil(limits * ratio), 1)
 

@@ -151,14 +151,15 @@ class PCAPSScheduler(StageScheduler):
     ) -> StageChoice | NothingGrowable | None:
         reading = view.carbon
         full = view.frontier_arrays(include_saturated=True)
-        # Stages already running P' tasks cannot grow: mask them out of the
-        # draw. They stay in the frontier the policy normalizes over, so
-        # importance is still relative to the whole of A_t.
+        # Stages already running P' tasks (scaled by the provisioner, as the
+        # engine enforces it) cannot grow: mask them out of the draw. They
+        # stay in the frontier the policy normalizes over, so importance
+        # is still relative to the whole of A_t.
         limits = self.parallelism_limits(view, full)
         data = full.data
         growable = (
             (data[:, FrontierArrays.SLOTS] > 0)
-            & (data[:, FrontierArrays.RUNNING] < limits)
+            & (data[:, FrontierArrays.RUNNING] < view.scaled_limits(limits))
         ).nonzero()[0]
         if growable.size == 0:
             return NOTHING_GROWABLE

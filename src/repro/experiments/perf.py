@@ -112,11 +112,9 @@ class PerfMeasurement:
     frontier_matrix_hit_rate: float | None = field(default=None)
     frontier_column_hit_rate: float | None = field(default=None)
     #: Deterministic work counters from the same untimed observed pass:
-    #: choices the engine could not grow and asked again for
-    #: (``engine.blocked_retries``), scheduler deferrals, scheduling steps
-    #: (``engine.steps``) and the cluster views built for them
-    #: (``engine.views``, at most one per step).
-    blocked_retries: int | None = field(default=None)
+    #: scheduler deferrals, scheduling steps (``engine.steps``) and the
+    #: cluster views built for them (``engine.views``, at most one per
+    #: step).
     deferrals: int | None = field(default=None)
     steps: int | None = field(default=None)
     views: int | None = field(default=None)
@@ -180,7 +178,6 @@ def _observed_pass(config: ExperimentConfig) -> dict:
     return {
         "frontier_matrix_hit_rate": rate("engine.cache.matrix"),
         "frontier_column_hit_rate": rate("engine.cache.column"),
-        "blocked_retries": registry.value("engine.blocked_retries"),
         "deferrals": registry.value("engine.deferrals"),
         "steps": registry.value("engine.steps"),
         "views": registry.value("engine.views"),
@@ -194,7 +191,7 @@ def run_scenario(
 
     With ``collect_cache_stats`` the scenario runs a *second* time under an
     observer to read the engine's frontier-cache hit rates and its
-    blocked-retry, deferral, step and view counters; the timed run stays
+    deferral, step and view counters; the timed run stays
     obs-off, so wall times are never contaminated by instrumentation.
     """
     config = scenario.config()
@@ -296,7 +293,7 @@ def format_report(measurements: Sequence[PerfMeasurement]) -> str:
     """Human-readable table of a measurement run."""
     lines = [
         f"{'scenario':<18} {'wall_s':>8} {'events/s':>10} {'tasks/s':>9} "
-        f"{'select_ms':>10} {'speedup':>8} {'matrix%':>8} {'blocked':>8}"
+        f"{'select_ms':>10} {'speedup':>8} {'matrix%':>8}"
     ]
     for m in measurements:
         speedup = (
@@ -309,10 +306,9 @@ def format_report(measurements: Sequence[PerfMeasurement]) -> str:
             if m.frontier_matrix_hit_rate is not None
             else "-"
         )
-        blocked = "-" if m.blocked_retries is None else str(m.blocked_retries)
         lines.append(
             f"{m.name:<18} {m.wall_s:>8.3f} {m.events_per_s:>10.0f} "
             f"{m.tasks_per_s:>9.0f} {m.avg_select_latency_ms:>10.3f} "
-            f"{speedup:>8} {matrix:>8} {blocked:>8}"
+            f"{speedup:>8} {matrix:>8}"
         )
     return "\n".join(lines)

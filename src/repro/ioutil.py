@@ -48,20 +48,3 @@ def atomic_write_text(
     """Text twin of :func:`atomic_write_bytes`."""
     return atomic_write_bytes(path, text.encode(encoding))
 
-
-def append_line(path: str | Path, line: str, encoding: str = "utf-8") -> Path:
-    """Append one line to a log-structured file, torn-tail safe.
-
-    The whole line (newline included) goes down in a single buffered write
-    followed by flush + fsync — the same discipline the campaign result
-    store uses, so a crash mid-append leaves at most one torn final line,
-    which lenient line-oriented readers skip. Creates parent directories
-    on first use.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding=encoding) as fh:
-        fh.write(line.rstrip("\n") + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    return path

@@ -6,11 +6,22 @@ workloads" (Section 6.1). We implement it as max-min entitlement tracking:
 each active job's entitlement is proportional to its remaining work raised
 to a tunable exponent, and the job furthest below its entitlement receives
 the next executor.
+
+A job's limit is its entitlement (at most its stage's task count), which
+depends on every job weighed, so no mask can apply it before the choice.
+When the chosen stage already runs that limit's scaled value, ``select``
+passes over the pair, lets the job's next stage that can grow take its
+place (or drops the job), and weighs the jobs again.
 """
 
 from __future__ import annotations
 
-from repro.simulator.interfaces import StageChoice, StageScheduler
+from repro.simulator.interfaces import (
+    NOTHING_GROWABLE,
+    NothingGrowable,
+    StageChoice,
+    StageScheduler,
+)
 from repro.simulator.state import ClusterView
 
 
@@ -30,9 +41,30 @@ class WeightedFairScheduler(StageScheduler):
             raise ValueError("weight_exponent must be >= 0")
         self.weight_exponent = weight_exponent
 
-    def select(self, view: ClusterView) -> StageChoice | None:
+    def select(
+        self, view: ClusterView
+    ) -> StageChoice | NothingGrowable | None:
+        # (job, stage) pairs picked in this call at their scaled limit.
+        passed: set[tuple[int, int]] = set()
+        while (pick := self._weigh(view, passed)) is not None:
+            job_id, stage_id, limit = pick
+            running = view.job(job_id).stages[stage_id].running
+            if running < view.scaled_limit(limit):
+                return StageChoice(
+                    job_id=job_id, stage_id=stage_id, parallelism_limit=limit
+                )
+            passed.add((job_id, stage_id))
+        return NOTHING_GROWABLE if passed else None
+
+    def _weigh(
+        self, view: ClusterView, passed: set[tuple[int, int]]
+    ) -> tuple[int, int, int] | None:
+        """The job furthest below its entitlement, its first assignable
+        stage not in ``passed``, and the stage's limit; ``None`` when no
+        job has such a stage."""
         first_stage = {
-            job.job_id: stage_id for job, stage_id in view.assignable_jobs()
+            job.job_id: stage_id
+            for job, stage_id in view.assignable_jobs(passed)
         }
         if not first_stage:
             return None
@@ -58,10 +90,5 @@ class WeightedFairScheduler(StageScheduler):
             best_job = min(jobs, key=lambda j: view.job(j).executors_in_use)
         entitlement = max(1, round(usable * weights[best_job] / total_weight))
         stage_id = first_stage[best_job]
-        return StageChoice(
-            job_id=best_job,
-            stage_id=stage_id,
-            parallelism_limit=min(
-                entitlement, view.job(best_job).stages[stage_id].stage.num_tasks
-            ),
-        )
+        num_tasks = view.job(best_job).stages[stage_id].stage.num_tasks
+        return best_job, stage_id, min(entitlement, num_tasks)

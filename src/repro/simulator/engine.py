@@ -6,10 +6,12 @@ each event the engine runs an *assignment pass*: it computes the current
 provisioning quota, then repeatedly asks the stage scheduler for a choice
 until executors run out, the quota binds, nothing is ready, the scheduler
 declines (a deferral), or it reports that nothing it would grow can take
-another executor. Quotas are enforced without preemption, matching both
-CAP's design and the Kubernetes resource-quota semantics of the prototype
-("when the quota is lowered, existing pods are not preempted, but new pods
-are not scheduled until usage falls below the quota").
+another executor. Every choice must be able to take one: a choice the
+engine cannot grow is a scheduler bug, and the pass raises on it. Quotas
+are enforced without preemption, matching both CAP's design and the
+Kubernetes resource-quota semantics of the prototype ("when the quota is
+lowered, existing pods are not preempted, but new pods are not scheduled
+until usage falls below the quota").
 """
 
 from __future__ import annotations
@@ -481,7 +483,6 @@ class SimulationStepper:
             self._obs_steps = registry.counter("engine.steps")
             self._obs_views = registry.counter("engine.views")
             self._obs_heap_hw = registry.gauge("engine.heap.high_water")
-            self._obs_blocked = registry.counter("engine.blocked_retries")
             self._obs_preempted = registry.counter("engine.preemptions")
             self._obs_deferrals = registry.counter("engine.deferrals")
             self._obs_select = registry.histogram("engine.select_latency_s")
@@ -491,7 +492,6 @@ class SimulationStepper:
             self._obs_steps = None
             self._obs_views = None
             self._obs_heap_hw = None
-            self._obs_blocked = None
             self._obs_preempted = None
             self._obs_deferrals = None
             self._obs_select = None
@@ -508,7 +508,6 @@ class SimulationStepper:
         "_obs_steps",
         "_obs_views",
         "_obs_heap_hw",
-        "_obs_blocked",
         "_obs_preempted",
         "_obs_deferrals",
         "_obs_select",
@@ -872,14 +871,11 @@ class SimulationStepper:
             stage_id = choice.stage_id
             job = jobs[job_id]
             runtime = job.stages[stage_id]
-            limit = (
+            limit = view.scaled_limit(
                 choice.parallelism_limit
                 if choice.parallelism_limit is not None
                 else runtime.stage.num_tasks
             )
-            if sim.provisioner is not None:
-                limit = sim.provisioner.scale_parallelism(limit, view)
-            limit = max(1, limit)
             assignable = min(
                 pool.free_for(job_id),
                 quota - busy,
@@ -892,11 +888,11 @@ class SimulationStepper:
                     config.per_job_executor_cap - job.executors_in_use,
                 )
             if assignable <= 0:
-                # Only the blocked set changes: the view keeps the rest.
-                view.block(job_id, stage_id)
-                if obs_events is not None:
-                    self._obs_blocked.inc()
-                continue
+                # Schedulers choose only stages the view says can grow.
+                raise RuntimeError(
+                    f"scheduler {sim.scheduler.name!r} chose job {job_id} "
+                    f"stage {stage_id}, which cannot grow"
+                )
             task_duration = runtime.stage.task_duration
             for _ in range(assignable):
                 executor_id, needs_move = pool.take(job_id)
@@ -949,7 +945,6 @@ class SimulationStepper:
             self._obs_views.inc()
         pool = self.pool
         config = self.sim.config
-        provisioner = self.sim.provisioner
         return ClusterView(
             time=now,
             total_executors=self.capacity,
@@ -963,11 +958,7 @@ class SimulationStepper:
             active=self.active,
             frontier_table=self._frontier_table,
             cache_stats=self._cache_stats,
-            parallelism_scale=(
-                None
-                if provisioner is None
-                else provisioner.scale_parallelism_column
-            ),
+            provisioner=self.sim.provisioner,
         )
 
     # -- finalization ---------------------------------------------------

@@ -87,6 +87,11 @@ class StageScheduler(abc.ABC):
     ) -> StageChoice | NothingGrowable | None:
         """Choose a stage to receive executors, or ``None`` to idle.
 
+        The chosen stage must be able to grow: it has unlaunched tasks,
+        its job has a free executor under the quota and the per-job cap,
+        and it runs fewer tasks than
+        ``view.scaled_limit(parallelism_limit)``, the limit the engine
+        enforces. The engine raises on a choice that cannot grow.
         Returning ``None`` leaves all remaining free executors idle until
         the next scheduling event (job arrival, task completion, or carbon
         step) — the deferral mechanism of Algorithm 1. Returning
@@ -307,11 +312,12 @@ class Provisioner(abc.ABC):
     ) -> np.ndarray:
         """:meth:`scale_parallelism` of every element of ``limits``.
 
-        The engine hands this to its views, and the probabilistic
-        schedulers mask their draws with it
-        (:meth:`ClusterView.scaled_limits`); a subclass overriding one
-        must override both with the same values, or the engine blocks
-        the choices the mask let through. Default: identity.
+        The probabilistic schedulers mask their draws with it
+        (:meth:`ClusterView.scaled_limits`) and the engine enforces the
+        scalar rule (:meth:`ClusterView.scaled_limit`); a subclass
+        overriding one must override both with the same values, or the
+        engine raises on the choices the mask let through. Default:
+        identity.
         """
         return limits
 

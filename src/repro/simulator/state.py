@@ -26,13 +26,16 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, AbstractSet, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
 from repro.carbon.api import CarbonReading
 from repro.dag.graph import JobDAG, Stage
 from repro.dag.metrics import bottleneck_scores as _bottleneck_scores
+
+if TYPE_CHECKING:
+    from repro.simulator.interfaces import Provisioner
 
 
 @dataclass
@@ -696,12 +699,17 @@ class ClusterView:
     A view is valid for one ``select`` call. The engine builds one view per
     scheduling step and, between ``select`` calls of the step's assignment
     pass, updates it in place: :meth:`set_quota` once the provisioner has
-    set the pass's quota, :meth:`block` after a choice it could not grow,
-    :meth:`advance` after each grant. Each of these drops what the view
-    derived (frontier arrays, :meth:`first_assignable`), so within one
-    ``select`` call nothing the view reports changes and the view may
-    cache. Schedulers must treat the view as read-only and must not keep
-    it, or anything it returned, past the call.
+    set the pass's quota, :meth:`advance` after each grant. Both drop what
+    the view derived (frontier arrays, :meth:`first_assignable`), so
+    within one ``select`` call nothing the view reports changes and the
+    view may cache. Schedulers must treat the view as read-only and must
+    not keep it, or anything it returned, past the call.
+
+    The view also answers which parallelism limit the engine will enforce
+    on a choice (:meth:`scaled_limit`, :meth:`scaled_limits`: the
+    provisioner's scale of it, and at least 1). Every scheduler chooses
+    only stages running fewer tasks than that limit, so every choice can
+    grow; the engine raises on one that cannot.
 
     The engine hands every view of a run its :class:`FrontierTable`, so a
     view's frontier costs only the rebuild of the jobs touched since the
@@ -719,15 +727,12 @@ class ClusterView:
         jobs: dict[int, JobRuntime],
         carbon: CarbonReading,
         per_job_cap: int | None = None,
-        blocked: frozenset[tuple[int, int]] = frozenset(),
         general_free: int | None = None,
         reserved_free: dict[int, int] | None = None,
         active: Mapping[int, JobRuntime] | None = None,
         frontier_table: FrontierTable | None = None,
         cache_stats=None,
-        parallelism_scale: (
-            Callable[[np.ndarray, "ClusterView"], np.ndarray] | None
-        ) = None,
+        provisioner: Provisioner | None = None,
     ) -> None:
         self.time = time
         self.total_executors = total_executors
@@ -736,7 +741,6 @@ class ClusterView:
         self.carbon = carbon
         self.per_job_cap = per_job_cap
         self._jobs = jobs
-        self._blocked = blocked
         #: Arrival-ordered mapping of not-yet-finished jobs, maintained by
         #: the engine (arrival events insert, completions delete). ``None``
         #: means "derive from ``jobs``" — the slow path for hand-built views.
@@ -748,19 +752,13 @@ class ClusterView:
         self._fa_cache: dict[bool, FrontierArrays] = {}
         #: :meth:`first_assignable`'s result, or :data:`_UNWALKED`.
         self._first = _UNWALKED
-        #: Blocked pairs in arrival order plus the boolean masks already
-        #: derived from them, so each block() retry extends the previous
-        #: mask with one pair instead of re-deriving the conjunction.
-        self._blocked_seq: list[tuple[int, int]] = list(blocked)
-        self._mask_state: dict[bool, tuple] = {}
         #: Optional :class:`repro.obs.observer.FrontierCacheStats` from the
         #: owning stepper: the table's block and matrix hit/miss counters.
         #: ``None`` (collection off, or hand-built views) counts nothing.
         self._cache_stats = cache_stats
-        #: The provisioner's parallelism rule in columnar form,
-        #: ``(limits, view) -> scaled limits`` (its
-        #: ``scale_parallelism_column``); ``None`` without a provisioner.
-        self._parallelism_scale = parallelism_scale
+        #: The run's provisioner, whose parallelism rule scales every
+        #: limit the engine enforces; ``None`` without one.
+        self._provisioner = provisioner
         #: Executors in the shared pool (any job may take these). Under
         #: hoarding semantics idle-but-bound executors are *not* here.
         self.general_free = (
@@ -793,13 +791,20 @@ class ClusterView:
     def job(self, job_id: int) -> JobRuntime:
         return self._jobs[job_id]
 
-    def scaled_limits(self, limits: np.ndarray) -> np.ndarray:
+    def scaled_limit(self, limit: int) -> int:
         """The limit the engine enforces on a choice whose
-        ``parallelism_limit`` is each element of ``limits``: the
-        provisioner's scale of it, and at least 1."""
-        scale = self._parallelism_scale
-        if scale is not None:
-            limits = scale(limits, self)
+        ``parallelism_limit`` is ``limit``: the provisioner's scale of
+        it, and at least 1."""
+        provisioner = self._provisioner
+        if provisioner is not None:
+            limit = provisioner.scale_parallelism(limit, self)
+        return max(1, limit)
+
+    def scaled_limits(self, limits: np.ndarray) -> np.ndarray:
+        """:meth:`scaled_limit` of every element of ``limits``."""
+        provisioner = self._provisioner
+        if provisioner is not None:
+            limits = provisioner.scale_parallelism_column(limits, self)
         return np.maximum(limits, 1)
 
     def ready_stages(self, include_saturated: bool = False) -> list[ReadyStage]:
@@ -818,9 +823,7 @@ class ClusterView:
         rows are Definition 4.1's full ``A_t``: stages whose tasks are all
         in flight are included with ``slots == 0`` so probabilistic
         schedulers can normalize importance over them (they must still
-        never be *chosen* for assignment). Entries blocked earlier in the
-        same scheduling pass (because the engine could not grow them) are
-        excluded, which guarantees the assignment loop terminates.
+        never be *chosen* for assignment).
 
         Served from the :class:`FrontierTable`, which rebuilds only the
         jobs touched since its previous serve; this view supplies the
@@ -855,54 +858,22 @@ class ClusterView:
         data = table.serve(
             active, include_saturated, budget, self._cache_stats
         )
-        return self._finish_frontier(data, include_saturated)
-
-    def _finish_frontier(
-        self, data: np.ndarray, include_saturated: bool
-    ) -> FrontierArrays:
-        """Apply the per-pass blocked filter and cache the result per view.
-
-        Entries blocked earlier in this scheduling pass are dropped at the
-        view level, so the table's blocks and served matrices stay valid
-        while anything is blocked. The blocked set is tiny; the mask
-        conjunction is order-independent.
-        """
-        seq = self._blocked_seq
-        if seq and len(data):
-            state = self._mask_state.get(include_saturated)
-            if state is not None and state[0] is data:
-                applied, mask = state[1], state[2]
-            else:
-                applied, mask = 0, None
-            if applied < len(seq):
-                job_col = data[:, FrontierArrays.JOB_ID]
-                stage_col = data[:, FrontierArrays.STAGE_ID]
-                for job_id, stage_id in seq[applied:]:
-                    keep = (job_col != job_id) | (stage_col != stage_id)
-                    mask = keep if mask is None else mask & keep
-                self._mask_state[include_saturated] = (data, len(seq), mask)
-            out = FrontierArrays(data[mask], self._jobs)
-        else:
-            out = FrontierArrays(data, self._jobs)
+        out = FrontierArrays(data, self._jobs)
         self._fa_cache[include_saturated] = out
         return out
 
-    # -- engine-only updates between select calls -----------------------
     def block(self, job_id: int, stage_id: int) -> None:
-        """Engine-only: add one blocked entry and invalidate view caches.
+        """Raises: every choice can grow, so nothing is ever blocked.
 
-        Between a blocked choice and the next ``select`` retry nothing in
-        the cluster changes except the blocked set, so the engine records
-        the block here; both :meth:`frontier_arrays` and
-        :meth:`assignable_jobs` then skip the pair. The frontier rows do
-        not change, so a private table is kept. Schedulers must never call
-        this.
+        Nothing in the package calls it; the benchmark's traced run
+        (``perfbench/bench_trace.py``) still wraps this name.
         """
-        self._blocked = frozenset((*self._blocked, (job_id, stage_id)))
-        self._blocked_seq.append((job_id, stage_id))
-        self._fa_cache.clear()
-        self._first = _UNWALKED
+        raise RuntimeError(
+            f"every choice can grow, so nothing blocks job {job_id} "
+            f"stage {stage_id}"
+        )
 
+    # -- engine-only updates between select calls -----------------------
     def set_quota(self, quota: int) -> None:
         """Engine-only: the pass's quota, once the provisioner has read
         this view under the quota it was built with."""
@@ -922,8 +893,7 @@ class ClusterView:
         reserved ones to work, and changes ``job_id``'s frontier rows
         (the engine touches the stage's row in its table); nothing else a view
         reports changes. ``job_reserved`` is the job's remaining reserved
-        count. The blocked set carries over, as it does across the
-        grants of one pass.
+        count.
         """
         self.busy_executors = busy_executors
         self.general_free = general_free
@@ -942,23 +912,32 @@ class ClusterView:
         if self._own_table:
             self._table = None
 
-    def assignable_jobs(self) -> Iterator[tuple[JobRuntime, int]]:
+    def assignable_jobs(
+        self, passed: AbstractSet[tuple[int, int]] = frozenset()
+    ) -> Iterator[tuple[JobRuntime, int]]:
         """Each job that could take an executor now, with its first such stage.
 
         Yields ``(job, stage_id)`` for the active jobs in arrival order,
         where ``stage_id`` is the job's first stage in topological order
-        that has unlaunched tasks and is not blocked this pass — the
-        job's first row with ``slots > 0`` in :meth:`frontier_arrays`. A
-        job is skipped when its executor pool (shared plus its own
-        reserved executors) is empty or it is at the per-job cap; nothing
-        is yielded when the quota leaves no room.
+        that has unlaunched tasks and runs fewer tasks than
+        :meth:`scaled_limit` of its task count — the limit the engine
+        enforces on a choice at full parallelism, so the engine can grow
+        every yielded stage at that limit. ``passed`` names (job, stage)
+        pairs to skip as well (a scheduler's choices within one
+        ``select`` that its own, lower limit would not let grow). A job
+        is skipped when its executor pool (shared plus its own reserved
+        executors) is empty or it is at the per-job cap; nothing is
+        yielded when the quota leaves no room.
         """
         if self.quota - self.busy_executors <= 0:
             return
         general_free = self.general_free
         reserved_free = self.reserved_free
-        blocked = self._blocked
         per_job_cap = self.per_job_cap
+        # Without a provisioner the limit is the task count, which a stage
+        # with unlaunched tasks never reaches; a stage running nothing is
+        # below any limit.
+        scaled = self._provisioner is not None
         for job in self.active_jobs():
             job_id = job.job_id
             job_pool = general_free + (
@@ -969,8 +948,15 @@ class ClusterView:
             if per_job_cap is not None and per_job_cap <= job.executors_in_use:
                 continue
             for sid in job.ready_stage_ids():
-                if blocked and (job_id, sid) in blocked:
+                if passed and (job_id, sid) in passed:
                     continue
+                if scaled:
+                    runtime = job.stages[sid]
+                    running = runtime.launched - runtime.finished
+                    if running and running >= self.scaled_limit(
+                        runtime.stage.num_tasks
+                    ):
+                        continue
                 yield job, sid
                 break
 

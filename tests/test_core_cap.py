@@ -122,13 +122,6 @@ class TestParallelismScaling:
         cap._last_quota = 5
         assert cap.scale_parallelism(8, view=None) == 4  # ceil(8 * 5/10)
 
-    def test_scaling_disabled(self):
-        cap = CAPProvisioner(
-            total_executors=10, min_quota=2, scale_parallelism=False
-        )
-        cap._last_quota = 5
-        assert cap.scale_parallelism(8, view=None) == 8
-
     def test_at_least_one(self):
         cap = CAPProvisioner(total_executors=100, min_quota=1)
         cap._last_quota = 1

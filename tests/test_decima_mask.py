@@ -2,10 +2,10 @@
 
 Decima limits a stage to its ``ceil(K / active jobs)`` share, and CAP
 scales every limit to ``ceil(P · r(t)/K)`` (Section 5.1). Decima's
-``select`` now draws only among the stages below that scaled limit,
-instead of letting the engine block a capped pick and ask again. These
-tests pin the work counters that makes exact (no blocked retries, at
-most one select per task on a TPC-H batch), the "nothing growable" pass
+``select`` draws only among the stages below that scaled limit, so
+every choice can grow (the engine raises on one that cannot). These
+tests pin the work counter that makes exact (at most one select per
+task on a TPC-H batch), the "nothing growable" pass
 end, the draw's weights on random frontiers, and the columnar scale the
 mask reads against the provisioner's scalar rule.
 """
@@ -49,8 +49,9 @@ class TestWorkCounters:
     @pytest.mark.parametrize("mode", ["standalone", "kubernetes"])
     @pytest.mark.parametrize("scheduler", ["decima", "cap-decima"])
     def test_tpch_batch_never_blocks(self, scheduler, mode):
-        """50 TPC-H jobs, 50 executors, DE: the engine never blocks a
-        choice, and every select but a pass's last grows a stage."""
+        """50 TPC-H jobs, 50 executors, DE: every choice grows (the
+        engine raises on one that cannot), and every select but a pass's
+        last grows a stage."""
         config = ExperimentConfig(
             scheduler=scheduler, grid="DE", num_executors=50, mode=mode,
             workload=WorkloadSpec(family="tpch", num_jobs=50),
@@ -60,7 +61,6 @@ class TestWorkCounters:
             result = sim.run(workload_for(config))
         registry = observer.registry
         selects = registry.histogram("engine.select_latency_s").count
-        assert registry.value("engine.blocked_retries") == 0
         assert 0 < selects <= len(result.trace.tasks)
 
 
@@ -111,17 +111,15 @@ class TestNothingGrowable:
             scheduler=policy,
             carbon_api=CarbonIntensityAPI(make_trace([100.0] * 50)),
         )
-        with collecting("decima-capped-pass") as observer:
-            stepper = sim.stepper()
-            stepper.submit(JobSubmission(0.0, wide, 0))
-            stepper.submit(JobSubmission(0.0, two_roots, 1))
-            stepper.advance_through(10.0)
+        stepper = sim.stepper()
+        stepper.submit(JobSubmission(0.0, wide, 0))
+        stepper.submit(JobSubmission(0.0, two_roots, 1))
+        stepper.advance_through(10.0)
         at_finish = [choice for time, choice in policy.selects if time == 10.0]
         assert at_finish == [NOTHING_GROWABLE]
         assert len(stepper.trace.tasks) == 4  # 2 + 1 + 1 at t=0
         assert stepper.busy_executors == 3
         assert stepper.trace.deferrals == 0
-        assert observer.registry.value("engine.blocked_retries") == 0
 
 
 # -- the draw's weights on random frontiers ------------------------------
@@ -150,20 +148,19 @@ def frontier_views(draw):
             busy += runtime.running
         jobs[job_id] = job
     busy = min(busy, total)
-    scale = None
+    cap = None
     if draw(st.booleans()):
         cap = CAPProvisioner(
             total_executors=total,
             min_quota=draw(st.integers(min_value=1, max_value=total)),
         )
         cap._last_quota = draw(st.integers(cap.min_quota, total))
-        scale = cap.scale_parallelism_column
     view = ClusterView(
         time=0.0, total_executors=total, busy_executors=busy,
         quota=total, jobs=jobs, carbon=reading(), active=jobs,
-        parallelism_scale=scale,
+        provisioner=cap,
     )
-    return view, scale
+    return view, cap
 
 
 @settings(max_examples=150, deadline=None)
@@ -173,13 +170,13 @@ def test_draw_weights_are_the_softmax_restricted_to_growable_rows(case, seed):
     rows with free slots, ``G`` the rows below their scaled share. That is
     the distribution the retired reject-and-redraw loop converged to when
     blocking a row left the SRPT denominator unchanged."""
-    view, scale = case
+    view, cap = case
     policy = DecimaScheduler(seed=seed)
     frontier = view.frontier_arrays()
     free = frontier.compress(frontier.slots > 0)
     share = math.ceil(view.total_executors / max(view.queued_job_count(), 1))
     limits = np.maximum(np.minimum(free.num_tasks, share), 1)
-    scaled = limits if scale is None else scale(limits, view)
+    scaled = limits if cap is None else cap.scale_parallelism_column(limits, view)
     growable = np.flatnonzero(free.running < np.maximum(scaled, 1))
     drawn = []
     real_sample_index = interfaces._sample_index
@@ -220,15 +217,13 @@ def test_draw_weights_are_the_softmax_restricted_to_growable_rows(case, seed):
 @given(
     total=st.integers(min_value=1, max_value=200),
     data=st.data(),
-    enabled=st.booleans(),
 )
-def test_cap_column_equals_the_scalar_rule(total, data, enabled):
+def test_cap_column_equals_the_scalar_rule(total, data):
     """CAP's ``scale_parallelism_column`` is ``scale_parallelism`` element
     by element, at every quota it can set."""
     cap = CAPProvisioner(
         total_executors=total,
         min_quota=data.draw(st.integers(1, total)),
-        scale_parallelism=enabled,
     )
     cap._last_quota = data.draw(st.integers(cap.min_quota, total))
     limits = data.draw(

@@ -6,8 +6,7 @@ frontier entry by entry, and :func:`reference_scores` scores Decima one
 entry at a time.
 
 - unit tests pin the columnar representation against the reference walk
-  entry-for-entry, including blocked filtering and the ``entry()``
-  round-trip;
+  entry-for-entry, including the ``entry()`` round-trip;
 - a hypothesis property test drives random submit / launch / finish /
   preempt / withdraw interleavings through views sharing one
   :class:`FrontierTable` (with the engine's touch-and-mark discipline)
@@ -29,6 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.carbon.api import CarbonIntensityAPI, CarbonReading
+from repro.core.cap import CAPProvisioner
 from repro.core.pcaps import PCAPSScheduler
 from repro.dag.graph import JobDAG, Stage, diamond_dag
 from repro.schedulers.decima import DecimaScheduler
@@ -85,10 +85,10 @@ def build_view(
     total=6,
     quota=None,
     per_job_cap=None,
-    blocked=frozenset(),
     frontier_table=None,
     general_free=None,
     reserved_free=None,
+    provisioner=None,
 ):
     return ClusterView(
         time=0.0,
@@ -98,11 +98,11 @@ def build_view(
         jobs=jobs,
         carbon=reading(),
         per_job_cap=per_job_cap,
-        blocked=blocked,
         general_free=general_free,
         reserved_free=reserved_free,
         active=active,
         frontier_table=frontier_table,
+        provisioner=provisioner,
     )
 
 
@@ -110,10 +110,10 @@ def reference_entries(view, include_saturated):
     """The frontier as :class:`ReadyStage` tuples, walked from scratch.
 
     Active jobs in arrival order, each job's ready stages in topological
-    order, minus the pairs blocked this pass. ``slots`` is the free
-    executors the stage could take: its unlaunched tasks, bounded by the
-    quota room, the job's executor pool (shared plus its reserved) and the
-    job's per-job-cap headroom. Without ``include_saturated`` only stages
+    order. ``slots`` is the free executors the stage could take: its
+    unlaunched tasks, bounded by the quota room, the job's executor pool
+    (shared plus its reserved) and the job's per-job-cap headroom.
+    Without ``include_saturated`` only stages
     with unlaunched tasks appear; with it, stages whose tasks are all in
     flight appear too, with ``slots == 0``.
     """
@@ -128,8 +128,6 @@ def reference_entries(view, include_saturated):
             else budget
         )
         for sid in job.ready_stage_ids(include_running=include_saturated):
-            if (job.job_id, sid) in view._blocked:
-                continue
             runtime = job.stages[sid]
             unlaunched = runtime.stage.num_tasks - runtime.launched
             out.append(
@@ -270,36 +268,30 @@ class TestColumnarRepresentation:
         assert len(fa) == 0
         assert fa.data.shape == (0, FrontierArrays.NUM_COLS)
 
-    def test_blocked_entries_are_filtered(self):
+    def test_scaled_limit_leaves_the_frontier_unchanged(self):
+        """CAP's scale moves with the quota, so it is applied when a
+        scheduler selects, never to the served rows."""
         job = JobRuntime(0, fan_dag(), arrival_time=0.0)
         job.stages[0].launch(1)
         job.record_task_finish(0, now=1.0)
+        job.stages[1].launch(1)  # ceil(2 * 1/6) = 1: at its scaled limit
         jobs = {0: job}
-        blocked = frozenset({(0, 2)})
-        view = build_view(jobs, active=jobs, blocked=blocked)
+        cap = CAPProvisioner(total_executors=6, min_quota=1)
+        cap._last_quota = 1
+        view = build_view(jobs, active=jobs, busy=1, provisioner=cap)
         for flag in (False, True):
             assert_same_matrix(
                 view.frontier_arrays(flag), reference_arrays(view, flag)
             )
-            assert 2.0 not in view.frontier_arrays(flag).stage_ids
-
-    def test_block_method_extends_filter_incrementally(self):
-        job = JobRuntime(0, fan_dag(), arrival_time=0.0)
-        job.stages[0].launch(1)
-        job.record_task_finish(0, now=1.0)
-        jobs = {0: job}
-        view = build_view(jobs, active=jobs, frontier_table=FrontierTable())
         assert sorted(view.frontier_arrays().stage_ids.tolist()) == [1, 2, 3]
-        view.block(0, 2)
-        assert sorted(view.frontier_arrays().stage_ids.tolist()) == [1, 3]
-        assert_same_matrix(
-            view.frontier_arrays(), reference_arrays(view, False)
-        )
-        view.block(0, 1)
-        assert view.frontier_arrays().stage_ids.tolist() == [3.0]
-        assert_same_matrix(
-            view.frontier_arrays(), reference_arrays(view, False)
-        )
+        assert [sid for _, sid in view.assignable_jobs()] == [2]
+
+    def test_block_is_a_name_that_raises(self):
+        job = JobRuntime(0, fan_dag(), arrival_time=0.0)
+        jobs = {0: job}
+        view = build_view(jobs, active=jobs)
+        with pytest.raises(RuntimeError, match="job 0 stage 0"):
+            view.block(0, 0)
 
 
 class TestVectorizedPathEquivalence:
@@ -415,6 +407,25 @@ class TestDecimaScoreCache:
 # -- the greedy baselines against tuple-list references ----------------
 
 
+def reference_limit(view, limit):
+    """The limit the engine enforces on a choice at ``limit``: CAP's
+    ``ceil(limit * quota / K)`` when the view has CAP, and at least 1."""
+    cap = view._provisioner
+    if cap is not None:
+        limit = math.ceil(limit * cap._last_quota / cap.total_executors)
+    return max(1, limit)
+
+
+def reference_ready(view):
+    """The reference entries a greedy baseline may grow at full
+    parallelism: free slots, and below the scaled task count."""
+    return [
+        r
+        for r in reference_entries(view, False)
+        if r.slots > 0 and r.running < reference_limit(view, r.stage.num_tasks)
+    ]
+
+
 def reference_fifo(scheduler, view, ready):
     """FIFO over the reference entries with free slots: the first one."""
     r = ready[0]
@@ -432,7 +443,24 @@ def reference_k8s(scheduler, view, ready):
 
 
 def reference_weighted_fair(scheduler, view, ready):
-    """Weighted-fair over the reference entries with free slots."""
+    """Weighted-fair over the reference entries: a pick at its scaled
+    entitlement is passed over, the job's next entry takes its place,
+    and the jobs are weighed again."""
+    passed = set()
+    while True:
+        left = [r for r in ready if (r.job_id, r.stage_id) not in passed]
+        if not left:
+            return NOTHING_GROWABLE
+        choice = weighted_fair_pick(scheduler, view, left)
+        if view.job(choice.job_id).stages[
+            choice.stage_id
+        ].running < reference_limit(view, choice.parallelism_limit):
+            return choice
+        passed.add((choice.job_id, choice.stage_id))
+
+
+def weighted_fair_pick(scheduler, view, ready):
+    """Weighted-fair's weighing over the entries ``ready``."""
     jobs = {r.job_id for r in ready}
     weights = {
         j: max(view.job(j).remaining_work(), 1e-9) ** scheduler.weight_exponent
@@ -454,9 +482,10 @@ def reference_weighted_fair(scheduler, view, ready):
 
 def random_view(rng):
     """Up to twelve part-run jobs with scattered ids and tied arrival
-    times, under random quota, pools, reservations, per-job cap and
-    blocks. Four to seven tied jobs are the case where a set's iteration
-    order depends on how it was built."""
+    times, under random quota, pools, reservations, per-job cap and, on
+    half the views, CAP's parallelism scale at a random quota. Four to
+    seven tied jobs are the case where a set's iteration order depends
+    on how it was built."""
     jobs = {}
     for job_id in rng.choice(4096, size=int(rng.integers(1, 13)), replace=False):
         dag = DAG_BUILDERS[int(rng.integers(len(DAG_BUILDERS)))]()
@@ -470,12 +499,10 @@ def random_view(rng):
             if rng.integers(4) == 0:
                 job.record_task_finish(sid, now=1.0)
         jobs[job.job_id] = job
-    blocked = frozenset(
-        (job_id, sid)
-        for job_id, job in jobs.items()
-        for sid in job.ready_stage_ids()
-        if rng.integers(6) == 0
-    )
+    cap = None
+    if rng.integers(2):
+        cap = CAPProvisioner(total_executors=8, min_quota=1)
+        cap._last_quota = int(rng.integers(1, 9))
     quota = int(rng.integers(1, 9))
     return build_view(
         jobs,
@@ -484,7 +511,7 @@ def random_view(rng):
         total=8,
         quota=quota,
         per_job_cap=[None, 2, 4][int(rng.integers(3))],
-        blocked=blocked,
+        provisioner=cap,
         general_free=int(rng.integers(0, 5)),
         reserved_free={
             job_id: int(rng.integers(1, 4))
@@ -497,7 +524,7 @@ def random_view(rng):
 class TestGreedyBaselines:
     """FIFO, the Kubernetes default and weighted-fair pick from
     ``assignable_jobs`` exactly what they would pick from the full list of
-    reference entries with free slots — ties included, which the two
+    reference entries they can grow — ties included, which the two
     spreading schedulers break by the iteration order of a job-id set."""
 
     @pytest.mark.parametrize(
@@ -514,7 +541,7 @@ class TestGreedyBaselines:
         chosen = 0
         for _ in range(400):
             view = random_view(rng)
-            ready = [r for r in reference_entries(view, False) if r.slots > 0]
+            ready = reference_ready(view)
             expected = reference(scheduler, view, ready) if ready else None
             assert scheduler.select(view) == expected
             chosen += expected is not None
@@ -532,8 +559,7 @@ def op_sequences(draw):
 
 
 class RecordingTable(FrontierTable):
-    """A frontier table that keeps the matrix it served last: what a view
-    was served, before the view dropped its blocked pairs."""
+    """A frontier table that keeps the matrix it served last."""
 
     def serve(self, *args, **kwargs):
         self.served = super().serve(*args, **kwargs)
@@ -551,9 +577,9 @@ def test_incremental_arrays_equal_from_scratch_rebuild(ops):
     operation marking its job dirty, and finished or withdrawn jobs
     leaving the active set. After about two operations in three
     (so changes also pile up between serves), views under a
-    random quota, busy count, shared pool, per-job cap, hoarded
-    reservations and blocked pairs must serve both variants equal to the
-    reference walk and to ``FrontierArrays.from_entries`` of it, as must a
+    random quota, busy count, shared pool, per-job cap and hoarded
+    reservations must serve both variants equal to the reference walk
+    and to ``FrontierArrays.from_entries`` of it, as must a
     view built without a table; a second view over the unchanged state
     must be served the identical matrix object; the table must hold blocks
     for the active jobs only; and ``assignable_jobs`` must yield each
@@ -621,16 +647,6 @@ def test_incremental_arrays_equal_from_scratch_rebuild(ops):
         if op_rng.integers(3) == 0:
             continue  # let marks and touches pile up, as within one step
         quota = int(op_rng.integers(1, 9))
-        blocked_pool = [
-            (job.job_id, sid)
-            for job in active.values()
-            for sid in job.ready_stage_ids(include_running=True)
-        ]
-        blocked = frozenset(
-            pair
-            for pair in blocked_pool
-            if op_rng.integers(4) == 0  # ~25% of entries blocked
-        )
         # On about half of the steps, hoarded executors bound to ~25% of
         # the jobs; the other half (without a per-job cap) share one
         # budget across all jobs.
@@ -647,7 +663,6 @@ def test_incremental_arrays_equal_from_scratch_rebuild(ops):
             busy=int(op_rng.integers(0, 8)),
             general_free=int(op_rng.integers(0, 7)),
             per_job_cap=[None, None, 2][int(op_rng.integers(3))],
-            blocked=blocked,
             reserved_free=reserved_free,
         )
         plain_view = build_view(jobs, active=active, **kwargs)
@@ -688,10 +703,10 @@ def scratch_twin(view: ClusterView) -> ClusterView:
         jobs=view._jobs,
         carbon=view.carbon,
         per_job_cap=view.per_job_cap,
-        blocked=view._blocked,
         general_free=view.general_free,
         reserved_free=view.reserved_free,
         active=view._active,
+        provisioner=view._provisioner,
     )
 
 

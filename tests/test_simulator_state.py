@@ -1,9 +1,11 @@
 """Unit tests for runtime state (StageRuntime / JobRuntime / ClusterView)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.carbon.api import CarbonReading
+from repro.core.cap import CAPProvisioner
 from repro.dag.graph import JobDAG, Stage, diamond_dag
 from repro.dag.metrics import bottleneck_scores
 from repro.simulator.state import ClusterView, JobRuntime, StageRuntime
@@ -26,6 +28,14 @@ def make_view(jobs, busy=0, total=4, quota=None, per_job_cap=None, **kwargs):
         per_job_cap=per_job_cap,
         **kwargs,
     )
+
+
+def cap_at(total, quota):
+    """CAP on ``total`` executors whose last quota was ``quota``: it
+    scales a limit ``P`` to ``ceil(P * quota / total)``."""
+    cap = CAPProvisioner(total_executors=total, min_quota=1)
+    cap._last_quota = quota
+    return cap
 
 
 class TestStageRuntime:
@@ -116,11 +126,6 @@ class TestClusterView:
         (entry,) = view.frontier_arrays().entries()
         assert entry.slots == 1
 
-    def test_blocked_stages_hidden(self):
-        job = JobRuntime(0, JobDAG([Stage(0, 5, 1.0)]), arrival_time=0.0)
-        view = make_view([job], blocked=frozenset({(0, 0)}))
-        assert view.frontier_arrays().entries() == []
-
     def test_finished_jobs_excluded(self):
         job = JobRuntime(0, JobDAG([Stage(0, 1, 1.0)]), arrival_time=0.0)
         job.stages[0].launch(1)
@@ -175,12 +180,28 @@ class TestClusterView:
         assert not view.has_assignable()
         assert not any(view.frontier_arrays().slots > 0)
 
-    def test_has_assignable_respects_blocked_and_quota(self):
+    def test_has_assignable_respects_scaled_limit_and_quota(self):
         job = JobRuntime(0, JobDAG([Stage(0, 5, 1.0)]), arrival_time=0.0)
-        view = make_view([job], blocked=frozenset({(0, 0)}))
+        job.stages[0].launch(3)
+        assert make_view([job], busy=3, total=8).has_assignable()
+        # ceil(5 * 4/8) = 3 tasks already run: the engine would not grow it.
+        view = make_view([job], busy=3, total=8, provisioner=cap_at(8, 4))
+        assert view.scaled_limit(5) == 3
         assert not view.has_assignable()
-        view = make_view([job], busy=4, total=4)
+        # The frontier still shows the stage; the scaled limit is applied
+        # only by the walk and by the schedulers' masks.
+        assert len(view.frontier_arrays().entries()) == 1
+        view = make_view([job], busy=8, total=8)
         assert not view.has_assignable()
+
+    def test_scaled_limits_are_the_scalar_rule_and_at_least_one(self):
+        view = make_view([], total=8, provisioner=cap_at(8, 1))
+        limits = [1, 2, 7, 9, 40]
+        assert view.scaled_limits(np.array(limits, dtype=float)).tolist() == [
+            float(view.scaled_limit(limit)) for limit in limits
+        ]
+        assert [view.scaled_limit(limit) for limit in limits] == [1, 1, 1, 2, 5]
+        assert make_view([]).scaled_limit(0) == 1
 
     def test_engine_active_mapping_drives_iteration_order(self):
         j1 = JobRuntime(1, diamond_dag(), arrival_time=5.0)
@@ -221,10 +242,22 @@ class TestAssignableJobs:
         assert walk(view) == [(3, 1), (7, 1)]
         assert view.has_assignable()
 
-    def test_blocked_pair_falls_through_to_next_stage(self):
+    def test_stage_at_scaled_limit_falls_through_to_next_stage(self):
         job = two_ready_job(0, arrival_time=0.0)
-        view = make_view([job], total=8, blocked=frozenset({(0, 1)}))
+        job.stages[1].launch(2)  # ceil(4 * 4/8) = 2: at its scaled limit
+        view = make_view([job], busy=2, total=8, provisioner=cap_at(8, 4))
         assert walk(view) == [(0, 0)]
+        assert view.first_assignable()[1] == 0
+
+    def test_passed_pair_falls_through_to_next_stage(self):
+        late = two_ready_job(1, arrival_time=1.0)
+        early = two_ready_job(0, arrival_time=0.0)
+        view = make_view([late, early], total=8)
+        passed = {(0, 1), (1, 1), (1, 0)}
+        assert [
+            (job.job_id, sid) for job, sid in view.assignable_jobs(passed)
+        ] == [(0, 0)]
+        assert walk(view) == [(0, 1), (1, 1)]
 
     def test_job_at_per_job_cap_is_skipped(self):
         capped = two_ready_job(0, arrival_time=0.0)

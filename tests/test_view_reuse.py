@@ -1,12 +1,13 @@
 """The engine's one-view-per-step contract.
 
 ``SimulationStepper.step`` builds one :class:`ClusterView` per step and
-updates it in place between ``select`` calls (quota set, blocked retry,
-grant). These tests audit every view a scheduler receives against a view
-freshly built from the same engine state: occupancy, blocked set, the
-memoized first assignable stage, the assignable walk and both frontier
-variants must agree bit for bit. The audited runs must also keep the
-schedule of an unaudited run, so the audit observes without perturbing.
+updates it in place between ``select`` calls (quota set, grant). These
+tests audit every view a scheduler receives against a view freshly built
+from the same engine state and provisioner: occupancy, the memoized
+first assignable stage, the assignable walk (which applies the
+provisioner's scaled limit) and both frontier variants must agree bit
+for bit. The audited runs must also keep the schedule of an unaudited
+run, so the audit observes without perturbing.
 """
 
 from __future__ import annotations
@@ -28,37 +29,26 @@ from repro.simulator.state import ClusterView
 
 
 class ViewAudit:
-    """Checks each view handed to ``select`` against a fresh build.
-
-    The expected blocked set is collected independently of the view:
-    every :meth:`ClusterView.block` call since the current step began.
-    """
+    """Checks each view handed to ``select`` against a fresh build."""
 
     def __init__(self, monkeypatch) -> None:
         self.stepper: SimulationStepper | None = None
         self.now = 0.0
-        self.blocked: set[tuple[int, int]] = set()
         self.selects = 0
         audit = self
-        step, block = SimulationStepper.step, ClusterView.block
+        step = SimulationStepper.step
         select_gen = StageScheduler.select_gen
 
         def audited_step(stepper):
             audit.stepper = stepper
             audit.now = stepper.events[0][0]
-            audit.blocked = set()
             return step(stepper)
-
-        def audited_block(view, job_id, stage_id):
-            audit.blocked.add((job_id, stage_id))
-            return block(view, job_id, stage_id)
 
         def audited_select_gen(scheduler, view):
             audit.check(view)
             return select_gen(scheduler, view)
 
         monkeypatch.setattr(SimulationStepper, "step", audited_step)
-        monkeypatch.setattr(ClusterView, "block", audited_block)
         monkeypatch.setattr(StageScheduler, "select_gen", audited_select_gen)
 
     def fresh_view(self, carbon) -> ClusterView:
@@ -72,10 +62,10 @@ class ViewAudit:
             jobs=stepper.jobs,
             carbon=carbon,
             per_job_cap=stepper.sim.config.per_job_executor_cap,
-            blocked=frozenset(self.blocked),
             general_free=pool.general_free,
             reserved_free=pool.reserved_counts(),
             active=stepper.active,
+            provisioner=stepper.sim.provisioner,
         )
 
     def check(self, view: ClusterView) -> None:
@@ -91,7 +81,6 @@ class ViewAudit:
             "reserved_free",
             "free_executors",
             "assignable_executors",
-            "_blocked",
         ):
             assert getattr(view, name) == getattr(fresh, name), name
         assert 0 not in view.reserved_free.values()
