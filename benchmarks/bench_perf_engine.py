@@ -11,16 +11,13 @@ The gate is on work counters, which repeat exactly on every machine: the
 task (PCAPS masks stages at their parallelism limit ``P'`` out of its
 draw, so no select is spent on a stage that cannot grow), and no trial
 may build more cluster views than it takes scheduling steps (the engine
-advances one view per step in place). The speedup against the pre-refactor wall
-times (commit 50c23a5) is reported, not asserted: that baseline was
-recorded on another machine.
+advances one view per step in place).
 
 Re-recording the gate after an intentional engine change: see
 ``docs/benchmarks.md`` ("Re-recording the perf gate").
 """
 
 from repro.experiments.perf import (
-    PRE_REFACTOR_BASELINE_S,
     build_scenarios,
     format_report,
     run_suite,
@@ -28,11 +25,6 @@ from repro.experiments.perf import (
 )
 
 from _report import emit, run_once
-
-#: fifo-200 wall seconds on the post-refactor engine, measured on the same
-#: container as PRE_REFACTOR_BASELINE_S — the machine-speed calibration
-#: anchor for the reported pcaps-200 speedup.
-POST_REFACTOR_FIFO_200_S = 0.114
 
 
 def test_engine_throughput(benchmark):
@@ -46,11 +38,6 @@ def test_engine_throughput(benchmark):
     benchmark.extra_info["events_per_s"] = {
         m.name: round(m.events_per_s) for m in measurements
     }
-    benchmark.extra_info["speedup"] = {
-        m.name: m.speedup_vs_pre_refactor
-        for m in measurements
-        if m.speedup_vs_pre_refactor is not None
-    }
 
     # Every trial completes and produces work at a sane rate.
     for m in measurements:
@@ -58,15 +45,8 @@ def test_engine_throughput(benchmark):
         assert 0 < m.views <= m.steps, (m.name, m.views, m.steps)
     by_name = {m.name: m for m in measurements}
     pcaps = by_name["pcaps-200"]
-    # Reported only: the pre-refactor baseline rescaled by this machine's
-    # fifo-200 wall (same event loop, barely touched by PCAPS costs).
-    machine_scale = by_name["fifo-200"].wall_s / POST_REFACTOR_FIFO_200_S
     benchmark.extra_info["gate"] = {
         "pcaps_200_selects_per_task": round(pcaps.select_calls / pcaps.tasks, 3),
-        "pcaps_200_speedup_rescaled": round(
-            PRE_REFACTOR_BASELINE_S["pcaps-200"] * machine_scale / pcaps.wall_s,
-            2,
-        ),
     }
     assert pcaps.select_calls <= pcaps.tasks
 

@@ -827,56 +827,20 @@ def _cmd_obs_dashboard(args: argparse.Namespace) -> int:
                 "command with --obs first"
             )
             return 2
-    if args.history_dir is not None:
-        if not os.path.isdir(args.history_dir):
-            _error(f"history dir {args.history_dir!r} does not exist")
-            return 2
-        if not any(
-            entry.is_dir() for entry in os.scandir(args.history_dir)
-        ):
-            _error(
-                f"history dir {args.history_dir!r} is empty — expected one "
-                "subdirectory per recorded run, each holding BENCH_*.json"
-            )
-            return 2
     path = build_dashboard(
         output=args.output,
         bench_paths=args.bench,
         store_paths=args.store,
         obs_dirs=args.obs_dir,
-        history_dir=args.history_dir,
     )
     print(f"wrote {path}")
     return 0
-
-
-def _cmd_obs_regress(args: argparse.Namespace) -> int:
-    from repro.obs.regress import check_history, format_regression_report
-
-    if not os.path.isdir(args.history_dir):
-        _error(
-            f"history dir {args.history_dir!r} does not exist; point "
-            "--history-dir at the per-run snapshot directory CI accumulates"
-        )
-        return 2
-    report = check_history(
-        args.history_dir,
-        window=args.window,
-        tolerance=args.tolerance,
-        min_points=args.min_points,
-    )
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(format_regression_report(report))
-    return 0 if report.ok else 1
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
     handlers = {
         "report": _cmd_obs_report,
         "dashboard": _cmd_obs_dashboard,
-        "regress": _cmd_obs_regress,
     }
     return handlers[args.cmd](args)
 
@@ -1332,41 +1296,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--obs-dir", nargs="*", default=None,
         help="obs artifact directories to include "
         f"(default: {DEFAULT_OBS_DIR} if present)",
-    )
-    o.add_argument(
-        "--history-dir", default=None,
-        help="directory of per-run snapshot subdirectories (each holding "
-        "BENCH_*.json) to render as headline-metric trends",
-    )
-    o.set_defaults(func=_cmd_obs)
-
-    o = obs_sub.add_parser(
-        "regress",
-        help="gate on benchmark regressions: newest history snapshot vs "
-        "a trailing baseline",
-    )
-    o.add_argument(
-        "--history-dir", required=True,
-        help="per-run snapshot directory (same layout the dashboard "
-        "trend section reads)",
-    )
-    o.add_argument(
-        "--window", type=int, default=5, metavar="N",
-        help="trailing snapshots averaged into the baseline (default: 5)",
-    )
-    o.add_argument(
-        "--tolerance", type=float, default=0.10, metavar="FRAC",
-        help="relative change tolerated before a metric counts as "
-        "regressed (default: 0.10)",
-    )
-    o.add_argument(
-        "--min-points", type=int, default=3, metavar="N",
-        help="history points a metric needs before a regression blocks "
-        "(below this the check is advisory; default: 3)",
-    )
-    o.add_argument(
-        "--json", action="store_true",
-        help="emit the machine-readable report instead of text",
     )
     o.set_defaults(func=_cmd_obs)
 

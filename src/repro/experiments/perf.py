@@ -14,11 +14,10 @@ complete simulated trials across a scheduler × job-count grid and reports:
   (spec expansion, content-addressed keys, store append), measured by
   running the ``smoke`` campaign preset cold against a throwaway store.
 
-Results land in ``BENCH_engine.json`` so every future change has a
-regression baseline to diff against. :data:`PRE_REFACTOR_BASELINE_S`
-records the wall times of the same scenarios measured on the pre-fast-path
-engine (commit ``50c23a5``); the report computes speedups against it when
-scenario names match.
+Results land in ``BENCH_engine.json``. Wall times are this machine's;
+the work counters (events, tasks, selects, deferrals, steps, views and the
+frontier-cache hit rates) repeat exactly on every machine, and
+``tests/test_perf_engine.py`` pins those of ``repro perf --smoke``.
 """
 
 from __future__ import annotations
@@ -40,24 +39,6 @@ from repro.workloads.batch import WorkloadSpec
 from repro.ioutil import atomic_write_text
 
 DEFAULT_OUTPUT = "BENCH_engine.json"
-
-#: Wall seconds per scenario on the pre-refactor engine (quadratic frontier
-#: rebuilds, uncached scheduler state, per-segment carbon integration),
-#: measured at commit 50c23a5 on the development container. Machine-specific
-#: — meaningful for before/after ratios measured on comparable hardware, not
-#: as absolute targets.
-PRE_REFACTOR_BASELINE_S: dict[str, float] = {
-    "fifo-50": 0.198,
-    "fifo-100": 0.306,
-    "fifo-200": 0.559,
-    "decima-50": 0.130,
-    "decima-100": 0.295,
-    "decima-200": 0.607,
-    "pcaps-50": 2.179,
-    "pcaps-100": 3.028,
-    "pcaps-200": 17.345,
-}
-
 
 @dataclass(frozen=True)
 class PerfScenario:
@@ -105,7 +86,6 @@ class PerfMeasurement:
     carbon_tally_s: float
     ect: float
     carbon: float
-    speedup_vs_pre_refactor: float | None = field(default=None)
     #: Frontier-cache effectiveness (``None`` unless the scenario was run
     #: with ``collect_cache_stats=True``; collected on a second, untimed
     #: pass so the timed wall stays observation-free).
@@ -217,11 +197,6 @@ def run_scenario(
         carbon_tally_s=carbon_tally_s,
         ect=result.ect,
         carbon=carbon,
-        speedup_vs_pre_refactor=(
-            round(PRE_REFACTOR_BASELINE_S[scenario.name] / wall, 2)
-            if scenario.name in PRE_REFACTOR_BASELINE_S and wall > 0
-            else None
-        ),
         **observed,
     )
 
@@ -280,7 +255,6 @@ def write_report(
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "pre_refactor_baseline_s": PRE_REFACTOR_BASELINE_S,
         "scenarios": [asdict(m) for m in measurements],
     }
     if campaign_throughput is not None:
@@ -293,14 +267,9 @@ def format_report(measurements: Sequence[PerfMeasurement]) -> str:
     """Human-readable table of a measurement run."""
     lines = [
         f"{'scenario':<18} {'wall_s':>8} {'events/s':>10} {'tasks/s':>9} "
-        f"{'select_ms':>10} {'speedup':>8} {'matrix%':>8}"
+        f"{'select_ms':>10} {'matrix%':>8}"
     ]
     for m in measurements:
-        speedup = (
-            f"{m.speedup_vs_pre_refactor:.1f}x"
-            if m.speedup_vs_pre_refactor is not None
-            else "-"
-        )
         matrix = (
             f"{m.frontier_matrix_hit_rate:.0%}"
             if m.frontier_matrix_hit_rate is not None
@@ -309,6 +278,6 @@ def format_report(measurements: Sequence[PerfMeasurement]) -> str:
         lines.append(
             f"{m.name:<18} {m.wall_s:>8.3f} {m.events_per_s:>10.0f} "
             f"{m.tasks_per_s:>9.0f} {m.avg_select_latency_ms:>10.3f} "
-            f"{speedup:>8} {matrix:>8}"
+            f"{matrix:>8}"
         )
     return "\n".join(lines)

@@ -17,11 +17,8 @@ Artifacts:
 - **spans** export to Chrome-trace-format JSON (``obs/trace.json``),
   loadable in Perfetto;
 - the **dashboard** generator (:mod:`repro.obs.dashboard`) renders
-  ``BENCH_*.json`` history, campaign-store aggregates, and obs snapshots
-  into a static ``dashboard/index.html`` (stdlib only, no server);
-- the **regression gate** (:mod:`~repro.obs.regress`, ``repro obs
-  regress``) compares the newest bench-history snapshot against a
-  trailing baseline for CI.
+  ``BENCH_*.json`` reports, campaign-store aggregates, and obs snapshots
+  into a static ``dashboard/index.html`` (stdlib only, no server).
 
 Enable collection from the CLI with ``--obs`` on ``run`` / ``campaign`` /
 ``geo`` / ``disrupt`` / ``perf``, or programmatically::
@@ -37,17 +34,13 @@ import importlib
 
 #: Public name -> the submodule defining it. Names resolve on first access
 #: (module ``__getattr__``), so importing one submodule — as the engine
-#: does with :mod:`repro.obs.observer` — does not load the dashboard,
-#: report and regression modules and what they import.
+#: does with :mod:`repro.obs.observer` — does not load the dashboard and
+#: report modules and what they import.
 _SUBMODULE_OF = {
     **dict.fromkeys(("build_dashboard", "render_dashboard"), "dashboard"),
     **dict.fromkeys(
         ("Counter", "Gauge", "Histogram", "MetricsRegistry", "Timer", "read_jsonl"),
         "metrics",
-    ),
-    **dict.fromkeys(
-        ("RegressionReport", "check_history", "format_regression_report"),
-        "regress",
     ),
     **dict.fromkeys(
         (

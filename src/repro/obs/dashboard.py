@@ -6,8 +6,9 @@ charts are inline SVG, so the file renders from ``file://`` and survives
 being archived as a CI artifact. Three source kinds, all optional:
 
 - **bench reports** (``BENCH_*.json`` from ``repro perf`` and the
-  ``benchmarks/`` harness): per-scenario throughput bars plus the
-  frontier-cache hit rates when the run collected them;
+  ``benchmarks/`` harness): the run's headline metrics, per-scenario
+  throughput bars, and the frontier-cache hit rates when the run
+  collected them;
 - **campaign stores** (JSONL :class:`~repro.campaign.store.ResultStore`
   files): per-campaign trial counts and per-scheduler carbon/duration
   aggregates;
@@ -23,7 +24,6 @@ from __future__ import annotations
 import glob
 import html
 import json
-import logging
 import os
 import time
 from pathlib import Path
@@ -33,8 +33,6 @@ from repro.obs.metrics import read_jsonl
 from repro.obs.observer import DEFAULT_OBS_DIR, METRICS_FILENAME
 from repro.obs.report import derived_rates
 from repro.ioutil import atomic_write_text
-
-logger = logging.getLogger("repro.obs.dashboard")
 
 #: Bar fill colors, cycled per chart (muted, print-friendly).
 _PALETTE = ("#4878a8", "#6aa84f", "#b46504", "#8e63a8", "#ad3c3c")
@@ -116,10 +114,38 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
 
 
 # -- bench reports -------------------------------------------------------
+def headline_metrics(doc: dict) -> dict[str, float]:
+    """The one-or-two numbers that summarize a bench report's run.
+
+    Keyed by the report's ``benchmark`` field; unknown benchmarks
+    contribute nothing.
+    """
+    out: dict[str, float] = {}
+    kind = doc.get("benchmark")
+    if kind == "engine-throughput":
+        rates = [
+            float(s.get("events_per_s", 0.0))
+            for s in doc.get("scenarios", [])
+        ]
+        if rates:
+            out["engine events/s (mean)"] = sum(rates) / len(rates)
+        campaign = doc.get("campaign_throughput")
+        if campaign:
+            out["campaign trials/min"] = float(campaign["trials_per_min"])
+    elif kind == "stream-steady":
+        out["stream jobs/s"] = float(doc.get("steady_jobs_per_s", 0.0))
+        out["stream peak-RSS ratio"] = float(doc.get("rss_ratio", 0.0))
+    return out
+
+
 def _bench_section(path: str) -> str:
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        if not isinstance(doc, dict):
+            raise ValueError(
+                f"expected a JSON object, got {type(doc).__name__}"
+            )
+    except (OSError, ValueError) as exc:
         return (
             f"<h2>{_esc(path)}</h2>"
             f'<p class="empty">unreadable: {_esc(exc)}</p>'
@@ -132,25 +158,25 @@ def _bench_section(path: str) -> str:
         f'<p class="meta">version {_esc(doc.get("version", "?"))}, '
         f'generated {_esc(doc.get("generated_at", "?"))}</p>',
     ]
+    headline = headline_metrics(doc)
+    if headline:
+        out.append(
+            _table(
+                ("headline metric", "value"),
+                [
+                    (metric, f"{value:.3f}" if value < 10 else f"{value:,.0f}")
+                    for metric, value in headline.items()
+                ],
+            )
+        )
     if not scenarios:
-        out.append('<p class="empty">(no scenarios)</p>')
+        if not headline:
+            out.append('<p class="empty">(no scenarios)</p>')
         return "".join(out)
     throughput = [
         (s["name"], float(s.get("events_per_s", 0.0))) for s in scenarios
     ]
     out.append(bar_chart(throughput, "events / second", color=_PALETTE[0]))
-    speedups = [
-        (s["name"], float(s["speedup_vs_pre_refactor"]))
-        for s in scenarios
-        if s.get("speedup_vs_pre_refactor") is not None
-    ]
-    if speedups:
-        out.append(
-            bar_chart(
-                speedups, "speedup vs pre-refactor engine", fmt="{:.1f}x",
-                color=_PALETTE[1],
-            )
-        )
     rates: list[tuple[str, float]] = []
     for s in scenarios:
         for key, short in (
@@ -240,117 +266,6 @@ def _store_section(path: str) -> str:
     return "".join(out)
 
 
-# -- bench history (trend section) ---------------------------------------
-def headline_metrics(doc: dict) -> dict[str, float]:
-    """The one-or-two numbers worth trending from a bench report.
-
-    Keyed by the report's ``benchmark`` field; unknown benchmarks
-    contribute nothing (the trend section only charts what it
-    understands).
-    """
-    out: dict[str, float] = {}
-    kind = doc.get("benchmark")
-    if kind == "engine-throughput":
-        rates = [
-            float(s.get("events_per_s", 0.0))
-            for s in doc.get("scenarios", [])
-        ]
-        if rates:
-            out["engine events/s (mean)"] = sum(rates) / len(rates)
-        campaign = doc.get("campaign_throughput")
-        if campaign:
-            out["campaign trials/min"] = float(campaign["trials_per_min"])
-    elif kind == "stream-steady":
-        out["stream jobs/s"] = float(doc.get("steady_jobs_per_s", 0.0))
-        out["stream peak-RSS ratio"] = float(doc.get("rss_ratio", 0.0))
-    return out
-
-
-def history_series(
-    directory: str,
-) -> tuple[
-    list[str], dict[str, list[tuple[str, float]]], list[tuple[str, str]]
-]:
-    """Collect per-snapshot headline metrics from a history directory.
-
-    Layout: one subdirectory per recorded run, each holding that run's
-    ``BENCH_*.json`` files. Subdirectories are taken in sorted-name order,
-    so snapshot names must sort chronologically (CI uses the zero-padded
-    run number — see ``.github/workflows/ci.yml``). Returns the snapshot
-    names, ``{metric: [(snapshot, value), ...]}``, and the malformed
-    bench files skipped as ``(path, reason)`` pairs — each also logged as
-    a warning, since a silently-dropped snapshot would fake a gap in the
-    trend. Gaps themselves (a snapshot missing some ``BENCH_*.json``) are
-    fine: the metric's series simply skips that snapshot.
-    """
-    root = Path(directory)
-    snapshots: list[str] = []
-    series: dict[str, list[tuple[str, float]]] = {}
-    skipped: list[tuple[str, str]] = []
-    if not root.is_dir():
-        return snapshots, series, skipped
-    for snap_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-        snapshots.append(snap_dir.name)
-        for bench in sorted(snap_dir.glob("BENCH_*.json")):
-            try:
-                doc = json.loads(bench.read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                reason = f"{type(exc).__name__}: {exc}"
-                skipped.append((str(bench), reason))
-                logger.warning(
-                    "skipping malformed bench snapshot %s (%s)",
-                    bench, reason,
-                )
-                continue
-            if not isinstance(doc, dict):
-                skipped.append((str(bench), "not a JSON object"))
-                logger.warning(
-                    "skipping malformed bench snapshot %s (not a JSON "
-                    "object)", bench,
-                )
-                continue
-            for metric, value in headline_metrics(doc).items():
-                series.setdefault(metric, []).append((snap_dir.name, value))
-    return snapshots, series, skipped
-
-
-def _history_section(directory: str) -> str:
-    snapshots, series, skipped = history_series(directory)
-    out = [f"<h2>bench history: {_esc(directory)}</h2>"]
-    if not snapshots:
-        out.append(
-            '<p class="empty">no snapshots — expected one subdirectory '
-            "per run, each holding BENCH_*.json files</p>"
-        )
-        return "".join(out)
-    out.append(
-        f'<p class="meta">{len(snapshots)} snapshots, oldest first: '
-        f"{_esc(snapshots[0])} … {_esc(snapshots[-1])}</p>"
-    )
-    if not series:
-        out.append(
-            '<p class="empty">snapshots held no recognizable bench '
-            "reports</p>"
-        )
-        return "".join(out)
-    for i, metric in enumerate(sorted(series)):
-        points = series[metric]
-        fmt = "{:.3f}" if max(v for _, v in points) < 10 else "{:,.0f}"
-        out.append(
-            bar_chart(
-                points, metric, fmt=fmt,
-                color=_PALETTE[i % len(_PALETTE)],
-            )
-        )
-    if skipped:
-        out.append(
-            '<p class="empty">skipped malformed snapshot files: '
-            + ", ".join(_esc(path) for path, _reason in skipped)
-            + "</p>"
-        )
-    return "".join(out)
-
-
 # -- obs snapshots -------------------------------------------------------
 def _obs_section(directory: str) -> str:
     metrics_path = os.path.join(directory, METRICS_FILENAME)
@@ -418,7 +333,6 @@ def render_dashboard(
     bench_paths: Sequence[str] = (),
     store_paths: Sequence[str] = (),
     obs_dirs: Sequence[str] = (),
-    history_dir: str | None = None,
 ) -> str:
     """The full dashboard HTML document as a string."""
     from repro import __version__
@@ -427,8 +341,6 @@ def render_dashboard(
     sections: list[str] = []
     for path in bench_paths:
         sections.append(_bench_section(path))
-    if history_dir is not None:
-        sections.append(_history_section(history_dir))
     for path in store_paths:
         sections.append(_store_section(path))
     for directory in obs_dirs:
@@ -494,10 +406,9 @@ def build_dashboard(
     bench_paths: Sequence[str] | None = None,
     store_paths: Sequence[str] | None = None,
     obs_dirs: Sequence[str] | None = None,
-    history_dir: str | None = None,
 ) -> Path:
     """Discover inputs, render, and write the dashboard file."""
     benches, stores, dirs = discover_inputs(bench_paths, store_paths, obs_dirs)
-    document = render_dashboard(benches, stores, dirs, history_dir=history_dir)
+    document = render_dashboard(benches, stores, dirs)
     # Atomic, so a published dashboard is never half-written.
     return atomic_write_text(Path(output), document)

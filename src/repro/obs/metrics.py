@@ -28,7 +28,6 @@ from repro.ioutil import atomic_write_text
 BUCKET_BOUNDS: tuple[float, ...] = tuple(
     m * 10.0**e for e in range(-7, 3) for m in (1.0, 2.0, 5.0)
 )
-_BUCKET_BOUNDS = BUCKET_BOUNDS  # backwards-compatible private alias
 
 
 class Counter:
@@ -79,14 +78,14 @@ class Histogram:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.counts = [0] * (len(_BUCKET_BOUNDS) + 1)
+        self.counts = [0] * (len(BUCKET_BOUNDS) + 1)
         self.count = 0
         self.total = 0.0
         self.min = float("inf")
         self.max = float("-inf")
 
     def record(self, value: float) -> None:
-        self.counts[bisect_left(_BUCKET_BOUNDS, value)] += 1
+        self.counts[bisect_left(BUCKET_BOUNDS, value)] += 1
         self.count += 1
         self.total += value
         if value < self.min:
@@ -108,10 +107,10 @@ class Histogram:
             if n == 0:
                 continue
             if seen + n >= target:
-                lo = _BUCKET_BOUNDS[i - 1] if i > 0 else 0.0
+                lo = BUCKET_BOUNDS[i - 1] if i > 0 else 0.0
                 hi = (
-                    _BUCKET_BOUNDS[i]
-                    if i < len(_BUCKET_BOUNDS)
+                    BUCKET_BOUNDS[i]
+                    if i < len(BUCKET_BOUNDS)
                     else max(self.max, lo)
                 )
                 lo = max(lo, self.min)

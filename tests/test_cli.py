@@ -187,6 +187,23 @@ class TestObsCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["obs"])
 
+    def test_obs_subcommands_are_report_and_dashboard(self):
+        (obs_sub,) = [
+            a for a in build_parser()._actions
+            if a.__class__.__name__ == "_SubParsersAction"
+        ]
+        (sub,) = [
+            a for a in obs_sub.choices["obs"]._actions
+            if a.__class__.__name__ == "_SubParsersAction"
+        ]
+        assert set(sub.choices) == {"report", "dashboard"}
+
+    def test_obs_regress_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["obs", "regress"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'regress'" in capsys.readouterr().err
+
     def test_log_level_flag_parses(self):
         args = build_parser().parse_args(["--log-level", "debug", "grids"])
         assert args.log_level == "debug"
@@ -246,6 +263,24 @@ class TestObsCommands:
         assert text.startswith("<!DOCTYPE html>")
         assert "repro dashboard" in text
 
+    def test_obs_dashboard_marks_a_non_object_bench_unreadable(
+        self, tmp_path, capsys
+    ):
+        bench = tmp_path / "BENCH_list.json"
+        bench.write_text("[1, 2]")
+        output = tmp_path / "index.html"
+        code = main(
+            [
+                "obs", "dashboard", "--output", str(output),
+                "--bench", str(bench), "--store", "--obs-dir",
+            ]
+        )
+        assert code == 0
+        assert "wrote" in capsys.readouterr().out
+        assert "unreadable: expected a JSON object, got list" in (
+            output.read_text()
+        )
+
     def test_obs_report_empty_directory(self, tmp_path, capsys):
         """A directory argument resolves the conventional snapshot name —
         and fails cleanly when the directory holds none."""
@@ -273,107 +308,6 @@ class TestObsCommands:
         )
         assert code == 2
         assert "has no metrics.jsonl" in capsys.readouterr().err
-
-    def test_obs_dashboard_missing_history_dir(self, tmp_path, capsys):
-        code = main(
-            [
-                "obs", "dashboard",
-                "--output", str(tmp_path / "index.html"),
-                "--history-dir", str(tmp_path / "absent"),
-            ]
-        )
-        assert code == 2
-        assert "does not exist" in capsys.readouterr().err
-
-    def test_obs_dashboard_empty_history_dir(self, tmp_path, capsys):
-        empty = tmp_path / "bench-history"
-        empty.mkdir()
-        code = main(
-            [
-                "obs", "dashboard",
-                "--output", str(tmp_path / "index.html"),
-                "--history-dir", str(empty),
-            ]
-        )
-        assert code == 2
-        assert "is empty" in capsys.readouterr().err
-
-
-class TestObsRegressCommand:
-    def write_history(self, root, rates):
-        import json
-
-        for i, rate in enumerate(rates):
-            snap = root / f"run-{i:08d}"
-            snap.mkdir(parents=True)
-            (snap / "BENCH_engine.json").write_text(
-                json.dumps(
-                    {
-                        "benchmark": "engine-throughput",
-                        "scenarios": [
-                            {"name": "smoke", "events_per_s": rate}
-                        ],
-                    }
-                )
-            )
-        return root
-
-    def test_missing_history_dir(self, tmp_path, capsys):
-        code = main(
-            ["obs", "regress", "--history-dir", str(tmp_path / "absent")]
-        )
-        assert code == 2
-        assert "does not exist" in capsys.readouterr().err
-
-    def test_healthy_history_passes(self, tmp_path, capsys):
-        root = self.write_history(
-            tmp_path / "h", [1000.0, 1010.0, 990.0, 1005.0]
-        )
-        assert main(["obs", "regress", "--history-dir", str(root)]) == 0
-        assert "verdict: PASS" in capsys.readouterr().out
-
-    def test_regression_fails_the_gate(self, tmp_path, capsys):
-        root = self.write_history(
-            tmp_path / "h", [1000.0, 1010.0, 990.0, 800.0]
-        )
-        assert main(["obs", "regress", "--history-dir", str(root)]) == 1
-        out = capsys.readouterr().out
-        assert "REGRESSED" in out and "FAIL" in out
-
-    def test_json_output(self, tmp_path, capsys):
-        import json
-
-        root = self.write_history(tmp_path / "h", [1000.0, 1000.0, 780.0])
-        code = main(
-            ["obs", "regress", "--history-dir", str(root), "--json"]
-        )
-        assert code == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["ok"] is False
-        assert doc["findings"][0]["metric"] == "engine events/s (mean)"
-
-    def test_tolerance_and_min_points_flags(self, tmp_path, capsys):
-        root = self.write_history(tmp_path / "h", [1000.0, 800.0])
-        # Two points: advisory under the default min-points of 3...
-        assert main(["obs", "regress", "--history-dir", str(root)]) == 0
-        capsys.readouterr()
-        # ...enforced once min-points is lowered to match the history.
-        code = main(
-            [
-                "obs", "regress", "--history-dir", str(root),
-                "--min-points", "2",
-            ]
-        )
-        assert code == 1
-        capsys.readouterr()
-        # ...and a wide-enough tolerance waves the same drop through.
-        code = main(
-            [
-                "obs", "regress", "--history-dir", str(root),
-                "--min-points", "2", "--tolerance", "0.5",
-            ]
-        )
-        assert code == 0
 
 
 class TestStreamObsCommand:

@@ -16,8 +16,15 @@ from pathlib import Path
 import pytest
 
 from repro import obs
-from repro.obs.dashboard import bar_chart, build_dashboard, render_dashboard
+from repro.obs.dashboard import (
+    bar_chart,
+    build_dashboard,
+    discover_inputs,
+    headline_metrics,
+    render_dashboard,
+)
 from repro.obs.metrics import (
+    BUCKET_BOUNDS,
     Counter,
     Gauge,
     Histogram,
@@ -25,7 +32,50 @@ from repro.obs.metrics import (
     read_jsonl,
 )
 from repro.obs.report import derived_rates, render_report
+from repro.obs.observer import DEFAULT_OBS_DIR, METRICS_FILENAME
 from repro.obs.tracing import SIM_PID, WALL_PID, SpanTracer, _stable_tid
+
+#: The bench reports committed at the repository root.
+COMMITTED_BENCHES = sorted(
+    p.name for p in Path(__file__).resolve().parents[1].glob("BENCH_*.json")
+)
+
+#: ``headline_metrics`` cases: a bench report and the metrics it yields.
+HEADLINE_CASES = {
+    "engine-with-campaign": (
+        {
+            "benchmark": "engine-throughput",
+            "scenarios": [{"events_per_s": 1000.0}, {"events_per_s": 3000.0}],
+            "campaign_throughput": {"trials_per_min": 600},
+        },
+        {"engine events/s (mean)": 2000.0, "campaign trials/min": 600.0},
+    ),
+    "engine-without-campaign": (
+        {
+            "benchmark": "engine-throughput",
+            "scenarios": [{"events_per_s": 10.0}],
+            "campaign_throughput": None,
+        },
+        {"engine events/s (mean)": 10.0},
+    ),
+    "engine-without-scenarios": (
+        {"benchmark": "engine-throughput", "scenarios": []},
+        {},
+    ),
+    "stream": (
+        {
+            "benchmark": "stream-steady",
+            "steady_jobs_per_s": 1690.0,
+            "rss_ratio": 1.019,
+        },
+        {"stream jobs/s": 1690.0, "stream peak-RSS ratio": 1.019},
+    ),
+    "unknown-benchmark": (
+        {"benchmark": "disruption", "scenarios": [{"events_per_s": 5.0}]},
+        {},
+    ),
+    "no-benchmark-field": ({"scenarios": [{"events_per_s": 5.0}]}, {}),
+}
 
 
 class TestInstruments:
@@ -105,6 +155,32 @@ class TestInstruments:
         by_name = {r["name"]: r for r in rows}
         assert by_name["hits"]["value"] == 3
         assert by_name["lat"]["count"] == 1
+
+
+class TestHistogramBuckets:
+    def test_bounds_are_a_1_2_5_ladder_over_ten_decades(self):
+        assert len(BUCKET_BOUNDS) == 30
+        assert BUCKET_BOUNDS[:3] == pytest.approx((1e-7, 2e-7, 5e-7))
+        assert BUCKET_BOUNDS[-3:] == pytest.approx((100.0, 200.0, 500.0))
+        assert all(a < b for a, b in zip(BUCKET_BOUNDS, BUCKET_BOUNDS[1:]))
+
+    def test_upper_bounds_are_inclusive(self):
+        h = Histogram("x")
+        edges = (BUCKET_BOUNDS[0], BUCKET_BOUNDS[10], BUCKET_BOUNDS[-1])
+        for bound in edges:
+            h.record(bound)
+        assert h.buckets() == [(bound, 1) for bound in edges]
+
+    def test_overflow_bucket_reports_none(self):
+        h = Histogram("x")
+        for value in (0.003, 1e4, 2e4):
+            h.record(value)
+        (bound, n), overflow = h.buckets()
+        assert bound == pytest.approx(0.005) and n == 1
+        assert overflow == (None, 2)
+        assert h.quantile(1.0) == 2e4
+        snap = json.loads(json.dumps(h.snapshot()))
+        assert snap["buckets"] == [[bound, 1], [None, 2]]
 
 
 class TestTracer:
@@ -255,7 +331,6 @@ class TestDashboard:
                             "events_per_s": 1000.0,
                             "tasks_per_s": 900.0,
                             "avg_select_latency_ms": 0.02,
-                            "speedup_vs_pre_refactor": 8.5,
                             "frontier_matrix_hit_rate": 0.5,
                         }
                     ],
@@ -287,7 +362,6 @@ class TestDashboard:
         )
         text = path.read_text()
         assert "fifo-10" in text
-        assert "speedup vs pre-refactor" in text
         assert "demo / fifo" in text
         assert "derived hit rates" in text
 
@@ -303,114 +377,115 @@ class TestDashboard:
         assert "store does not exist" in text
         assert "no metrics.jsonl here" in text
 
-
-class TestHistorySeries:
-    """``history_series`` / the dashboard trend section edge cases."""
-
-    @staticmethod
-    def engine_bench(snap_dir, events_per_s):
-        snap_dir.mkdir(parents=True, exist_ok=True)
-        (snap_dir / "BENCH_engine.json").write_text(
+    def test_bench_section_shows_the_run_headline_metrics(self, tmp_path):
+        """The engine bench's campaign trials/min and the stream bench's
+        jobs/s and peak-RSS ratio appear for the run itself; a bench
+        without scenarios still shows its headline metrics, and one with
+        neither says so."""
+        engine = tmp_path / "BENCH_engine.json"
+        engine.write_text(
             json.dumps(
                 {
                     "benchmark": "engine-throughput",
-                    "scenarios": [
-                        {"name": "smoke", "events_per_s": events_per_s}
-                    ],
+                    "scenarios": [{"name": "smoke", "events_per_s": 1500.0}],
+                    "campaign_throughput": {"trials_per_min": 4321.5},
                 }
             )
         )
-
-    def test_single_snapshot(self, tmp_path):
-        from repro.obs.dashboard import history_series
-
-        root = tmp_path / "bench-history"
-        self.engine_bench(root / "run-00", 1000.0)
-        snapshots, series, skipped = history_series(root)
-        assert snapshots == ["run-00"]
-        assert series == {
-            "engine events/s (mean)": [("run-00", 1000.0)]
-        }
-        assert skipped == []
-        # The trend section still renders — one bar, no crash.
-        path = build_dashboard(
-            output=tmp_path / "index.html",
-            bench_paths=[], store_paths=[], obs_dirs=[],
-            history_dir=str(root),
+        stream = tmp_path / "BENCH_stream.json"
+        stream.write_text(
+            json.dumps(
+                {
+                    "benchmark": "stream-steady",
+                    "steady_jobs_per_s": 1563.2,
+                    "rss_ratio": 1.0137,
+                }
+            )
         )
-        assert "bench history" in path.read_text()
-
-    def test_gap_snapshots_skip_missing_metrics(self, tmp_path):
-        """A snapshot without a given BENCH file leaves a gap in that
-        metric's series rather than a zero."""
-        from repro.obs.dashboard import history_series
-
-        root = tmp_path / "bench-history"
-        self.engine_bench(root / "run-00", 1000.0)
-        (root / "run-01").mkdir()  # recorded, but benchless
-        self.engine_bench(root / "run-02", 900.0)
-        snapshots, series, skipped = history_series(root)
-        assert snapshots == ["run-00", "run-01", "run-02"]
-        assert series["engine events/s (mean)"] == [
-            ("run-00", 1000.0), ("run-02", 900.0),
-        ]
-        assert skipped == []
-
-    def test_malformed_snapshot_skipped_with_warning(self, tmp_path, caplog):
-        from repro.obs.dashboard import history_series
-
-        root = tmp_path / "bench-history"
-        self.engine_bench(root / "run-00", 1000.0)
-        bad = root / "run-01"
-        bad.mkdir()
-        (bad / "BENCH_engine.json").write_text("{broken")
-        (bad / "BENCH_list.json").write_text("[1, 2, 3]")  # not an object
-        # The repro logger tree runs with propagate=False (CLI config), so
-        # capture by attaching caplog's handler to the module logger.
-        import logging
-
-        dashboard_logger = logging.getLogger("repro.obs.dashboard")
-        dashboard_logger.addHandler(caplog.handler)
-        try:
-            with caplog.at_level("WARNING", logger="repro.obs.dashboard"):
-                snapshots, series, skipped = history_series(root)
-        finally:
-            dashboard_logger.removeHandler(caplog.handler)
-        assert snapshots == ["run-00", "run-01"]
-        assert len(series["engine events/s (mean)"]) == 1
-        reasons = {path: reason for path, reason in skipped}
-        assert any("JSONDecodeError" in r for r in reasons.values())
-        assert any("not a JSON object" in r for r in reasons.values())
-        warned = [r.getMessage() for r in caplog.records]
-        assert any("skipping malformed bench snapshot" in m for m in warned)
-        # The dashboard surfaces the skipped files instead of hiding them.
-        path = build_dashboard(
-            output=tmp_path / "index.html",
-            bench_paths=[], store_paths=[], obs_dirs=[],
-            history_dir=str(root),
+        other = tmp_path / "BENCH_other.json"
+        other.write_text(json.dumps({"benchmark": "other"}))
+        text = render_dashboard(
+            bench_paths=[str(engine), str(stream), str(other)]
         )
-        assert "skipped malformed snapshot files" in path.read_text()
+        for metric, value in (
+            ("engine events/s (mean)", "1,500"),
+            ("campaign trials/min", "4,322"),
+            ("stream jobs/s", "1,563"),
+            ("stream peak-RSS ratio", "1.014"),
+        ):
+            assert f"<td>{metric}</td><td>{value}</td>" in text
+        assert text.count("headline metric") == 2
+        assert text.count("(no scenarios)") == 1
 
-    def test_missing_directory_is_empty(self, tmp_path):
-        from repro.obs.dashboard import history_series
+    @pytest.mark.parametrize(
+        "payload", ["[1, 2]", "3", '"text"', "null"],
+        ids=["list", "number", "string", "null"],
+    )
+    def test_bench_report_that_is_not_an_object_is_unreadable(
+        self, tmp_path, payload
+    ):
+        bench = tmp_path / "BENCH_odd.json"
+        bench.write_text(payload)
+        text = render_dashboard(bench_paths=[str(bench)])
+        assert "unreadable: expected a JSON object" in text
 
-        snapshots, series, skipped = history_series(tmp_path / "absent")
-        assert (snapshots, series, skipped) == ([], {}, [])
+    @pytest.mark.parametrize("name", COMMITTED_BENCHES)
+    def test_committed_bench_report_renders(self, name):
+        path = Path(__file__).resolve().parents[1] / name
+        doc = json.loads(path.read_text())
+        text = render_dashboard(bench_paths=[str(path)])
+        assert f"bench: {doc['benchmark']} " in text
+        assert "unreadable" not in text
+
+    def test_discover_inputs_reads_the_working_directory(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.cli import DEFAULT_CAMPAIGN_STORE
+
+        monkeypatch.chdir(tmp_path)
+        for name in ("BENCH_b.json", "BENCH_a.json", "other.json"):
+            (tmp_path / name).write_text("{}")
+        benches = ["BENCH_a.json", "BENCH_b.json"]
+        assert discover_inputs(None, None, None) == (benches, [], [])
+        (tmp_path / DEFAULT_CAMPAIGN_STORE).write_text("")
+        (tmp_path / DEFAULT_OBS_DIR).mkdir()
+        (tmp_path / DEFAULT_OBS_DIR / METRICS_FILENAME).write_text("")
+        assert discover_inputs(None, None, None) == (
+            benches, [DEFAULT_CAMPAIGN_STORE], [DEFAULT_OBS_DIR],
+        )
+
+    def test_discover_inputs_takes_explicit_lists_as_is(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "BENCH_a.json").write_text("{}")
+        assert discover_inputs([], [], []) == ([], [], [])
+        assert discover_inputs(["x.json"], ("s.jsonl",), ["o"]) == (
+            ["x.json"], ["s.jsonl"], ["o"],
+        )
+
+
+class TestHeadlineMetrics:
+    @pytest.mark.parametrize(
+        "doc, expected", list(HEADLINE_CASES.values()), ids=list(HEADLINE_CASES)
+    )
+    def test_headline_metrics(self, doc, expected):
+        assert headline_metrics(doc) == expected
 
 
 class TestLazyPackage:
     """``repro.obs`` resolves its public names on first use."""
 
     def test_every_public_name_resolves_to_its_submodule(self):
-        assert "collecting" in obs.__all__ and "check_history" in obs.__all__
+        assert "collecting" in obs.__all__ and "build_dashboard" in obs.__all__
         for name in obs.__all__:
             module = importlib.import_module(
                 f"repro.obs.{obs._SUBMODULE_OF[name]}"
             )
             assert getattr(obs, name) is getattr(module, name)
-        from repro.obs import check_history, collecting
+        from repro.obs import build_dashboard, collecting
 
-        assert check_history is obs.check_history
+        assert build_dashboard is obs.build_dashboard
         assert collecting is obs.collecting
 
     def test_unknown_name_raises_attribute_error(self):
@@ -420,7 +495,7 @@ class TestLazyPackage:
     def test_entry_points_skip_the_artifact_modules(self):
         heavy = (
             "http.server", "ssl", "email", "repro.obs.dashboard",
-            "repro.obs.regress", "repro.obs.report",
+            "repro.obs.report",
         )
         code = (
             "import sys, repro.simulator.engine, repro.stream, repro.campaign\n"
