@@ -20,7 +20,21 @@ The package rebuilds the paper's full evaluation stack in pure Python:
   per-figure producers;
 - :mod:`repro.campaign` — parallel experiment campaigns: declarative sweep
   specs, a process-pool executor, and content-addressed result caching;
+- :mod:`repro.geo` — geo-distributed federation: one cluster per grid
+  region in one timeline, pluggable job routing, and priced input
+  transfers;
+- :mod:`repro.disrupt` — seeded region outages, capacity curtailments and
+  carbon-signal blackouts, injected into the engine, with a resilience
+  ledger;
+- :mod:`repro.stream` — service mode: open-ended arrival streams in O(1)
+  memory, with epochs, checkpoints and windowed metrics;
+- :mod:`repro.obs` — off-by-default metrics, span tracing, and the static
+  HTML dashboard;
 - :mod:`repro.cli` — ``python -m repro`` / ``repro`` command-line access.
+
+Package exports are lazy (:mod:`repro._lazy`): ``from repro.core import
+PCAPSScheduler`` imports :mod:`repro.core.pcaps` and what it needs, not
+the analysis module beside it.
 
 Quickstart::
 
@@ -41,16 +55,14 @@ Quickstart::
     result = sim.run(jobs)
 """
 
-from repro.core.cap import CAPProvisioner
-from repro.core.pcaps import PCAPSScheduler
-from repro.simulator.engine import ClusterConfig, Simulation
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CAPProvisioner",
-    "ClusterConfig",
-    "PCAPSScheduler",
-    "Simulation",
-    "__version__",
-]
+_SUBMODULE_OF = {
+    "CAPProvisioner": "core.cap",
+    "PCAPSScheduler": "core.pcaps",
+    **dict.fromkeys(("ClusterConfig", "Simulation"), "simulator.engine"),
+}
+__getattr__ = lazy_exports(__name__, _SUBMODULE_OF)
+__all__ = sorted([*_SUBMODULE_OF, "__version__"])

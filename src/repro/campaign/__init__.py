@@ -37,35 +37,19 @@ Quickstart::
     assert rerun.stats.hit_rate == 1.0
 """
 
-from repro.campaign.cache import CacheStats, trial_key
-from repro.campaign.executor import CampaignRun, CampaignRunner
-from repro.campaign.kinds import KINDS, TrialKind, kind_of
-from repro.campaign.reports import campaign_report, format_campaign_report
-from repro.campaign.spec import CampaignSpec, campaign_presets, matchup_spec
-from repro.campaign.store import ResultStore, StoreCheck, TrialRecord
-from repro.campaign.supervise import (
-    CampaignInterrupted,
-    CheckpointPolicy,
-    SupervisorConfig,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CacheStats",
-    "CampaignInterrupted",
-    "CampaignRun",
-    "CampaignRunner",
-    "CampaignSpec",
-    "CheckpointPolicy",
-    "KINDS",
-    "ResultStore",
-    "StoreCheck",
-    "SupervisorConfig",
-    "TrialKind",
-    "TrialRecord",
-    "campaign_presets",
-    "campaign_report",
-    "format_campaign_report",
-    "kind_of",
-    "matchup_spec",
-    "trial_key",
-]
+_SUBMODULE_OF = {
+    **dict.fromkeys(("CacheStats", "trial_key"), "cache"),
+    **dict.fromkeys(("CampaignRun", "CampaignRunner"), "executor"),
+    **dict.fromkeys(("KINDS", "TrialKind", "kind_of"), "kinds"),
+    **dict.fromkeys(("campaign_report", "format_campaign_report"), "reports"),
+    **dict.fromkeys(("CampaignSpec", "campaign_presets", "matchup_spec"), "spec"),
+    **dict.fromkeys(("ResultStore", "StoreCheck", "TrialRecord"), "store"),
+    **dict.fromkeys(
+        ("CampaignInterrupted", "CheckpointPolicy", "SupervisorConfig"),
+        "supervise",
+    ),
+}
+__getattr__ = lazy_exports(__name__, _SUBMODULE_OF)
+__all__ = sorted(_SUBMODULE_OF)

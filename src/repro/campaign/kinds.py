@@ -13,14 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.campaign.store import result_metrics
 from repro.experiments.runner import ExperimentConfig
 from repro.geo.config import FederationConfig
-from repro.geo.federation import run_federation
-from repro.geo.result import FederationResult
-from repro.stream.service import ServiceConfig, StreamReport, run_service
+from repro.stream.service import ServiceConfig
+
+if TYPE_CHECKING:
+    from repro.geo.result import FederationResult
+    from repro.stream.service import StreamReport
 
 
 @dataclass(frozen=True)
@@ -82,9 +84,23 @@ def _run_experiment(config: ExperimentConfig):
     return executor.execute_trial(config)
 
 
+def run_federation(config: FederationConfig) -> FederationResult:
+    """:func:`repro.geo.federation.run_federation`, imported on first call,
+    so a campaign of another kind never loads the federation engine."""
+    from repro.geo.federation import run_federation
+
+    return run_federation(config)
+
+
 def _run_federation(config: FederationConfig) -> FederationResult:
     # Resolved at call time too, so ``run_federation`` can be patched here.
     return run_federation(config)
+
+
+def _run_service(config: ServiceConfig) -> StreamReport:
+    from repro.stream.service import run_service
+
+    return run_service(config)
 
 
 def _experiment_label(config: ExperimentConfig) -> str:
@@ -183,7 +199,7 @@ FEDERATION = TrialKind(
 STREAM = TrialKind(
     name="stream",
     config_type=ServiceConfig,
-    run=run_service,
+    run=_run_service,
     metrics=_stream_metrics,
     label=_stream_label,
     key_tag="stream",

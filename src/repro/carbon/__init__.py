@@ -14,24 +14,15 @@ It provides:
   mirroring the prototype's Electricity Maps client.
 """
 
-from repro.carbon.api import CarbonIntensityAPI
-from repro.carbon.forecast import CarbonForecaster, forecast_bounds
-from repro.carbon.grids import (
-    GRID_CODES,
-    GRID_SPECS,
-    GridSpec,
-    synthesize_trace,
-)
-from repro.carbon.trace import CarbonTrace, TraceStats
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CarbonIntensityAPI",
-    "CarbonForecaster",
-    "CarbonTrace",
-    "GridSpec",
-    "GRID_CODES",
-    "GRID_SPECS",
-    "TraceStats",
-    "forecast_bounds",
-    "synthesize_trace",
-]
+_SUBMODULE_OF = {
+    "CarbonIntensityAPI": "api",
+    **dict.fromkeys(("CarbonForecaster", "forecast_bounds"), "forecast"),
+    **dict.fromkeys(
+        ("GRID_CODES", "GRID_SPECS", "GridSpec", "synthesize_trace"), "grids"
+    ),
+    **dict.fromkeys(("CarbonTrace", "TraceStats"), "trace"),
+}
+__getattr__ = lazy_exports(__name__, _SUBMODULE_OF)
+__all__ = sorted(_SUBMODULE_OF)

@@ -151,16 +151,26 @@ def _solar_component(hours: np.ndarray) -> np.ndarray:
     return -daylight * season
 
 
+def _ar1(n: int, rng: np.random.Generator, memory_hours: float) -> np.ndarray:
+    """Unit-variance AR(1) series with ``phi = exp(-1 / memory_hours)``.
+
+    The recurrence steps Python floats, not numpy scalars: the same IEEE
+    double operations, so the same bytes, in about half the time.
+    """
+    phi = np.exp(-1.0 / memory_hours)
+    innovations = rng.normal(0.0, np.sqrt(1.0 - phi**2), size=n)
+    phi = float(phi)
+    series = []
+    acc = rng.normal(0.0, 1.0)
+    for innovation in innovations.tolist():
+        acc = phi * acc + innovation
+        series.append(acc)
+    return np.array(series)
+
+
 def _wind_component(n: int, rng: np.random.Generator) -> np.ndarray:
     """Multi-day autocorrelated fluctuation (AR(1) with ~36 h memory)."""
-    phi = np.exp(-1.0 / 36.0)
-    innovations = rng.normal(0.0, np.sqrt(1.0 - phi**2), size=n)
-    series = np.empty(n)
-    acc = rng.normal(0.0, 1.0)
-    for i in range(n):
-        acc = phi * acc + innovations[i]
-        series[i] = acc
-    return series
+    return _ar1(n, rng, 36.0)
 
 
 def _seasonal_component(hours: np.ndarray) -> np.ndarray:
@@ -171,14 +181,7 @@ def _seasonal_component(hours: np.ndarray) -> np.ndarray:
 
 def _noise_component(n: int, rng: np.random.Generator) -> np.ndarray:
     """Short-memory hourly noise (AR(1) with ~4 h memory)."""
-    phi = np.exp(-1.0 / 4.0)
-    innovations = rng.normal(0.0, np.sqrt(1.0 - phi**2), size=n)
-    series = np.empty(n)
-    acc = rng.normal(0.0, 1.0)
-    for i in range(n):
-        acc = phi * acc + innovations[i]
-        series[i] = acc
-    return series
+    return _ar1(n, rng, 4.0)
 
 
 def _standardize(x: np.ndarray) -> np.ndarray:
@@ -239,18 +242,3 @@ def _clip_fraction(signal: np.ndarray, spec: GridSpec) -> float:
     raw = spec.mean + spec.std * signal
     clipped = np.mean((raw < spec.minimum) | (raw > spec.maximum))
     return float(clipped)
-
-
-def all_grid_traces(
-    hours: int = PAPER_TRACE_HOURS,
-    seed: int | None = 0,
-    step_seconds: float = DEFAULT_STEP_SECONDS,
-) -> dict[str, CarbonTrace]:
-    """Synthesize every Table 1 grid with deterministic per-grid seeds."""
-    traces = {}
-    for offset, code in enumerate(GRID_CODES):
-        grid_seed = None if seed is None else seed + offset
-        traces[code] = synthesize_trace(
-            code, hours=hours, seed=grid_seed, step_seconds=step_seconds
-        )
-    return traces

@@ -39,22 +39,11 @@ import os
 import sys
 
 from repro.carbon.grids import GRID_CODES, GRID_SPECS
-from repro.experiments.motivation import fig1_comparison
 from repro.experiments.runner import (
     SCHEDULER_NAMES,
     ExperimentConfig,
     run_matchup,
 )
-from repro.experiments.tables import (
-    PAPER_TABLE2,
-    PAPER_TABLE3,
-    format_metric_table,
-    format_table1,
-    table1_rows,
-    table2_rows,
-    table3_rows,
-)
-from repro.experiments.figures import cap_b_sweep, pcaps_gamma_sweep
 from repro.obs.observer import (
     DEFAULT_OBS_DIR,
     LOG_LEVELS,
@@ -62,7 +51,6 @@ from repro.obs.observer import (
     collecting,
     configure_logging,
 )
-from repro.simulator.metrics import compare_to_baseline
 from repro.workloads.batch import WorkloadSpec
 
 
@@ -102,23 +90,31 @@ def _experiment_config(args: argparse.Namespace, **overrides) -> ExperimentConfi
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    from repro.experiments.tables import format_table1, table1_rows
+
     print(format_table1(table1_rows(hours=args.hours)))
     return 0
 
 
 def _cmd_table2(args: argparse.Namespace) -> int:
+    from repro.experiments.tables import PAPER_TABLE2, format_metric_table, table2_rows
+
     rows = table2_rows(num_jobs=args.jobs, num_executors=args.executors)
     print(format_metric_table(rows, PAPER_TABLE2))
     return 0
 
 
 def _cmd_table3(args: argparse.Namespace) -> int:
+    from repro.experiments.tables import PAPER_TABLE3, format_metric_table, table3_rows
+
     rows = table3_rows(num_jobs=args.jobs, num_executors=args.executors)
     print(format_metric_table(rows, PAPER_TABLE3))
     return 0
 
 
 def _cmd_fig1(args: argparse.Namespace) -> int:
+    from repro.experiments.motivation import fig1_comparison
+
     print(f"{'policy':<14} {'hours':>7} {'Δcarbon':>9} {'Δtime':>8}")
     for row in fig1_comparison(gamma=args.gamma):
         print(
@@ -129,6 +125,8 @@ def _cmd_fig1(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.simulator.metrics import compare_to_baseline
+
     names = args.schedulers
     unknown = [n for n in names if n not in SCHEDULER_NAMES]
     if unknown:
@@ -151,6 +149,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.experiments.figures import cap_b_sweep, pcaps_gamma_sweep
+
     config = _experiment_config(args)
     if args.knob == "gamma":
         points = pcaps_gamma_sweep(

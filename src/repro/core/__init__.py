@@ -13,46 +13,30 @@
   quantities (``D(γ,c)``, ``M(B,c)``, Graham's bound).
 """
 
-from repro.core.cap import CAPProvisioner
-from repro.core.importance import relative_importance
-from repro.core.pcaps import PCAPSScheduler
-from repro.core.threshold import (
-    CAPThresholds,
-    cap_quota,
-    cap_thresholds,
-    psi,
-    solve_alpha,
-)
-from repro.core.analysis import (
-    SavingsDecomposition,
-    average_step_savings,
-    cap_stretch_factor,
-    carbon_savings,
-    deferral_fraction,
-    graham_bound,
-    min_quota_from_trace,
-    pcaps_stretch_factor,
-    savings_decomposition,
-    utilization_by_intensity,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CAPProvisioner",
-    "CAPThresholds",
-    "PCAPSScheduler",
-    "SavingsDecomposition",
-    "average_step_savings",
-    "cap_quota",
-    "cap_stretch_factor",
-    "cap_thresholds",
-    "carbon_savings",
-    "deferral_fraction",
-    "graham_bound",
-    "min_quota_from_trace",
-    "pcaps_stretch_factor",
-    "psi",
-    "relative_importance",
-    "savings_decomposition",
-    "solve_alpha",
-    "utilization_by_intensity",
-]
+_SUBMODULE_OF = {
+    "CAPProvisioner": "cap",
+    "PCAPSScheduler": "pcaps",
+    **dict.fromkeys(
+        ("CAPThresholds", "cap_quota", "cap_thresholds", "psi", "solve_alpha"),
+        "threshold",
+    ),
+    **dict.fromkeys(
+        (
+            "SavingsDecomposition",
+            "average_step_savings",
+            "cap_stretch_factor",
+            "carbon_savings",
+            "deferral_fraction",
+            "graham_bound",
+            "min_quota_from_trace",
+            "pcaps_stretch_factor",
+            "savings_decomposition",
+            "utilization_by_intensity",
+        ),
+        "analysis",
+    ),
+}
+__getattr__ = lazy_exports(__name__, _SUBMODULE_OF)
+__all__ = sorted(_SUBMODULE_OF)

@@ -9,24 +9,22 @@ The classes here are immutable descriptions; runtime progress (which tasks
 have run, on which executors) lives in :mod:`repro.simulator`.
 """
 
-from repro.dag.graph import JobDAG, Stage, chain_dag, diamond_dag, fork_join_dag
-from repro.dag.metrics import (
-    bottleneck_scores,
-    critical_path_length,
-    descendant_work,
-    longest_path_stages,
-    remaining_work,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "JobDAG",
-    "Stage",
-    "bottleneck_scores",
-    "chain_dag",
-    "critical_path_length",
-    "descendant_work",
-    "diamond_dag",
-    "fork_join_dag",
-    "longest_path_stages",
-    "remaining_work",
-]
+_SUBMODULE_OF = {
+    **dict.fromkeys(
+        ("JobDAG", "Stage", "chain_dag", "diamond_dag", "fork_join_dag"), "graph"
+    ),
+    **dict.fromkeys(
+        (
+            "bottleneck_scores",
+            "critical_path_length",
+            "descendant_work",
+            "longest_path_stages",
+            "remaining_work",
+        ),
+        "metrics",
+    ),
+}
+__getattr__ = lazy_exports(__name__, _SUBMODULE_OF)
+__all__ = sorted(_SUBMODULE_OF)

@@ -34,32 +34,25 @@ default-on win — the :class:`DisruptionReport` ledger exists so trials
 surface this trade instead of hiding it.
 """
 
-from repro.disrupt.inject import (
-    DisruptedRun,
-    install_disruptions,
-    run_disrupted_experiment,
-)
-from repro.disrupt.metrics import (
-    DisruptionReport,
-    cluster_disruption_report,
-    federation_disruption_report,
-    jobs_completed_by,
-)
-from repro.disrupt.schedule import (
-    EVENT_KINDS,
-    DisruptionEvent,
-    DisruptionSchedule,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EVENT_KINDS",
-    "DisruptionEvent",
-    "DisruptionSchedule",
-    "DisruptedRun",
-    "DisruptionReport",
-    "cluster_disruption_report",
-    "federation_disruption_report",
-    "install_disruptions",
-    "jobs_completed_by",
-    "run_disrupted_experiment",
-]
+_SUBMODULE_OF = {
+    **dict.fromkeys(
+        ("DisruptedRun", "install_disruptions", "run_disrupted_experiment"),
+        "inject",
+    ),
+    **dict.fromkeys(
+        (
+            "DisruptionReport",
+            "cluster_disruption_report",
+            "federation_disruption_report",
+            "jobs_completed_by",
+        ),
+        "metrics",
+    ),
+    **dict.fromkeys(
+        ("EVENT_KINDS", "DisruptionEvent", "DisruptionSchedule"), "schedule"
+    ),
+}
+__getattr__ = lazy_exports(__name__, _SUBMODULE_OF)
+__all__ = sorted(_SUBMODULE_OF)

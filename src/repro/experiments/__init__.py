@@ -12,52 +12,43 @@ scheduler × job-count grid (``repro perf``, ``BENCH_engine.json``); and
 matchups over identical workloads and single-region counterfactuals.
 """
 
-from repro.experiments.federation import (
-    run_routing_matchup,
-    scaled_single_region,
-    single_region_carbon_g,
-    single_region_results,
-)
-from repro.experiments.runner import (
-    SCHEDULER_NAMES,
-    ExperimentConfig,
-    build_scheduler,
-    run_experiment,
-    run_matchup,
-)
-from repro.experiments.motivation import (
-    fig1_comparison,
-    motivating_dag,
-    motivating_trace,
-)
-from repro.experiments.perf import (
-    PerfMeasurement,
-    PerfScenario,
-    build_scenarios,
-    run_scenario,
-    run_suite,
-    smoke_scenarios,
-    write_report,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentConfig",
-    "PerfMeasurement",
-    "PerfScenario",
-    "SCHEDULER_NAMES",
-    "build_scenarios",
-    "build_scheduler",
-    "fig1_comparison",
-    "motivating_dag",
-    "motivating_trace",
-    "run_experiment",
-    "run_matchup",
-    "run_routing_matchup",
-    "run_scenario",
-    "scaled_single_region",
-    "single_region_carbon_g",
-    "single_region_results",
-    "run_suite",
-    "smoke_scenarios",
-    "write_report",
-]
+_SUBMODULE_OF = {
+    **dict.fromkeys(
+        (
+            "run_routing_matchup",
+            "scaled_single_region",
+            "single_region_carbon_g",
+            "single_region_results",
+        ),
+        "federation",
+    ),
+    **dict.fromkeys(
+        (
+            "SCHEDULER_NAMES",
+            "ExperimentConfig",
+            "build_scheduler",
+            "run_experiment",
+            "run_matchup",
+        ),
+        "runner",
+    ),
+    **dict.fromkeys(
+        ("fig1_comparison", "motivating_dag", "motivating_trace"), "motivation"
+    ),
+    **dict.fromkeys(
+        (
+            "PerfMeasurement",
+            "PerfScenario",
+            "build_scenarios",
+            "run_scenario",
+            "run_suite",
+            "smoke_scenarios",
+            "write_report",
+        ),
+        "perf",
+    ),
+}
+__getattr__ = lazy_exports(__name__, _SUBMODULE_OF)
+__all__ = sorted(_SUBMODULE_OF)

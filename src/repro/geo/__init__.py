@@ -20,53 +20,44 @@ See :func:`run_federation` and the :mod:`repro.disrupt` package notes
 before treating failover as a default-on win.
 """
 
-from repro.geo.config import (
-    DEFAULT_EXECUTOR_POWER_KW,
-    FederationConfig,
-    RegionConfig,
-    TransferModel,
-)
-from repro.geo.federation import Federation, run_federation
-from repro.geo.result import (
-    FederationComparison,
-    FederationResult,
-    MigrationDecision,
-    RegionResult,
-    RoutingDecision,
-    compare_federations,
-)
-from repro.geo.routing import (
-    ROUTING_POLICY_NAMES,
-    CarbonForecastRouting,
-    CarbonGreedyRouting,
-    FailoverRouting,
-    QueueAwareRouting,
-    RegionSnapshot,
-    RoundRobinRouting,
-    RoutingPolicy,
-    build_routing_policy,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_EXECUTOR_POWER_KW",
-    "FederationConfig",
-    "RegionConfig",
-    "TransferModel",
-    "Federation",
-    "run_federation",
-    "FederationComparison",
-    "FederationResult",
-    "MigrationDecision",
-    "RegionResult",
-    "RoutingDecision",
-    "compare_federations",
-    "ROUTING_POLICY_NAMES",
-    "CarbonForecastRouting",
-    "CarbonGreedyRouting",
-    "FailoverRouting",
-    "QueueAwareRouting",
-    "RegionSnapshot",
-    "RoundRobinRouting",
-    "RoutingPolicy",
-    "build_routing_policy",
-]
+_SUBMODULE_OF = {
+    **dict.fromkeys(
+        (
+            "DEFAULT_EXECUTOR_POWER_KW",
+            "FederationConfig",
+            "RegionConfig",
+            "TransferModel",
+        ),
+        "config",
+    ),
+    **dict.fromkeys(("Federation", "run_federation"), "federation"),
+    **dict.fromkeys(
+        (
+            "FederationComparison",
+            "FederationResult",
+            "MigrationDecision",
+            "RegionResult",
+            "RoutingDecision",
+            "compare_federations",
+        ),
+        "result",
+    ),
+    **dict.fromkeys(
+        (
+            "ROUTING_POLICY_NAMES",
+            "CarbonForecastRouting",
+            "CarbonGreedyRouting",
+            "FailoverRouting",
+            "QueueAwareRouting",
+            "RegionSnapshot",
+            "RoundRobinRouting",
+            "RoutingPolicy",
+            "build_routing_policy",
+        ),
+        "routing",
+    ),
+}
+__getattr__ = lazy_exports(__name__, _SUBMODULE_OF)
+__all__ = sorted(_SUBMODULE_OF)

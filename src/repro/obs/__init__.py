@@ -30,12 +30,12 @@ Enable collection from the CLI with ``--obs`` on ``run`` / ``campaign`` /
     observer.write_artifacts("obs")
 """
 
-import importlib
+from repro._lazy import lazy_exports
 
 #: Public name -> the submodule defining it. Names resolve on first access
-#: (module ``__getattr__``), so importing one submodule — as the engine
-#: does with :mod:`repro.obs.observer` — does not load the dashboard and
-#: report modules and what they import.
+#: (:mod:`repro._lazy`), so importing one submodule — as the engine does
+#: with :mod:`repro.obs.observer` — does not load the dashboard and report
+#: modules and what they import.
 _SUBMODULE_OF = {
     **dict.fromkeys(("build_dashboard", "render_dashboard"), "dashboard"),
     **dict.fromkeys(
@@ -63,15 +63,5 @@ _SUBMODULE_OF = {
     **dict.fromkeys(("format_snapshot", "render_report"), "report"),
     "SpanTracer": "tracing",
 }
-
-
-def __getattr__(name: str):
-    submodule = _SUBMODULE_OF.get(name)
-    if submodule is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
-    globals()[name] = value
-    return value
-
-
+__getattr__ = lazy_exports(__name__, _SUBMODULE_OF)
 __all__ = sorted(_SUBMODULE_OF)

@@ -19,23 +19,17 @@ These are the baselines of Section 6.1:
   DAGs (the Fig. 1 motivating comparison).
 """
 
-from repro.schedulers.decima import DecimaScheduler
-from repro.schedulers.fifo import FIFOScheduler, KubernetesDefaultScheduler
-from repro.schedulers.greenhadoop import GreenHadoopProvisioner
-from repro.schedulers.optimal import (
-    OptimalSchedule,
-    optimal_carbon_schedule,
-    optimal_time_schedule,
-)
-from repro.schedulers.weighted_fair import WeightedFairScheduler
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DecimaScheduler",
-    "FIFOScheduler",
-    "GreenHadoopProvisioner",
-    "KubernetesDefaultScheduler",
-    "OptimalSchedule",
-    "WeightedFairScheduler",
-    "optimal_carbon_schedule",
-    "optimal_time_schedule",
-]
+_SUBMODULE_OF = {
+    "DecimaScheduler": "decima",
+    **dict.fromkeys(("FIFOScheduler", "KubernetesDefaultScheduler"), "fifo"),
+    "GreenHadoopProvisioner": "greenhadoop",
+    **dict.fromkeys(
+        ("OptimalSchedule", "optimal_carbon_schedule", "optimal_time_schedule"),
+        "optimal",
+    ),
+    "WeightedFairScheduler": "weighted_fair",
+}
+__getattr__ = lazy_exports(__name__, _SUBMODULE_OF)
+__all__ = sorted(_SUBMODULE_OF)

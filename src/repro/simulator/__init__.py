@@ -19,32 +19,21 @@ an event-driven model of a Spark cluster with
   ex post facto to avoid impacting simulator fidelity").
 """
 
-from repro.simulator.engine import ClusterConfig, Simulation, simulate
-from repro.simulator.interfaces import (
-    Provisioner,
-    ProbabilisticPolicy,
-    StageChoice,
-    StageScheduler,
-)
-from repro.simulator.metrics import ExperimentResult, compare_to_baseline
-from repro.simulator.state import ClusterView, JobRuntime, ReadyStage, StageRuntime
-from repro.simulator.trace import ScheduleTrace, TaskRecord, busy_executor_series
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ClusterConfig",
-    "ClusterView",
-    "ExperimentResult",
-    "JobRuntime",
-    "ProbabilisticPolicy",
-    "Provisioner",
-    "ReadyStage",
-    "ScheduleTrace",
-    "Simulation",
-    "StageChoice",
-    "StageRuntime",
-    "StageScheduler",
-    "TaskRecord",
-    "busy_executor_series",
-    "compare_to_baseline",
-    "simulate",
-]
+_SUBMODULE_OF = {
+    **dict.fromkeys(("ClusterConfig", "Simulation", "simulate"), "engine"),
+    **dict.fromkeys(
+        ("Provisioner", "ProbabilisticPolicy", "StageChoice", "StageScheduler"),
+        "interfaces",
+    ),
+    **dict.fromkeys(("ExperimentResult", "compare_to_baseline"), "metrics"),
+    **dict.fromkeys(
+        ("ClusterView", "JobRuntime", "ReadyStage", "StageRuntime"), "state"
+    ),
+    **dict.fromkeys(
+        ("ScheduleTrace", "TaskRecord", "busy_executor_series"), "trace"
+    ),
+}
+__getattr__ = lazy_exports(__name__, _SUBMODULE_OF)
+__all__ = sorted(_SUBMODULE_OF)

@@ -8,18 +8,17 @@ in flight, the engine runs them against a
 checkpoints and windowed-metric emission. See ``docs/streaming.md``.
 """
 
-from repro.stream.service import (
-    ServiceConfig,
-    ServiceRunner,
-    StreamReport,
-    format_stream_report,
-    run_service,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ServiceConfig",
-    "ServiceRunner",
-    "StreamReport",
-    "format_stream_report",
-    "run_service",
-]
+_SUBMODULE_OF = dict.fromkeys(
+    (
+        "ServiceConfig",
+        "ServiceRunner",
+        "StreamReport",
+        "format_stream_report",
+        "run_service",
+    ),
+    "service",
+)
+__getattr__ = lazy_exports(__name__, _SUBMODULE_OF)
+__all__ = sorted(_SUBMODULE_OF)

@@ -14,30 +14,19 @@ reports (see DESIGN.md, Section 2):
 Arrivals follow a Poisson process with a 30 s mean interarrival by default.
 """
 
-from repro.workloads.alibaba import AlibabaWorkloadModel, alibaba_job
-from repro.workloads.arrivals import (
-    JobSubmission,
-    poisson_arrival_times,
-    submissions_from_dags,
-)
-from repro.workloads.batch import WorkloadSpec, build_workload
-from repro.workloads.tpch import (
-    TPCH_QUERIES,
-    TPCH_SCALE_DURATIONS,
-    tpch_job,
-    tpch_query_catalog,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AlibabaWorkloadModel",
-    "JobSubmission",
-    "TPCH_QUERIES",
-    "TPCH_SCALE_DURATIONS",
-    "WorkloadSpec",
-    "alibaba_job",
-    "build_workload",
-    "poisson_arrival_times",
-    "submissions_from_dags",
-    "tpch_job",
-    "tpch_query_catalog",
-]
+_SUBMODULE_OF = {
+    **dict.fromkeys(("AlibabaWorkloadModel", "alibaba_job"), "alibaba"),
+    **dict.fromkeys(
+        ("JobSubmission", "poisson_arrival_times", "submissions_from_dags"),
+        "arrivals",
+    ),
+    **dict.fromkeys(("WorkloadSpec", "build_workload"), "batch"),
+    **dict.fromkeys(
+        ("TPCH_QUERIES", "TPCH_SCALE_DURATIONS", "tpch_job", "tpch_query_catalog"),
+        "tpch",
+    ),
+}
+__getattr__ = lazy_exports(__name__, _SUBMODULE_OF)
+__all__ = sorted(_SUBMODULE_OF)

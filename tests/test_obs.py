@@ -3,7 +3,8 @@
 Covers the metrics instruments (counter/gauge/histogram/timer), the
 registry snapshot + JSONL round trip, span tracing and its Chrome-trace
 export, the observer lifecycle (including restore-on-exit nesting), the
-text report, the dashboard generator, and the package's lazy exports.
+text report, the dashboard generator, and the lazy exports of every
+``repro`` package with the modules each entry point loads.
 """
 
 import importlib
@@ -34,6 +35,53 @@ from repro.obs.metrics import (
 from repro.obs.report import derived_rates, render_report
 from repro.obs.observer import DEFAULT_OBS_DIR, METRICS_FILENAME
 from repro.obs.tracing import SIM_PID, WALL_PID, SpanTracer, _stable_tid
+
+#: The directory ``repro`` is imported from.
+SRC = Path(obs.__file__).resolve().parents[2]
+#: Every package under ``src/repro``; each resolves its exports lazily.
+LAZY_PACKAGES = sorted(
+    ".".join(p.parent.relative_to(SRC).parts)
+    for p in (SRC / "repro").rglob("__init__.py")
+)
+#: The ``repro`` modules each entry point has loaded, in a fresh
+#: interpreter, once it is ready to run.
+IMPORT_CLOSURE_PATH = Path(__file__).with_name("data") / "import_closure.json"
+#: Entry point -> the set-up a fresh interpreter runs before the record.
+ENTRY_POINTS = {
+    # perfbench campaign-mix: the Table 3 preset and one grid's trace.
+    "campaign-mix set-up": (
+        "from dataclasses import replace\n"
+        "from repro.campaign import campaign_presets\n"
+        "from repro.experiments.runner import carbon_trace_for\n"
+        "base = campaign_presets()['table3'].base\n"
+        "carbon_trace_for(replace(base, grid='DE'))\n"
+    ),
+    # perfbench pcaps-batch: one ready-to-run PCAPS simulation.
+    "pcaps-batch set-up": (
+        "from repro.experiments.runner import ExperimentConfig, simulation_for\n"
+        "simulation_for(ExperimentConfig(scheduler='pcaps'))\n"
+    ),
+    # perfbench fifo-stream: one ready-to-run FIFO service.
+    "fifo-stream set-up": (
+        "from repro.experiments.runner import ExperimentConfig\n"
+        "from repro.stream import ServiceConfig, ServiceRunner\n"
+        "config = ExperimentConfig(scheduler='fifo')\n"
+        "ServiceRunner(ServiceConfig(experiment=config))\n"
+    ),
+    "python -m repro --help": (
+        "import runpy, sys\n"
+        "sys.argv = ['repro', '--help']\n"
+        "try:\n"
+        "    runpy.run_module('repro', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit:\n"
+        "    pass\n"
+    ),
+}
+RECORD_MODULES = (
+    "import json, sys\n"
+    "loaded = [m for m in sys.modules if m.split('.')[0] == 'repro']\n"
+    "print(json.dumps(sorted(loaded)))\n"
+)
 
 #: The bench reports committed at the repository root.
 COMMITTED_BENCHES = sorted(
@@ -474,37 +522,49 @@ class TestHeadlineMetrics:
 
 
 class TestLazyPackage:
-    """``repro.obs`` resolves its public names on first use."""
+    """Every ``repro`` package resolves its public names on first use, so
+    each entry point loads only the modules it runs."""
 
     def test_every_public_name_resolves_to_its_submodule(self):
         assert "collecting" in obs.__all__ and "build_dashboard" in obs.__all__
-        for name in obs.__all__:
-            module = importlib.import_module(
-                f"repro.obs.{obs._SUBMODULE_OF[name]}"
-            )
-            assert getattr(obs, name) is getattr(module, name)
+        for name in LAZY_PACKAGES:
+            package = importlib.import_module(name)
+            table = package._SUBMODULE_OF
+            assert set(package.__all__) - {"__version__"} == set(table), name
+            for export, submodule in table.items():
+                module = importlib.import_module(f"{name}.{submodule}")
+                value = getattr(package, export)
+                assert value is getattr(module, export), (name, export)
+                if callable(value):
+                    assert value.__module__ == module.__name__, (name, export)
         from repro.obs import build_dashboard, collecting
 
         assert build_dashboard is obs.build_dashboard
         assert collecting is obs.collecting
+        from repro.campaign import executor  # a submodule, not an export
+
+        assert executor is sys.modules["repro.campaign.executor"]
 
     def test_unknown_name_raises_attribute_error(self):
-        with pytest.raises(AttributeError):
-            getattr(obs, "no_such_name")
+        for name in LAZY_PACKAGES:
+            package = importlib.import_module(name)
+            with pytest.raises(AttributeError, match="no_such_name"):
+                getattr(package, "no_such_name")
 
-    def test_entry_points_skip_the_artifact_modules(self):
-        heavy = (
-            "http.server", "ssl", "email", "repro.obs.dashboard",
-            "repro.obs.report",
-        )
-        code = (
-            "import sys, repro.simulator.engine, repro.stream, repro.campaign\n"
-            f"print([m for m in {heavy!r} if m in sys.modules])"
-        )
-        src = str(Path(obs.__file__).resolve().parents[2])
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True, check=True,
-            env=dict(os.environ, PYTHONPATH=src),
-        ).stdout
-        assert out.strip() == "[]"
+    def test_entry_points_load_the_pinned_modules(self, tmp_path):
+        fresh = {}
+        for entry, code in ENTRY_POINTS.items():
+            out = subprocess.run(
+                [sys.executable, "-c", code + RECORD_MODULES],
+                capture_output=True, text=True, check=True, cwd=tmp_path,
+                env=dict(os.environ, PYTHONPATH=str(SRC)),
+            ).stdout
+            fresh[entry] = json.loads(out.splitlines()[-1])
+        pinned = json.loads(IMPORT_CLOSURE_PATH.read_text())
+        if fresh != pinned["entry_points"]:
+            pytest.fail(
+                "entry points load other repro modules than "
+                f"{IMPORT_CLOSURE_PATH.name} pins. If the change is "
+                "deliberate, re-record the file as:\n"
+                + json.dumps({**pinned, "entry_points": fresh}, indent=1)
+            )

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core.importance import relative_importance
 from repro.core.threshold import cap_thresholds, psi, solve_alpha
 from repro.dag.graph import JobDAG, Stage
 from repro.dag.metrics import critical_path_length, remaining_work
@@ -131,18 +130,6 @@ class TestCapThresholdProperties:
             lhs = (1.0 + 1.0 / (k * alpha)) ** k
             rhs = ((high - low) / high) / (1.0 - 1.0 / alpha)
             assert lhs == pytest.approx(rhs, rel=1e-4)
-
-
-class TestImportanceProperties:
-    @given(
-        probs=st.lists(
-            st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=20
-        )
-    )
-    def test_importance_normalized(self, probs):
-        r = relative_importance(probs)
-        assert np.all((r >= 0.0) & (r <= 1.0))
-        assert r.max() == pytest.approx(1.0)
 
 
 # ----------------------------------------------------------------------
