@@ -4,7 +4,7 @@ Same content as Fig. 7 but against the Spark-standalone FIFO baseline, as
 in the simulator experiments.
 """
 
-from repro.experiments.figures import pcaps_gamma_sweep
+from repro.campaign import CampaignSpec, run_sweep
 from repro.experiments.runner import ExperimentConfig
 from repro.workloads.batch import WorkloadSpec
 
@@ -13,21 +13,22 @@ from _report import emit, run_once
 GAMMAS = (0.1, 0.25, 0.5, 0.75, 0.9)
 
 
-def _config():
-    return ExperimentConfig(
+def _spec():
+    config = ExperimentConfig(
         grid="DE",
         mode="standalone",
         num_executors=40,
         workload=WorkloadSpec(family="tpch", num_jobs=25, mean_interarrival=45.0),
         seed=5,
     )
+    return CampaignSpec(
+        "fig11-bench", config,
+        axes={"scheduler": ("pcaps",), "gamma": GAMMAS}, baseline="fifo",
+    )
 
 
 def test_fig11_pcaps_gamma_sweep_simulator(benchmark):
-    points = run_once(
-        benchmark, pcaps_gamma_sweep, gammas=GAMMAS,
-        baseline="fifo", config=_config(),
-    )
+    points = run_once(benchmark, run_sweep, _spec(), "gamma")
     lines = [f"{'gamma':>6} {'carbon_red%':>12} {'ECT':>7} {'JCT':>7}"]
     for p in points:
         lines.append(

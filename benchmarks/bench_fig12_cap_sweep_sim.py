@@ -4,7 +4,7 @@ Compared with Fig. 11, CAP-FIFO sacrifices more ECT for the same or lower
 carbon savings, and the completion-time hit starts at milder settings.
 """
 
-from repro.experiments.figures import cap_b_sweep
+from repro.campaign import CampaignSpec, run_sweep
 from repro.experiments.runner import ExperimentConfig
 from repro.workloads.batch import WorkloadSpec
 
@@ -13,21 +13,23 @@ from _report import emit, run_once
 QUOTAS = (4, 8, 14, 22, 32)  # of K=40
 
 
-def _config():
-    return ExperimentConfig(
+def _spec():
+    config = ExperimentConfig(
         grid="DE",
         mode="standalone",
         num_executors=40,
         workload=WorkloadSpec(family="tpch", num_jobs=25, mean_interarrival=45.0),
         seed=5,
     )
+    return CampaignSpec(
+        "fig12-bench", config,
+        axes={"scheduler": ("cap-fifo",), "cap_min_quota": QUOTAS},
+        baseline="fifo",
+    )
 
 
 def test_fig12_cap_b_sweep_simulator(benchmark):
-    points = run_once(
-        benchmark, cap_b_sweep, quotas=QUOTAS, underlying="fifo",
-        config=_config(),
-    )
+    points = run_once(benchmark, run_sweep, _spec(), "cap_min_quota")
     lines = [f"{'B':>5} {'carbon_red%':>12} {'ECT':>7} {'JCT':>7}"]
     for p in points:
         lines.append(

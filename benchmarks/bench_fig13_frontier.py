@@ -4,25 +4,47 @@ The paper's key comparison isolating *relative importance*: both families
 wrap the identical Decima policy; only PCAPS sees the DAG structure. Its
 frontier should (weakly) dominate CAP-Decima's — at matched carbon savings,
 less added ECT.
+
+Each family is one campaign against the same Decima baseline trial, so the
+baseline runs once per family.
 """
 
 import numpy as np
 
-from repro.experiments.figures import fig13_frontier
+from repro.campaign import CampaignSpec, run_sweep
 from repro.experiments.runner import ExperimentConfig
 from repro.workloads.batch import WorkloadSpec
 
 from _report import emit, run_once
 
+GAMMAS = (0.2, 0.4, 0.5, 0.6, 0.8, 0.95)
+QUOTAS = (4, 6, 9, 13, 18, 26)
 
-def _config():
-    return ExperimentConfig(
+
+def _frontier():
+    """PCAPS over γ and CAP-Decima over B, both normalized to Decima."""
+    config = ExperimentConfig(
         grid="DE",
         mode="standalone",
         num_executors=40,
         workload=WorkloadSpec(family="tpch", num_jobs=25, mean_interarrival=45.0),
         seed=11,
     )
+    families = {
+        "pcaps": ("gamma", GAMMAS),
+        "cap-decima": ("cap_min_quota", QUOTAS),
+    }
+    return {
+        scheduler: run_sweep(
+            CampaignSpec(
+                f"fig13-{scheduler}", config,
+                axes={"scheduler": (scheduler,), field_name: values},
+                baseline="decima",
+            ),
+            field_name,
+        )
+        for scheduler, (field_name, values) in families.items()
+    }
 
 
 def _ect_at_saving(points, target_pct):
@@ -34,12 +56,7 @@ def _ect_at_saving(points, target_pct):
 
 
 def test_fig13_pcaps_vs_cap_decima_frontier(benchmark):
-    frontier = run_once(
-        benchmark, fig13_frontier,
-        gammas=(0.2, 0.4, 0.5, 0.6, 0.8, 0.95),
-        quotas=(4, 6, 9, 13, 18, 26),
-        config=_config(),
-    )
+    frontier = run_once(benchmark, _frontier)
     lines = []
     for family, points in frontier.items():
         lines.append(f"--- {family}")

@@ -3,19 +3,19 @@
 Schedulers: Spark/Kubernetes default, Decima, CAP (over the default), PCAPS,
 normalized to the default and averaged over the six grids. Paper: PCAPS
 -32.9% carbon at ECT 1.013; CAP -24.7% at ECT 1.126.
+
+Runs the ``table2`` campaign preset at trace offset 0
+(:func:`repro.campaign.table_spec`), inline.
 """
 
-from repro.experiments.tables import (
-    PAPER_TABLE2,
-    format_metric_table,
-    table2_rows,
-)
+from repro.campaign import run_table, table_spec
+from repro.experiments.tables import PAPER_TABLE2, format_metric_table
 
 from _report import emit, run_once
 
 
 def test_table2_prototype_topline(benchmark):
-    rows = run_once(benchmark, table2_rows)
+    rows = run_once(benchmark, run_table, table_spec("table2"))
     emit(
         "Table 2 — prototype (Kubernetes mode), normalized to default",
         [format_metric_table(rows, PAPER_TABLE2)],
@@ -28,8 +28,8 @@ def test_table2_prototype_topline(benchmark):
         }
     # Shape: both carbon-aware schedulers reduce carbon; PCAPS is not
     # dominated by CAP; Decima alone is roughly carbon-neutral. Magnitudes
-    # are smaller than the paper's 100-executor prototype (see
-    # EXPERIMENTS.md for the scale discussion).
+    # are smaller than the paper's 100-executor prototype (see "Scale" in
+    # docs/benchmarks.md).
     assert rows["pcaps"].carbon_reduction_pct > 5.0
     assert rows["cap-k8s-default"].carbon_reduction_pct > 3.0
     assert (

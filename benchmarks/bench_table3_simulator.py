@@ -3,19 +3,19 @@
 All eight schedulers normalized to Spark-standalone FIFO, averaged over the
 six grids. Paper: PCAPS -39.7% at ECT 1.045 / JCT 1.436; CAP-FIFO -22.7%;
 Decima -21.5% at JCT 0.654; GreenHadoop -8.2%.
+
+Runs the ``table3`` campaign preset at trace offset 0
+(:func:`repro.campaign.table_spec`), inline.
 """
 
-from repro.experiments.tables import (
-    PAPER_TABLE3,
-    format_metric_table,
-    table3_rows,
-)
+from repro.campaign import run_table, table_spec
+from repro.experiments.tables import PAPER_TABLE3, format_metric_table
 
 from _report import emit, run_once
 
 
 def test_table3_simulator_topline(benchmark):
-    rows = run_once(benchmark, table3_rows)
+    rows = run_once(benchmark, run_table, table_spec("table3"))
     emit(
         "Table 3 — simulator (standalone mode), normalized to FIFO",
         [format_metric_table(rows, PAPER_TABLE3)],

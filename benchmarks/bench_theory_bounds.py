@@ -4,8 +4,10 @@
   verify predicted == measured on real schedules.
 - Theorem 4.5 / Figure 21: ``OPT_M <= (K/M) OPT_K`` on exact schedules of
   random DAGs, and CAP's measured stretch stays below the analytic CSF.
-- Ablations called out in DESIGN.md: Ψ shape (exponential vs linear),
-  PCAPS parallelism mode, and the forecast lookahead window.
+- Ablations of this reproduction's own choices, where the paper leaves room:
+  Ψ shape (exponential vs linear), PCAPS parallelism mode (see
+  ``PCAPSScheduler``'s ``parallelism_mode``), and the forecast lookahead
+  window.
 """
 
 import numpy as np
@@ -185,7 +187,7 @@ def test_corollary_b1_utilization_profile(benchmark):
 
 
 def test_ablation_threshold_shape_and_parallelism(benchmark):
-    """DESIGN.md ablations: Ψ shape, parallelism mode, forecast window."""
+    """Ablations: Ψ shape, parallelism mode, forecast window."""
 
     def measure():
         config = ExperimentConfig(

@@ -10,25 +10,36 @@ save — coal-flat ZA offers almost nothing to harvest.
 Run:  python examples/multi_grid_comparison.py
 """
 
-from repro.experiments.figures import grid_comparison
+from repro.campaign import CampaignSpec, run_sweep
+from repro.carbon.grids import GRID_CODES, synthesize_trace
+from repro.experiments.runner import ExperimentConfig
+from repro.workloads.batch import WorkloadSpec
 
 NUM_EXECUTORS = 20
 NUM_JOBS = 12
 
 
 def main() -> None:
-    rows = grid_comparison(
-        mode="standalone",
-        schedulers=("decima", "cap-fifo", "pcaps"),
-        baseline="fifo",
+    config = ExperimentConfig(
         num_executors=NUM_EXECUTORS,
-        num_jobs=NUM_JOBS,
+        workload=WorkloadSpec(family="tpch", num_jobs=NUM_JOBS),
+        seed=2,
+    )
+    spec = CampaignSpec(
+        "multi-grid",
+        config,
+        axes={"scheduler": ("decima", "cap-fifo", "pcaps"), "grid": GRID_CODES},
+        baseline="fifo",
     )
     by_grid: dict[str, dict[str, float]] = {}
-    covs: dict[str, float] = {}
-    for row in rows:
-        by_grid.setdefault(row.grid, {})[row.scheduler] = row.carbon_reduction_pct
-        covs[row.grid] = row.coeff_var
+    for point in run_sweep(spec, "grid"):
+        by_grid.setdefault(point.parameter, {})[point.policy] = (
+            point.carbon_reduction_pct
+        )
+    covs = {
+        grid: synthesize_trace(grid, hours=2000, seed=0).stats().coeff_var
+        for grid in GRID_CODES
+    }
 
     print("carbon reduction vs FIFO, by grid (sorted by variability):")
     print(f"  {'grid':<7} {'cov':>6} {'decima':>8} {'cap-fifo':>9} {'pcaps':>8}")

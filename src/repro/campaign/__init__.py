@@ -19,12 +19,14 @@ declarative, resumable, cached campaigns:
 - :mod:`repro.campaign.store` — an append-only JSONL result store holding
   per-trial metric summaries;
 - :mod:`repro.campaign.executor` — a supervised process-pool runner with
-  failure isolation, progress callbacks, and resume-from-store;
+  failure isolation, progress callbacks, and resume-from-store, plus
+  :func:`run_sweep`, the one way a normalized paper sweep runs (inline,
+  against a throwaway store), and :func:`run_table` for Tables 2/3;
 - :mod:`repro.campaign.supervise` — the resilience policy (per-trial
   timeouts, seeded-backoff retries, quarantine, mid-flight checkpoints)
   the executor enforces;
-- :mod:`repro.campaign.reports` — replicate aggregation (mean/p50/p95) and
-  baseline-normalized tables from stored records alone.
+- :mod:`repro.campaign.reports` — replicate aggregation (mean/p50/p95),
+  baseline-normalized tables and sweep points from stored records alone.
 
 Quickstart::
 
@@ -41,10 +43,15 @@ from repro._lazy import lazy_exports
 
 _SUBMODULE_OF = {
     **dict.fromkeys(("CacheStats", "trial_key"), "cache"),
-    **dict.fromkeys(("CampaignRun", "CampaignRunner"), "executor"),
+    **dict.fromkeys(
+        ("CampaignRun", "CampaignRunner", "run_sweep", "run_table"), "executor"
+    ),
     **dict.fromkeys(("KINDS", "TrialKind", "kind_of"), "kinds"),
-    **dict.fromkeys(("campaign_report", "format_campaign_report"), "reports"),
-    **dict.fromkeys(("CampaignSpec", "campaign_presets", "matchup_spec"), "spec"),
+    **dict.fromkeys(
+        ("SweepPoint", "campaign_report", "format_campaign_report", "sweep_points"),
+        "reports",
+    ),
+    **dict.fromkeys(("CampaignSpec", "campaign_presets", "table_spec"), "spec"),
     **dict.fromkeys(("ResultStore", "StoreCheck", "TrialRecord"), "store"),
     **dict.fromkeys(
         ("CampaignInterrupted", "CheckpointPolicy", "SupervisorConfig"),

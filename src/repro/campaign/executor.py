@@ -18,6 +18,11 @@ SIGTERM stop the run gracefully: completed futures are drained into the
 store first, then :class:`~repro.campaign.supervise.CampaignInterrupted`
 propagates, so a follow-up ``resume`` continues where the interrupt landed.
 
+:func:`run_sweep` is the one way a normalized paper sweep runs: a spec,
+inline, against a throwaway store, read out as
+:func:`~repro.campaign.reports.sweep_points`; :func:`run_table` arranges
+those points as Table 2/3 rows.
+
 Determinism: a trial's results are a pure function of its config — workload
 generation, scheduler randomness, and trace synthesis are all seeded from
 config fields — so neither pool scheduling order, worker count, nor retry
@@ -32,18 +37,9 @@ import signal
 import threading
 import time
 import traceback
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-)
-from concurrent.futures import (
-    wait as futures_wait,
-)
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro import faults
 from repro.campaign.cache import CacheStats, trial_key
@@ -70,7 +66,10 @@ from repro.experiments.runner import (
 )
 from repro.ioutil import atomic_write_bytes
 from repro.obs.observer import current as _current_observer
-from repro.simulator.metrics import ExperimentResult
+from repro.simulator.metrics import ExperimentResult, NormalizedMetrics
+
+if TYPE_CHECKING:
+    from repro.campaign.reports import SweepPoint
 
 #: ``on_progress(completed, total, line)`` — called once per finished trial
 #: (including the initial batch of cache hits, reported as one step each).
@@ -528,6 +527,15 @@ class CampaignRunner:
         """The supervised pool loop: submit, watch deadlines, retry with
         seeded backoff, quarantine on budget exhaustion, rebuild broken
         pools, and drain completed futures on shutdown."""
+        # Imported here, so inline campaigns never load multiprocessing.
+        from concurrent.futures import (
+            FIRST_COMPLETED,
+            Future,
+            ProcessPoolExecutor,
+        )
+        from concurrent.futures import wait as futures_wait
+        from concurrent.futures.process import BrokenProcessPool
+
         sup = self.supervisor
         checkpoint = sup.checkpoint_policy()
         pool = ProcessPoolExecutor(
@@ -687,24 +695,43 @@ class CampaignRunner:
             pool.shutdown(wait=False, cancel_futures=True)
 
 
-def run_matchup_trials(
-    scheduler_names: Iterable[str],
-    config: ExperimentConfig,
-    carbon_trace: CarbonTrace | None = None,
-) -> dict[str, ExperimentResult]:
-    """In-process matchup through the campaign layer, full results returned.
+def run_sweep(spec: CampaignSpec, parameter: str) -> list[SweepPoint]:
+    """Run ``spec`` inline against a throwaway store and return its
+    :func:`~repro.campaign.reports.sweep_points` over ``parameter``.
 
-    Backs :func:`repro.experiments.runner.run_matchup`: expands a
-    :func:`~repro.campaign.spec.matchup_spec` and runs every trial inline,
-    sharing one carbon trace object so all schedulers see the identical
-    slice without re-synthesis.
+    The one way a normalized sweep runs: each policy against the spec's
+    baseline on the identical workload and trace slice, averaged over the
+    other axes. Raises :class:`RuntimeError` naming every failed trial.
     """
-    from repro.campaign.spec import matchup_spec
-    from repro.experiments.runner import carbon_trace_for
+    # Imported here: a campaign that is not a sweep never loads these.
+    import tempfile
+    from pathlib import Path
 
-    trace = carbon_trace if carbon_trace is not None else carbon_trace_for(config)
-    spec = matchup_spec(scheduler_names, config)
-    return {
-        trial.scheduler: execute_trial(trial, carbon_trace=trace)
-        for trial in spec.trials()
-    }
+    from repro.campaign.reports import sweep_points
+
+    with tempfile.TemporaryDirectory() as scratch:
+        runner = CampaignRunner(ResultStore(Path(scratch) / "sweep.jsonl"), workers=0)
+        run = runner.run(spec)
+    if run.failures:
+        configs = dict(runner.keyed_trials(spec))
+        failed = "; ".join(
+            f"{spec.kind.label(configs[r.key])}: {r.error}" for r in run.failures
+        )
+        raise RuntimeError(f"campaign {spec.name!r}: trials failed: {failed}")
+    return sweep_points(run.records, spec.baseline, parameter)
+
+
+def run_table(spec: CampaignSpec) -> dict[str, NormalizedMetrics]:
+    """A Table 2/3 comparison: every scheduler of ``spec`` against its
+    baseline, averaged over the other axes, keyed in the spec's scheduler
+    order with the baseline's own row (0% / 1 / 1) first."""
+    points = {p.policy: p for p in run_sweep(spec, "scheduler")}
+    baseline = spec.baseline
+    rows = {baseline: NormalizedMetrics(baseline, baseline, 0.0, 1.0, 1.0)}
+    for name in dict(spec.axes)["scheduler"]:
+        if name != baseline:
+            p = points[name]
+            rows[name] = NormalizedMetrics(
+                name, baseline, p.carbon_reduction_pct, p.ect_ratio, p.jct_ratio
+            )
+    return rows

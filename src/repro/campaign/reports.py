@@ -13,7 +13,9 @@ When a baseline policy is named, each record is normalized against the
 stored baseline record of the *same replicate* (identical config modulo the
 kind's policy fields), with the zero guards of
 :func:`~repro.simulator.metrics.compare_to_baseline`; carbon is read from
-the kind's ``carbon_metric``.
+the kind's ``carbon_metric``. :func:`sweep_points` groups those normalized
+records by (scheduler, value of one config field) instead of by cell: the
+series behind the paper's Tables 2/3 and sweep figures.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import numpy as np
 from repro.campaign.cache import canonical_json
 from repro.campaign.kinds import SCHEDULER, TrialKind
 from repro.campaign.store import TrialRecord
-from repro.experiments.figures import SweepPoint
 
 
 def _flatten(config: dict[str, Any], prefix: str = "") -> dict[str, Any]:
@@ -248,31 +249,54 @@ def format_campaign_report(
     return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class SweepPoint:
+    """One policy's normalized metrics at one value of a swept config
+    field, averaged over the replicates that share both."""
+
+    policy: str  # the scheduler
+    parameter: float | str  # the swept field's value; numbers as floats
+    carbon_reduction_pct: float
+    ect_ratio: float
+    jct_ratio: float
+
+
 def sweep_points(
     records: Sequence[TrialRecord], baseline: str, parameter: str
 ) -> list[SweepPoint]:
-    """Normalized metrics per sweep-knob value, sorted by the knob.
+    """Normalized metrics per (policy, sweep value), sorted by the value.
 
     For scheduler campaigns. ``parameter`` is a (possibly dotted) config
-    field, e.g. ``gamma`` or ``cap_min_quota``. Replicates at the same knob
-    value are averaged.
+    field: a number (``gamma``, ``workload.num_jobs``), a grid code, or
+    ``scheduler`` itself. Points are sorted by value, numbers before
+    strings; the policies at one value keep the order they are first seen
+    in ``records``. Each record is normalized against the baseline record
+    of its replicate, and the replicates of a point are averaged in record
+    order. The baseline's own records make no point.
     """
     ok = [r for r in records if r.ok]
     flats = {r.key: _flatten(r.config) for r in ok}
     partners = _partners(ok, flats, baseline, SCHEDULER)
-    grouped: dict[float, list[tuple[float, float, float]]] = {}
+    grouped: dict[tuple[str, Any], list[tuple[float, float, float]]] = {}
     for record in ok:
-        if record.scheduler_name == baseline or record.key not in partners:
+        policy = record.scheduler_name
+        if policy == baseline or record.key not in partners:
             continue
-        value = float(flats[record.key][parameter])
-        grouped.setdefault(value, []).append(
+        value = flats[record.key][parameter]
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            value = float(value)
+        grouped.setdefault((policy, value), []).append(
             _versus(record, partners[record.key], SCHEDULER.carbon_metric)
         )
+    first_seen = list(dict.fromkeys(policy for policy, _ in grouped))
     points = []
-    for value in sorted(grouped):
-        carbon, ect, jct = zip(*grouped[value])
+    for policy, value in sorted(
+        grouped, key=lambda pair: (_sort_token(pair[1]), first_seen.index(pair[0]))
+    ):
+        carbon, ect, jct = zip(*grouped[policy, value])
         points.append(
             SweepPoint(
+                policy=policy,
                 parameter=value,
                 carbon_reduction_pct=float(np.mean(carbon)),
                 ect_ratio=float(np.mean(ect)),

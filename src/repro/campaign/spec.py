@@ -19,7 +19,7 @@ result store alone.
 :func:`campaign_presets` provides named specs for the paper's Table 2/3 and
 Fig. 7–19 campaigns at laptop scale (Fig. 15 is a timeline comparison, not a
 sweep, and has no campaign preset), plus the federation and streaming
-sweeps.
+sweeps; :func:`table_spec` derives the spec the printed Tables 2/3 run.
 """
 
 from __future__ import annotations
@@ -218,23 +218,6 @@ class CampaignSpec:
             baseline=self.baseline,
             description=self.description,
         )
-
-
-def matchup_spec(
-    scheduler_names: Iterable[str],
-    config: ExperimentConfig,
-    name: str = "matchup",
-) -> CampaignSpec:
-    """The simplest campaign: several schedulers on one identical setup.
-
-    This is what :func:`repro.experiments.runner.run_matchup` expands to.
-    """
-    return CampaignSpec(
-        name=name,
-        base=config,
-        axes={"scheduler": tuple(scheduler_names)},
-        description="one workload, several schedulers",
-    )
 
 
 # ----------------------------------------------------------------------
@@ -438,6 +421,20 @@ def campaign_presets() -> dict[str, CampaignSpec]:
             raise ValueError(f"duplicate campaign preset {spec.name!r}")
         presets[spec.name] = spec
     return presets
+
+
+def table_spec(name: str) -> CampaignSpec:
+    """Paper Table 2 or 3 (``name``) as the ``table2``/``table3`` preset
+    without its ``trace_start_step`` axis: every scheduler on every grid
+    at trace offset 0, which is what the tables report. Averaging over the
+    preset's three offsets would change the numbers."""
+    preset = campaign_presets()[name]
+    return CampaignSpec(
+        name,
+        preset.base,
+        axes=[axis for axis in preset.axes if axis[0] != "trace_start_step"],
+        baseline=preset.baseline,
+    )
 
 
 def _federation_presets() -> list[CampaignSpec]:

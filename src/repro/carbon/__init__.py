@@ -1,8 +1,9 @@
 """Carbon-intensity substrate.
 
-This package replaces the paper's historical Electricity Maps traces with
-synthetic, statistically calibrated grid models (see DESIGN.md, Section 2).
-It provides:
+This package replaces the paper's historical Electricity Maps traces, which
+are not redistributable, with synthetic grid models calibrated to Table 1
+(see :mod:`repro.carbon.grids`; ``repro table1`` prints the fit). It
+provides:
 
 - :class:`~repro.carbon.trace.CarbonTrace` — an hourly carbon-intensity
   series mapped onto simulation time.

@@ -96,19 +96,20 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_table2(args: argparse.Namespace) -> int:
-    from repro.experiments.tables import PAPER_TABLE2, format_metric_table, table2_rows
+def _cmd_table(args: argparse.Namespace) -> int:
+    """``table2`` / ``table3``: the table's campaign spec, run inline."""
+    from repro.campaign import run_table, table_spec
+    from repro.experiments.tables import (
+        PAPER_TABLE2,
+        PAPER_TABLE3,
+        format_metric_table,
+    )
 
-    rows = table2_rows(num_jobs=args.jobs, num_executors=args.executors)
-    print(format_metric_table(rows, PAPER_TABLE2))
-    return 0
-
-
-def _cmd_table3(args: argparse.Namespace) -> int:
-    from repro.experiments.tables import PAPER_TABLE3, format_metric_table, table3_rows
-
-    rows = table3_rows(num_jobs=args.jobs, num_executors=args.executors)
-    print(format_metric_table(rows, PAPER_TABLE3))
+    paper = {"table2": PAPER_TABLE2, "table3": PAPER_TABLE3}[args.command]
+    spec = table_spec(args.command).scaled(
+        num_jobs=args.jobs, num_executors=args.executors
+    )
+    print(format_metric_table(run_table(spec), paper))
     return 0
 
 
@@ -124,17 +125,23 @@ def _cmd_fig1(args: argparse.Namespace) -> int:
     return 0
 
 
+def _known_schedulers(names: list[str]) -> bool:
+    """Whether every name is a scheduler; if not, print the error line."""
+    unknown = [n for n in names if n not in SCHEDULER_NAMES]
+    if unknown:
+        _error(f"unknown schedulers: {unknown}; choose from {SCHEDULER_NAMES}")
+    return not unknown
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.simulator.metrics import compare_to_baseline
 
     names = args.schedulers
-    unknown = [n for n in names if n not in SCHEDULER_NAMES]
-    if unknown:
-        _error(f"unknown schedulers: {unknown}; choose from {SCHEDULER_NAMES}")
-        return 2
     baseline = args.baseline or names[0]
     if baseline not in names:
         names = [baseline] + names
+    if not _known_schedulers(names):
+        return 2
     config = _experiment_config(args, gamma=args.gamma)
     results = run_matchup(names, config)
     base = results[baseline]
@@ -149,27 +156,29 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments.figures import cap_b_sweep, pcaps_gamma_sweep
+    """PCAPS's γ or CAP's B against a baseline, as an inline campaign."""
+    from repro.campaign import CampaignSpec, run_sweep
 
-    config = _experiment_config(args)
+    baseline = args.baseline or "decima"
     if args.knob == "gamma":
-        points = pcaps_gamma_sweep(
-            gammas=tuple(args.values or (0.1, 0.3, 0.5, 0.7, 0.9)),
-            baseline=args.baseline or "decima",
-            config=config,
-        )
-        label = "gamma"
+        scheduler, field_name = "pcaps", "gamma"
+        values = tuple(args.values or (0.1, 0.3, 0.5, 0.7, 0.9))
     else:
-        quotas = tuple(
-            int(v) for v in (args.values or (2, 4, 8, 12, 16))
-        )
-        points = cap_b_sweep(
-            quotas=quotas,
-            underlying=args.baseline or "decima",
-            config=config,
-        )
-        label = "B"
-    print(f"{label:>7} {'carbon_red%':>12} {'ECT':>8} {'JCT':>8}")
+        scheduler, field_name = f"cap-{baseline}", "cap_min_quota"
+        values = tuple(int(v) for v in (args.values or (2, 4, 8, 12, 16)))
+    if not _known_schedulers([baseline, scheduler]):
+        return 2
+    if baseline == scheduler:
+        _error(f"--baseline {baseline} is the swept scheduler; choose another")
+        return 2
+    spec = CampaignSpec(
+        f"sweep-{args.knob}",
+        _experiment_config(args),
+        axes={"scheduler": (scheduler,), field_name: values},
+        baseline=baseline,
+    )
+    points = run_sweep(spec, field_name)
+    print(f"{args.knob:>7} {'carbon_red%':>12} {'ECT':>8} {'JCT':>8}")
     for p in points:
         print(
             f"{p.parameter:>7.2f} {p.carbon_reduction_pct:>11.1f}% "
@@ -180,7 +189,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 DEFAULT_CAMPAIGN_STORE = "campaign-results.jsonl"
 
-#: Mirrors ``repro.geo.routing.ROUTING_POLICY_NAMES`` as a literal so
+#: Mirrors ``repro.geo.config.ROUTING_POLICY_NAMES`` as a literal so
 #: build_parser never imports the geo subsystem (handlers import lazily);
 #: a test pins the two tuples equal.
 GEO_ROUTING_CHOICES = (
@@ -887,12 +896,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table2", help="Table 2: prototype-mode top line")
     p.add_argument("--jobs", type=int, default=25)
     p.add_argument("--executors", type=int, default=40)
-    p.set_defaults(func=_cmd_table2)
+    p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("table3", help="Table 3: simulator-mode top line")
     p.add_argument("--jobs", type=int, default=25)
     p.add_argument("--executors", type=int, default=40)
-    p.set_defaults(func=_cmd_table3)
+    p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("fig1", help="Figure 1: motivating example")
     p.add_argument("--gamma", type=float, default=0.5)

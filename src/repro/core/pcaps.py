@@ -63,8 +63,10 @@ class PCAPSScheduler(StageScheduler):
           ECT profile.
         - ``"paper"``: the literal formula with the additional ``(1-γ)``
           cap, ``P' = ⌈P · min{exp(γ(L-c_t)κ/(U-L)), 1-γ}⌉``, which cuts
-          parallelism even at the cleanest hours (an ablation here; see
-          DESIGN.md).
+          parallelism even at the cleanest hours. It is kept as an
+          ablation because it contradicts the stated intuition and the
+          measured ECT; ``benchmarks/bench_theory_bounds.py`` compares
+          the modes.
         - ``"off"``: no parallelism reduction (filter only).
     defer_scope:
         What a rejected sample defers:

@@ -1,10 +1,15 @@
-"""Experiment harness: one entry point per paper table and figure.
+"""Experiment harness: configs, runs and the paper artifacts that are not
+normalized sweeps.
 
 :mod:`~repro.experiments.runner` turns a declarative
 :class:`~repro.experiments.runner.ExperimentConfig` into an
-:class:`~repro.simulator.metrics.ExperimentResult`;
-:mod:`~repro.experiments.tables` and :mod:`~repro.experiments.figures`
-assemble the normalized rows/series each paper artifact reports;
+:class:`~repro.simulator.metrics.ExperimentResult`, and runs a matchup of
+schedulers on one workload and trace; :mod:`~repro.experiments.tables`
+holds the paper's published values, Table 1 and the table renderer;
+:mod:`~repro.experiments.figures` produces the figures that read traces,
+timelines, per-job carbon or latency (Figs. 5, 6, 9, 15, 20). Tables 2/3
+and the other figures are normalized sweeps, which run as campaign specs
+(:func:`repro.campaign.executor.run_sweep`), a layer built on this one;
 :mod:`~repro.experiments.motivation` holds the Fig. 1 motivating example;
 :mod:`~repro.experiments.perf` times engine throughput across a
 scheduler × job-count grid (``repro perf``, ``BENCH_engine.json``); and

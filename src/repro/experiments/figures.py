@@ -1,9 +1,13 @@
-"""Series producers for the paper's figures.
+"""Series producers for the paper's figures that are not normalized sweeps.
 
 Each function regenerates the data behind one figure (we print/return series
 rather than render images: the benchmark harness reports the same rows the
-paper plots). Scales are reduced to laptop size; see DESIGN.md Section 4 for
-the per-figure mapping.
+paper plots), at laptop scale. These figures read what a campaign's store
+record does not keep: full carbon traces (Fig. 5), executor timelines
+(Figs. 6/15), per-job carbon (Fig. 9) and select latency (Fig. 20). The
+normalized sweeps behind Figs. 7/8 and 10–14/16–19 run as campaign specs
+through :func:`repro.campaign.executor.run_sweep`; ``docs/benchmarks.md``
+maps each figure to its bench.
 """
 
 from __future__ import annotations
@@ -15,11 +19,10 @@ import numpy as np
 from repro.carbon.grids import GRID_CODES, synthesize_trace
 from repro.experiments.runner import (
     ExperimentConfig,
-    carbon_trace_for,
     run_experiment,
     run_matchup,
 )
-from repro.simulator.metrics import ExperimentResult, compare_to_baseline
+from repro.simulator.metrics import ExperimentResult
 from repro.simulator.trace import busy_executor_series, executor_timeline
 from repro.workloads.batch import WorkloadSpec
 
@@ -80,72 +83,6 @@ def fig6_executor_usage(
     return Fig6Data(
         timelines=timelines, carbon=carbon, resolution=resolution, results=results
     )
-
-
-# ----------------------------------------------------------------------
-# Figs. 7/8/11/12 — carbon-awareness sweeps
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SweepPoint:
-    parameter: float
-    carbon_reduction_pct: float
-    ect_ratio: float
-    jct_ratio: float
-
-
-def pcaps_gamma_sweep(
-    gammas: tuple[float, ...] = (0.1, 0.25, 0.5, 0.75, 0.9),
-    baseline: str = "fifo",
-    config: ExperimentConfig | None = None,
-) -> list[SweepPoint]:
-    """Figs. 7/11: carbon vs ECT across PCAPS's γ (relative to a baseline)."""
-    config = config or ExperimentConfig(
-        grid="DE",
-        num_executors=25,
-        workload=WorkloadSpec(family="tpch", num_jobs=20),
-        seed=5,
-    )
-    trace = carbon_trace_for(config)
-    base = run_experiment(replace(config, scheduler=baseline), carbon_trace=trace)
-    points = []
-    for gamma in gammas:
-        result = run_experiment(
-            replace(config, scheduler="pcaps", gamma=gamma), carbon_trace=trace
-        )
-        m = compare_to_baseline(result, base)
-        points.append(
-            SweepPoint(gamma, m.carbon_reduction_pct, m.ect_ratio, m.jct_ratio)
-        )
-    return points
-
-
-def cap_b_sweep(
-    quotas: tuple[int, ...] = (2, 5, 8, 12, 16, 20),
-    underlying: str = "fifo",
-    config: ExperimentConfig | None = None,
-) -> list[SweepPoint]:
-    """Figs. 8/12: carbon vs ECT across CAP's minimum quota B."""
-    config = config or ExperimentConfig(
-        grid="DE",
-        num_executors=25,
-        workload=WorkloadSpec(family="tpch", num_jobs=20),
-        seed=5,
-    )
-    trace = carbon_trace_for(config)
-    base = run_experiment(
-        replace(config, scheduler=underlying), carbon_trace=trace
-    )
-    points = []
-    for quota in quotas:
-        result = run_experiment(
-            replace(config, scheduler=f"cap-{underlying}", cap_min_quota=quota),
-            carbon_trace=trace,
-        )
-        m = compare_to_baseline(result, base)
-        points.append(
-            SweepPoint(float(quota), m.carbon_reduction_pct, m.ect_ratio, m.jct_ratio)
-        )
-    return points
 
 
 # ----------------------------------------------------------------------
@@ -211,101 +148,6 @@ def fig9_perjob_trials(
 
 
 # ----------------------------------------------------------------------
-# Figs. 10/14 — per-grid behaviour
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class GridRow:
-    grid: str
-    coeff_var: float
-    scheduler: str
-    carbon_reduction_pct: float
-    ect_ratio: float
-
-
-def grid_comparison(
-    mode: str = "standalone",
-    schedulers: tuple[str, ...] = ("decima", "cap-fifo", "pcaps"),
-    baseline: str = "fifo",
-    num_executors: int = 25,
-    num_jobs: int = 15,
-    seed: int = 2,
-) -> list[GridRow]:
-    """Figs. 10/14: carbon reduction and ECT per grid region.
-
-    The paper's observation: grids with higher coefficients of variation
-    (more renewables) admit more carbon reduction.
-    """
-    rows = []
-    for grid in GRID_CODES:
-        config = ExperimentConfig(
-            grid=grid,
-            mode=mode,
-            num_executors=num_executors,
-            per_job_cap=max(2, num_executors // 4),
-            workload=WorkloadSpec(family="tpch", num_jobs=num_jobs),
-            seed=seed,
-        )
-        results = run_matchup(list(schedulers) + [baseline], config)
-        base = results[baseline]
-        cov = synthesize_trace(grid, hours=2000, seed=0).stats().coeff_var
-        for name in schedulers:
-            m = compare_to_baseline(results[name], base)
-            rows.append(
-                GridRow(
-                    grid=grid,
-                    coeff_var=cov,
-                    scheduler=name,
-                    carbon_reduction_pct=m.carbon_reduction_pct,
-                    ect_ratio=m.ect_ratio,
-                )
-            )
-    return rows
-
-
-# ----------------------------------------------------------------------
-# Fig. 13 — PCAPS vs CAP-Decima trade-off frontier
-# ----------------------------------------------------------------------
-def fig13_frontier(
-    gammas: tuple[float, ...] = (0.2, 0.4, 0.5, 0.6, 0.8, 0.95),
-    quotas: tuple[int, ...] = (2, 4, 6, 9, 13, 18),
-    config: ExperimentConfig | None = None,
-) -> dict[str, list[SweepPoint]]:
-    """Fig. 13: carbon/ECT points for PCAPS (γ grid) vs CAP-Decima (B grid).
-
-    Both families share the identical workload and the Decima baseline, so
-    differences isolate the value of relative importance (Section 6.4).
-    """
-    config = config or ExperimentConfig(
-        grid="DE",
-        num_executors=25,
-        workload=WorkloadSpec(family="tpch", num_jobs=20),
-        seed=11,
-    )
-    trace = carbon_trace_for(config)
-    base = run_experiment(replace(config, scheduler="decima"), carbon_trace=trace)
-    pcaps_points = []
-    for gamma in gammas:
-        r = run_experiment(
-            replace(config, scheduler="pcaps", gamma=gamma), carbon_trace=trace
-        )
-        m = compare_to_baseline(r, base)
-        pcaps_points.append(
-            SweepPoint(gamma, m.carbon_reduction_pct, m.ect_ratio, m.jct_ratio)
-        )
-    cap_points = []
-    for quota in quotas:
-        r = run_experiment(
-            replace(config, scheduler="cap-decima", cap_min_quota=quota),
-            carbon_trace=trace,
-        )
-        m = compare_to_baseline(r, base)
-        cap_points.append(
-            SweepPoint(float(quota), m.carbon_reduction_pct, m.ect_ratio, m.jct_ratio)
-        )
-    return {"pcaps": pcaps_points, "cap-decima": cap_points}
-
-
-# ----------------------------------------------------------------------
 # Fig. 15 — standalone FIFO vs Spark/Kubernetes default
 # ----------------------------------------------------------------------
 @dataclass
@@ -357,91 +199,6 @@ def fig15_fifo_vs_k8s(
         )
         jobs_sys[name] = j
     return Fig15Data(times=times, busy=busy, jobs_in_system=jobs_sys, results=results)
-
-
-# ----------------------------------------------------------------------
-# Figs. 16-19 — batch size and interarrival sweeps
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class LoadSweepRow:
-    parameter: float
-    scheduler: str
-    carbon_reduction_pct: float
-    ect_ratio: float
-    jct_ratio: float
-
-
-def jobcount_sweep(
-    job_counts: tuple[int, ...] = (6, 12, 25, 50),
-    schedulers: tuple[str, ...] = ("decima", "cap-fifo", "pcaps"),
-    baseline: str = "fifo",
-    mode: str = "standalone",
-    num_executors: int = 25,
-    seed: int = 6,
-) -> list[LoadSweepRow]:
-    """Figs. 16/17: metrics vs total number of jobs (DE grid)."""
-    rows = []
-    for count in job_counts:
-        config = ExperimentConfig(
-            grid="DE",
-            mode=mode,
-            num_executors=num_executors,
-            per_job_cap=max(2, num_executors // 4),
-            workload=WorkloadSpec(family="tpch", num_jobs=count),
-            seed=seed,
-        )
-        results = run_matchup(list(schedulers) + [baseline], config)
-        base = results[baseline]
-        for name in schedulers:
-            m = compare_to_baseline(results[name], base)
-            rows.append(
-                LoadSweepRow(
-                    parameter=float(count),
-                    scheduler=name,
-                    carbon_reduction_pct=m.carbon_reduction_pct,
-                    ect_ratio=m.ect_ratio,
-                    jct_ratio=m.jct_ratio,
-                )
-            )
-    return rows
-
-
-def interarrival_sweep(
-    interarrivals: tuple[float, ...] = (10.0, 20.0, 30.0, 60.0),
-    schedulers: tuple[str, ...] = ("decima", "cap-fifo", "pcaps"),
-    baseline: str = "fifo",
-    mode: str = "standalone",
-    num_executors: int = 25,
-    num_jobs: int = 20,
-    seed: int = 6,
-) -> list[LoadSweepRow]:
-    """Figs. 18/19: metrics vs Poisson mean interarrival time (DE grid)."""
-    rows = []
-    for gap in interarrivals:
-        config = ExperimentConfig(
-            grid="DE",
-            mode=mode,
-            num_executors=num_executors,
-            per_job_cap=max(2, num_executors // 4),
-            workload=WorkloadSpec(
-                family="tpch", num_jobs=num_jobs, mean_interarrival=gap
-            ),
-            seed=seed,
-        )
-        results = run_matchup(list(schedulers) + [baseline], config)
-        base = results[baseline]
-        for name in schedulers:
-            m = compare_to_baseline(results[name], base)
-            rows.append(
-                LoadSweepRow(
-                    parameter=gap,
-                    scheduler=name,
-                    carbon_reduction_pct=m.carbon_reduction_pct,
-                    ect_ratio=m.ect_ratio,
-                    jct_ratio=m.jct_ratio,
-                )
-            )
-    return rows
 
 
 # ----------------------------------------------------------------------

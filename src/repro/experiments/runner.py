@@ -5,7 +5,9 @@ config, a workload batch, and a carbon trace slice". An
 :class:`ExperimentConfig` names those choices; :func:`run_experiment`
 materializes and runs one; :func:`run_matchup` runs several schedulers on
 the *identical* workload and trace (the paper's normalized comparisons
-require identical batches — Appendix A.1.2).
+require identical batches — Appendix A.1.2). Normalized sweeps over many
+configs run as campaigns (:func:`repro.campaign.executor.run_sweep`), a
+layer that builds on this one.
 """
 
 from __future__ import annotations
@@ -219,15 +221,10 @@ def run_matchup(
 
     The workload seed and trace slice come from ``config``, so every
     scheduler sees the same batch — this is what makes the paper's
-    normalized metrics meaningful.
-
-    A matchup is the degenerate one-axis campaign, and since the campaign
-    subsystem exists it runs through that layer
-    (:func:`repro.campaign.executor.run_matchup_trials`): the scheduler list
-    expands via :func:`repro.campaign.spec.matchup_spec` and every trial
-    goes through the same ``execute_trial`` funnel the process-pool workers
-    use. Imported lazily — :mod:`repro.campaign` builds on this module.
+    normalized metrics meaningful. All runs share one carbon trace object.
     """
-    from repro.campaign.executor import run_matchup_trials
-
-    return run_matchup_trials(scheduler_names, config, carbon_trace=carbon_trace)
+    trace = carbon_trace if carbon_trace is not None else carbon_trace_for(config)
+    return {
+        name: run_experiment(config.with_scheduler(name), carbon_trace=trace)
+        for name in dict.fromkeys(scheduler_names)
+    }

@@ -1,26 +1,24 @@
-"""Row producers for the paper's tables.
+"""The paper's tables: published values, Table 1 rows and renderers.
 
-Each function regenerates one table's rows at laptop scale: cluster size,
-batch size, and trace length are reduced (the paper uses K=100 executors and
-3-year traces), but normalization and averaging follow the paper exactly, so
-the *shape* — who wins, by roughly what factor — is comparable.
+Table 1 is trace statistics, computed here. Tables 2 and 3 are normalized
+sweeps, so they run as campaigns: :func:`repro.campaign.spec.table_spec`
+derives each one's spec from its preset, and
+:func:`repro.campaign.executor.run_table` runs it into the rows
+:func:`format_metric_table` renders. Cluster size, batch size and trace
+length are reduced (the paper uses K=100 executors and 3-year traces), but
+normalization and averaging follow the paper, so the *shape* — who wins,
+by roughly what factor — is comparable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.carbon.grids import GRID_CODES, GRID_SPECS, synthesize_trace
 from repro.carbon.trace import TraceStats
-from repro.experiments.runner import ExperimentConfig, run_matchup
-from repro.simulator.metrics import (
-    NormalizedMetrics,
-    compare_to_baseline,
-    mean_normalized,
-)
-from repro.workloads.batch import WorkloadSpec
+from repro.simulator.metrics import NormalizedMetrics
 
 #: Table 1 of the paper, for side-by-side display with measured stats.
 PAPER_TABLE1: dict[str, tuple[float, float, float, float]] = {
@@ -66,105 +64,6 @@ def table1_rows(hours: int = 26_304, seed: int = 0) -> list[Table1Row]:
             Table1Row(grid=code, paper=PAPER_TABLE1[code], measured=trace.stats())
         )
     return rows
-
-
-def _grid_average(
-    scheduler_names: list[str],
-    baseline_name: str,
-    base_config: ExperimentConfig,
-    grids: tuple[str, ...],
-    trace_starts: tuple[int, ...],
-) -> dict[str, NormalizedMetrics]:
-    """Run a matchup per (grid, start offset) and average the normalized rows."""
-    per_scheduler: dict[str, list[NormalizedMetrics]] = {
-        name: [] for name in scheduler_names if name != baseline_name
-    }
-    for grid in grids:
-        for start in trace_starts:
-            config = replace(
-                base_config, grid=grid, trace_start_step=start
-            )
-            results = run_matchup(scheduler_names, config)
-            baseline = results[baseline_name]
-            for name in per_scheduler:
-                per_scheduler[name].append(
-                    compare_to_baseline(results[name], baseline)
-                )
-    averaged = {
-        baseline_name: NormalizedMetrics(
-            scheduler_name=baseline_name,
-            baseline_name=baseline_name,
-            carbon_reduction_pct=0.0,
-            ect_ratio=1.0,
-            jct_ratio=1.0,
-        )
-    }
-    for name, rows in per_scheduler.items():
-        averaged[name] = mean_normalized(rows)
-    return averaged
-
-
-def table2_rows(
-    num_executors: int = 40,
-    num_jobs: int = 25,
-    mean_interarrival: float = 45.0,
-    grids: tuple[str, ...] = GRID_CODES,
-    trace_starts: tuple[int, ...] = (0,),
-    seed: int = 0,
-) -> dict[str, NormalizedMetrics]:
-    """Table 2: prototype-style (Kubernetes mode) top-line comparison.
-
-    Schedulers: the Spark/Kubernetes default, Decima, CAP on top of the
-    default, and PCAPS — each normalized to the default, averaged over
-    grids. The per-job executor cap scales with the cluster as in the
-    prototype (25 of 100 executors).
-    """
-    config = ExperimentConfig(
-        mode="kubernetes",
-        num_executors=num_executors,
-        per_job_cap=max(2, num_executors // 4),
-        workload=WorkloadSpec(
-            family="tpch", num_jobs=num_jobs, mean_interarrival=mean_interarrival
-        ),
-        seed=seed,
-    )
-    names = ["k8s-default", "decima", "cap-k8s-default", "pcaps"]
-    return _grid_average(names, "k8s-default", config, grids, trace_starts)
-
-
-def table3_rows(
-    num_executors: int = 40,
-    num_jobs: int = 25,
-    mean_interarrival: float = 45.0,
-    grids: tuple[str, ...] = GRID_CODES,
-    trace_starts: tuple[int, ...] = (0,),
-    seed: int = 0,
-) -> dict[str, NormalizedMetrics]:
-    """Table 3: simulator (standalone mode) top-line comparison.
-
-    Schedulers: FIFO, Weighted Fair, Decima, GreenHadoop, CAP over each of
-    the three carbon-agnostic schedulers, and PCAPS — normalized to FIFO,
-    averaged over grids.
-    """
-    config = ExperimentConfig(
-        mode="standalone",
-        num_executors=num_executors,
-        workload=WorkloadSpec(
-            family="tpch", num_jobs=num_jobs, mean_interarrival=mean_interarrival
-        ),
-        seed=seed,
-    )
-    names = [
-        "fifo",
-        "weighted-fair",
-        "decima",
-        "greenhadoop",
-        "cap-fifo",
-        "cap-weighted-fair",
-        "cap-decima",
-        "pcaps",
-    ]
-    return _grid_average(names, "fifo", config, grids, trace_starts)
 
 
 def format_metric_table(

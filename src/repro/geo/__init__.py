@@ -26,6 +26,7 @@ _SUBMODULE_OF = {
     **dict.fromkeys(
         (
             "DEFAULT_EXECUTOR_POWER_KW",
+            "ROUTING_POLICY_NAMES",
             "FederationConfig",
             "RegionConfig",
             "TransferModel",
@@ -46,7 +47,6 @@ _SUBMODULE_OF = {
     ),
     **dict.fromkeys(
         (
-            "ROUTING_POLICY_NAMES",
             "CarbonForecastRouting",
             "CarbonGreedyRouting",
             "FailoverRouting",

@@ -24,6 +24,16 @@ from repro.workloads.batch import WorkloadSpec
 #: :meth:`repro.simulator.metrics.ExperimentResult.carbon_cost_usd`.
 DEFAULT_EXECUTOR_POWER_KW = 0.25
 
+#: Policy names accepted by :func:`repro.geo.routing.build_routing_policy`.
+#: Defined here, not beside the policies, so validating a config does not
+#: import the routing module.
+ROUTING_POLICY_NAMES: tuple[str, ...] = (
+    "round-robin",
+    "queue-aware",
+    "carbon-greedy",
+    "carbon-forecast",
+)
+
 
 @dataclass(frozen=True)
 class TransferModel:
@@ -140,7 +150,7 @@ class FederationConfig:
     regions:
         Member clusters, each with its own grid trace and scheduler.
     routing:
-        One of :data:`repro.geo.routing.ROUTING_POLICY_NAMES`.
+        One of :data:`ROUTING_POLICY_NAMES`.
     workload:
         The global job batch; every job is routed to exactly one region.
     seed:
@@ -182,8 +192,6 @@ class FederationConfig:
     migrate: bool = True
 
     def __post_init__(self) -> None:
-        from repro.geo.routing import ROUTING_POLICY_NAMES
-
         if not self.regions:
             raise ValueError("a federation needs at least one region")
         if not isinstance(self.regions, tuple):

@@ -19,16 +19,12 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.dag.metrics import critical_path_length
-from repro.geo.config import DEFAULT_EXECUTOR_POWER_KW, TransferModel
-from repro.workloads.arrivals import JobSubmission
-
-#: Policy names accepted by :func:`build_routing_policy`.
-ROUTING_POLICY_NAMES: tuple[str, ...] = (
-    "round-robin",
-    "queue-aware",
-    "carbon-greedy",
-    "carbon-forecast",
+from repro.geo.config import (
+    DEFAULT_EXECUTOR_POWER_KW,
+    ROUTING_POLICY_NAMES,
+    TransferModel,
 )
+from repro.workloads.arrivals import JobSubmission
 
 
 @dataclass(frozen=True)

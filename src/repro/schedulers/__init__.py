@@ -12,7 +12,9 @@ These are the baselines of Section 6.1:
 - :class:`WeightedFairScheduler` — executors proportional to each job's
   remaining workload ("a heuristic tuned for the simulator's test jobs").
 - :class:`DecimaScheduler` — a probabilistic surrogate for the trained
-  Decima policy (see DESIGN.md for the substitution argument).
+  Decima policy: PCAPS consumes only the distribution over ready stages,
+  so the surrogate reproduces the trained policy's reported behaviour
+  instead of training a GNN (see :mod:`repro.schedulers.decima`).
 - :class:`GreenHadoopProvisioner` — the paper's GreenHadoop adaptation
   (Appendix A.1.1): a provisioning policy paired with FIFO dispatch.
 - :mod:`~repro.schedulers.optimal` — exact T-OPT / C-OPT searches for small

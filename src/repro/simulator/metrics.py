@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.carbon.trace import CarbonTrace
 from repro.simulator.trace import ScheduleTrace
 
@@ -150,19 +148,4 @@ def compare_to_baseline(
         ),
         ect_ratio=result.ect / base_ect if base_ect > 0 else 1.0,
         jct_ratio=result.avg_jct / base_jct if base_jct > 0 else 1.0,
-    )
-
-
-def mean_normalized(rows: list[NormalizedMetrics]) -> NormalizedMetrics:
-    """Average normalized metrics across trials/grids (paper table style)."""
-    if not rows:
-        raise ValueError("need at least one row")
-    return NormalizedMetrics(
-        scheduler_name=rows[0].scheduler_name,
-        baseline_name=rows[0].baseline_name,
-        carbon_reduction_pct=float(
-            np.mean([r.carbon_reduction_pct for r in rows])
-        ),
-        ect_ratio=float(np.mean([r.ect_ratio for r in rows])),
-        jct_ratio=float(np.mean([r.jct_ratio for r in rows])),
     )

@@ -4,7 +4,7 @@ The paper evaluates on TPC-H benchmark queries (synthetic data at 2/10/50 GB)
 and production DAG traces from an Alibaba cluster (Section 6.1). Neither the
 authors' Spark stage timings nor the raw Alibaba trace ship with this repo,
 so both are modelled generatively, calibrated to every statistic the paper
-reports (see DESIGN.md, Section 2):
+reports:
 
 - TPC-H: 22 scan/join/aggregate query shapes with average single-executor
   durations of 180 s (2 GB), 386 s (10 GB) and 1,261 s (50 GB).

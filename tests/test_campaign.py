@@ -1,14 +1,17 @@
 """Tests for the repro.campaign subsystem (spec/cache/store/executor/reports)."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from repro.campaign.cache import CacheStats, code_fingerprint, trial_key
 from repro.campaign.executor import (
     CampaignRunner,
-    run_matchup_trials,
     run_trial_to_record,
 )
 from repro.campaign.kinds import SCHEDULER
@@ -23,7 +26,6 @@ from repro.campaign.spec import (
     campaign_presets,
     config_from_dict,
     config_to_dict,
-    matchup_spec,
 )
 from repro.campaign.store import (
     STATUS_ERROR,
@@ -104,10 +106,6 @@ class TestCampaignSpec:
         assert scaled.base.workload.num_jobs == 7
         assert scaled.base.num_executors == 12
         assert scaled.axes == tiny_spec().axes
-
-    def test_matchup_spec_preserves_order(self):
-        spec = matchup_spec(["pcaps", "fifo"], tiny_config())
-        assert [t.scheduler for t in spec.trials()] == ["pcaps", "fifo"]
 
     def test_presets_cover_paper_campaigns(self):
         presets = campaign_presets()
@@ -249,6 +247,28 @@ class TestCampaignRunner:
         assert {r.key: r.metrics for r in rerun.records} == {
             r.key: r.metrics for r in run.records
         }
+
+    def test_inline_runs_never_import_the_process_pool(self, tmp_path):
+        """``workers=0`` (and every ``run_sweep``) runs without loading
+        ``multiprocessing``; only the pool path imports it."""
+        code = (
+            "import sys\n"
+            "from repro.campaign import (\n"
+            "    CampaignRunner, ResultStore, campaign_presets, run_sweep)\n"
+            "spec = campaign_presets()['smoke']\n"
+            "run = CampaignRunner(ResultStore('s.jsonl'), workers=0).run(spec)\n"
+            "assert len(run.ok_records) == 4\n"
+            "assert run_sweep(spec, 'seed')\n"
+            "pool = ('multiprocessing', 'concurrent.futures.process')\n"
+            "print([name for name in pool if name in sys.modules])\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True, cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        ).stdout
+        assert out.strip() == "[]"
 
     def test_overlapping_campaign_shares_trials(self, tmp_path):
         runner = CampaignRunner(ResultStore(tmp_path / "r.jsonl"), workers=0)
@@ -471,12 +491,6 @@ class TestDeterminism:
             assert first[name].ect == second[name].ect
             assert first[name].avg_jct == second[name].avg_jct
             assert first[name].finishes == second[name].finishes
-
-    def test_run_matchup_routes_through_campaign_layer(self):
-        config = tiny_config(seed=3)
-        assert run_matchup(["fifo"], config)["fifo"].finishes == run_matchup_trials(
-            ["fifo"], config
-        )["fifo"].finishes
 
     def test_trial_record_metrics_deterministic(self):
         config = tiny_config(scheduler="cap-fifo", seed=2)

@@ -63,6 +63,41 @@ class TestCommands:
         assert "unknown schedulers" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv,unknown",
+        [
+            (["run", "fifo", "--baseline", "nope"], "['nope']"),
+            (["sweep", "gamma", "--baseline", "nope"], "['nope']"),
+            (["sweep", "B", "--baseline", "greenhadoop"], "['cap-greenhadoop']"),
+            (["sweep", "B", "--baseline", "nope"], "['nope', 'cap-nope']"),
+        ],
+        ids=["run-baseline", "sweep-gamma-baseline", "sweep-b-cap-target",
+             "sweep-b-baseline"],
+    )
+    def test_every_scheduler_name_is_checked_before_running(
+        self, argv, unknown, capsys
+    ):
+        assert main(argv + ["--jobs", "2", "--executors", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"unknown schedulers: {unknown}; choose from")
+        assert captured.out == ""
+
+    def test_sweep_gamma_rejects_pcaps_as_its_own_baseline(self, capsys):
+        assert main(["sweep", "gamma", "--baseline", "pcaps", "--jobs", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "--baseline pcaps is the swept scheduler" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("table", ["table2", "table3"])
+    def test_table_rows_follow_the_paper(self, table, capsys):
+        from repro.experiments.tables import PAPER_TABLE2, PAPER_TABLE3
+
+        paper = {"table2": PAPER_TABLE2, "table3": PAPER_TABLE3}[table]
+        assert main([table, "--jobs", "2", "--executors", "4"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[1:]] == list(paper)
+        assert lines[1].split()[1:4] == ["0.0%", "1.000", "1.000"]
+
     def test_run_adds_baseline_if_missing(self, capsys):
         code = main(
             [

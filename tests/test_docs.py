@@ -9,7 +9,8 @@ that verification:
   here before a user hits them);
 - every documented subcommand must exist, and every subcommand must be
   documented in ``docs/cli.md`` (the ``repro --help`` snapshot);
-- relative links in the docs must point at files that exist;
+- relative links in the docs must point at files that exist, and so must
+  every Markdown file named in the code, benchmarks, examples or docs;
 - fenced ``python`` blocks in ``docs/*.md`` must execute;
 - a cheap smoke subset actually runs end-to-end.
 """
@@ -102,6 +103,28 @@ class TestLinksResolve:
                 continue
             resolved = (path.parent / target.split("#", 1)[0]).resolve()
             assert resolved.exists(), f"{path.name}: broken link {target}"
+
+
+#: A Markdown file name, bare or with a relative path.
+MARKDOWN_NAME = re.compile(r"[\w./-]*\w\.md\b")
+
+
+@pytest.mark.parametrize(
+    "where", ["src", "benchmarks", "examples", "docs", "README.md"]
+)
+def test_every_named_markdown_file_exists(where):
+    """A name resolves next to the file that mentions it or at the root."""
+    root = REPO / where
+    files = [root] if root.is_file() else sorted(
+        p for p in root.rglob("*") if p.suffix in (".py", ".md")
+    )
+    missing = [
+        f"{path.relative_to(REPO)}: {name}"
+        for path in files
+        for name in MARKDOWN_NAME.findall(path.read_text(encoding="utf-8"))
+        if not ((path.parent / name).exists() or (REPO / name).exists())
+    ]
+    assert missing == []
 
 
 class TestPythonBlocksRun:

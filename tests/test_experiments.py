@@ -8,17 +8,11 @@ import pytest
 
 from repro.carbon.grids import GRID_CODES
 from repro.experiments.figures import (
-    cap_b_sweep,
     fig5_series,
     fig6_executor_usage,
-    fig13_frontier,
     fig15_fifo_vs_k8s,
     fig9_perjob_trials,
-    grid_comparison,
-    interarrival_sweep,
-    jobcount_sweep,
     latency_profile,
-    pcaps_gamma_sweep,
 )
 from repro.experiments.motivation import (
     fig1_comparison,
@@ -36,13 +30,13 @@ from repro.experiments.runner import (
     workload_for,
 )
 from repro.experiments.tables import (
+    PAPER_TABLE2,
     format_metric_table,
     format_table1,
     table1_error_summary,
     table1_rows,
-    table2_rows,
-    table3_rows,
 )
+from repro.simulator.metrics import NormalizedMetrics
 from repro.workloads.batch import WorkloadSpec
 
 
@@ -86,6 +80,17 @@ class TestRunner:
         config = small_config()
         results = run_matchup(["fifo", "decima"], config)
         assert results["fifo"].arrivals == results["decima"].arrivals
+
+    def test_matchup_is_run_experiment_per_scheduler_on_one_trace(self):
+        config = small_config(seed=3)
+        trace = carbon_trace_for(config)
+        results = run_matchup(["pcaps", "fifo", "pcaps"], config, carbon_trace=trace)
+        assert list(results) == ["pcaps", "fifo"]  # order kept, repeats run once
+        for name, result in results.items():
+            assert result.carbon_trace is trace
+            alone = run_experiment(config.with_scheduler(name))
+            assert result.finishes == alone.finishes
+            assert result.carbon_footprint == alone.carbon_footprint
 
     def test_run_experiment_deterministic(self):
         config = small_config(scheduler="pcaps")
@@ -157,24 +162,19 @@ class TestTables:
         assert errors["mean_rel_err"] < 0.05
         assert errors["cov_rel_err"] < 0.30
 
-    def test_table2_small(self):
-        rows = table2_rows(
-            num_executors=8, num_jobs=4, mean_interarrival=30.0,
-            grids=("DE",),
+    def test_format_metric_table(self):
+        base = "k8s-default"
+        rows = {
+            base: NormalizedMetrics(base, base, 0.0, 1.0, 1.0),
+            "pcaps": NormalizedMetrics("pcaps", base, 12.34, 1.05, 1.5),
+        }
+        lines = format_metric_table(rows, PAPER_TABLE2).splitlines()
+        assert lines[0].startswith("scheduler") and "(paper:" in lines[0]
+        assert lines[2] == (
+            "pcaps                     12.3%   1.050   1.500   "
+            "(32.9% / 1.013 / 1.381)"
         )
-        assert set(rows) == {"k8s-default", "decima", "cap-k8s-default", "pcaps"}
-        assert rows["k8s-default"].ect_ratio == 1.0
-        text = format_metric_table(rows)
-        assert "pcaps" in text
-
-    def test_table3_small(self):
-        rows = table3_rows(
-            num_executors=8, num_jobs=4, mean_interarrival=30.0,
-            grids=("DE",),
-        )
-        assert "greenhadoop" in rows and "cap-decima" in rows
-        for m in rows.values():
-            assert m.ect_ratio > 0 and m.jct_ratio > 0
+        assert "(paper:" not in format_metric_table(rows)
 
 
 class TestFigures:
@@ -191,24 +191,6 @@ class TestFigures:
             assert (grid >= -1).all()
         assert len(data.carbon) > 0
 
-    def test_gamma_sweep_monotone_carbon(self):
-        points = pcaps_gamma_sweep(
-            gammas=(0.0, 0.9),
-            baseline="decima",
-            config=small_config(num_executors=4),
-        )
-        assert len(points) == 2
-        assert points[0].carbon_reduction_pct <= points[1].carbon_reduction_pct + 5.0
-
-    def test_cap_sweep_monotone_carbon(self):
-        points = cap_b_sweep(
-            quotas=(1, 4),
-            underlying="fifo",
-            config=small_config(num_executors=4),
-        )
-        # smaller B = more carbon-aware
-        assert points[0].carbon_reduction_pct >= points[1].carbon_reduction_pct - 5.0
-
     def test_fig9_quadrants(self):
         points, quadrants = fig9_perjob_trials(
             num_trials=2,
@@ -221,37 +203,11 @@ class TestFigures:
         for stats in quadrants.values():
             assert 0.0 <= stats["less_carbon"] <= 100.0
 
-    def test_grid_comparison_rows(self):
-        rows = grid_comparison(
-            schedulers=("pcaps",), num_executors=6, num_jobs=3
-        )
-        assert len(rows) == len(GRID_CODES)
-        assert all(r.scheduler == "pcaps" for r in rows)
-
-    def test_fig13_frontier_families(self):
-        frontier = fig13_frontier(
-            gammas=(0.5,), quotas=(2,), config=small_config(num_executors=4)
-        )
-        assert set(frontier) == {"pcaps", "cap-decima"}
-
     def test_fig15_series(self):
         data = fig15_fifo_vs_k8s(num_executors=6, num_jobs=5)
         assert set(data.busy) == {"fifo-standalone", "k8s-default"}
         for name, series in data.busy.items():
             assert series.max() <= 6
-
-    def test_jobcount_sweep(self):
-        rows = jobcount_sweep(
-            job_counts=(2, 4), schedulers=("pcaps",), num_executors=6
-        )
-        assert len(rows) == 2
-
-    def test_interarrival_sweep(self):
-        rows = interarrival_sweep(
-            interarrivals=(15.0, 60.0), schedulers=("pcaps",),
-            num_executors=6, num_jobs=3,
-        )
-        assert [r.parameter for r in rows] == [15.0, 60.0]
 
     def test_latency_profile(self):
         rows = latency_profile(

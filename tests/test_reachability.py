@@ -9,12 +9,20 @@ outside that closure: a package only its own tests import.
 A static closure cannot show that code runs, since package ``__init__``
 files import eagerly. It checks the weaker condition that some entry point
 can import the module, which a package nothing uses fails.
+
+It follows modules, not names, so each paper bench is also imported for
+real: a bench that imports a name ``src/`` no longer defines fails here,
+although no tier-1 job runs the benches themselves.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -81,3 +89,26 @@ def test_every_module_is_reachable_from_an_entry_point():
         package = name if path.name == "__init__.py" else name.rpartition(".")[0]
         pending |= imported_names(path, package)
     assert sorted(set(modules) - reached) == []
+
+
+
+def test_sweeps_do_not_cross_the_campaign_layer_upward():
+    """The runner sits above the campaign layer and campaign reports read
+    store records alone, so neither imports the other's package."""
+    modules = repro_modules()
+    runner = imported_names(modules["repro.experiments.runner"], "repro.experiments")
+    reports = imported_names(modules["repro.campaign.reports"], "repro.campaign")
+    assert not {n for n in runner if n.startswith("repro.campaign")}
+    assert not {n for n in reports if n.startswith("repro.experiments")}
+
+
+BENCH_FILES = sorted((ROOT / "benchmarks").glob("bench_*.py"))
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=[p.stem for p in BENCH_FILES])
+def test_every_bench_module_imports(path, monkeypatch):
+    monkeypatch.syspath_prepend(str(path.parent))  # for ``from _report import``
+    spec = importlib.util.spec_from_file_location(f"bench_import_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)

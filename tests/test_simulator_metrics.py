@@ -3,11 +3,7 @@
 import pytest
 
 from repro.schedulers.fifo import KubernetesDefaultScheduler
-from repro.simulator.metrics import (
-    NormalizedMetrics,
-    compare_to_baseline,
-    mean_normalized,
-)
+from repro.simulator.metrics import NormalizedMetrics, compare_to_baseline
 from repro.dag.graph import JobDAG, Stage
 
 from conftest import make_trace, run_sim, single_job, staggered_jobs
@@ -75,20 +71,6 @@ class TestNormalization:
         )
         m = compare_to_baseline(late, early)
         assert m.carbon_reduction_pct > 0
-
-    def test_mean_normalized(self):
-        rows = [
-            NormalizedMetrics("s", "b", 10.0, 1.0, 2.0),
-            NormalizedMetrics("s", "b", 30.0, 1.2, 4.0),
-        ]
-        mean = mean_normalized(rows)
-        assert mean.carbon_reduction_pct == pytest.approx(20.0)
-        assert mean.ect_ratio == pytest.approx(1.1)
-        assert mean.jct_ratio == pytest.approx(3.0)
-
-    def test_mean_normalized_rejects_empty(self):
-        with pytest.raises(ValueError):
-            mean_normalized([])
 
     def test_as_row(self):
         m = NormalizedMetrics("s", "b", 10.0, 1.1, 1.2)
