@@ -23,8 +23,8 @@ declarative, resumable, cached campaigns:
   :func:`run_sweep`, the one way a normalized paper sweep runs (inline,
   against a throwaway store), and :func:`run_table` for Tables 2/3;
 - :mod:`repro.campaign.supervise` — the resilience policy (per-trial
-  timeouts, seeded-backoff retries, quarantine, mid-flight checkpoints)
-  the executor enforces;
+  timeouts, seeded-backoff retries from scratch, quarantine) the executor
+  enforces;
 - :mod:`repro.campaign.reports` — replicate aggregation (mean/p50/p95),
   baseline-normalized tables and sweep points from stored records alone.
 
@@ -53,10 +53,7 @@ _SUBMODULE_OF = {
     ),
     **dict.fromkeys(("CampaignSpec", "campaign_presets", "table_spec"), "spec"),
     **dict.fromkeys(("ResultStore", "StoreCheck", "TrialRecord"), "store"),
-    **dict.fromkeys(
-        ("CampaignInterrupted", "CheckpointPolicy", "SupervisorConfig"),
-        "supervise",
-    ),
+    **dict.fromkeys(("CampaignInterrupted", "SupervisorConfig"), "supervise"),
 }
 __getattr__ = lazy_exports(__name__, _SUBMODULE_OF)
 __all__ = sorted(_SUBMODULE_OF)

@@ -9,11 +9,11 @@ records don't count as completed, so a later resume retries them.
 
 The pool loop is *supervised* (knobs on :class:`~repro.campaign.supervise.
 SupervisorConfig`): attempts that fail, hang past the per-trial timeout, or
-die with their worker are retried under seeded exponential backoff up to a
-bounded attempt budget; keys that exhaust the budget are quarantined —
-recorded as failed :class:`TrialRecord`\\ s carrying the full attempt
-history, never retried again this run. A broken pool (worker killed by the
-OS) is rebuilt and its surviving in-flight trials resubmitted. SIGINT /
+die with their worker are retried from scratch under seeded exponential
+backoff up to a bounded attempt budget; keys that exhaust the budget are
+quarantined — recorded as failed :class:`TrialRecord`\\ s carrying the full
+attempt history, never retried again this run. A broken pool (worker killed
+by the OS) is rebuilt and its surviving in-flight trials resubmitted. SIGINT /
 SIGTERM stop the run gracefully: completed futures are drained into the
 store first, then :class:`~repro.campaign.supervise.CampaignInterrupted`
 propagates, so a follow-up ``resume`` continues where the interrupt landed.
@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro import faults
 from repro.campaign.cache import CacheStats, trial_key
-from repro.campaign.kinds import KINDS, SCHEDULER, kind_of
+from repro.campaign.kinds import KINDS, kind_of
 from repro.campaign.spec import CampaignSpec, config_from_dict, config_to_dict
 from repro.campaign.store import (
     STATUS_ERROR,
@@ -53,18 +53,11 @@ from repro.campaign.store import (
 )
 from repro.campaign.supervise import (
     CampaignInterrupted,
-    CheckpointPolicy,
     SupervisorConfig,
     backoff_delay,
 )
 from repro.carbon.trace import CarbonTrace
-from repro.experiments.runner import (
-    ExperimentConfig,
-    run_experiment,
-    simulation_for,
-    workload_for,
-)
-from repro.ioutil import atomic_write_bytes
+from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.obs.observer import current as _current_observer
 from repro.simulator.metrics import ExperimentResult, NormalizedMetrics
 
@@ -119,68 +112,16 @@ def capture_trial_record(
         )
 
 
-def execute_trial_checkpointed(
-    key: str,
-    config: ExperimentConfig,
-    policy: CheckpointPolicy,
-    attempt: int = 1,
-) -> ExperimentResult:
-    """Run one trial through a periodically-checkpointing stepper.
-
-    If a checkpoint for ``key`` exists (a previous attempt died mid-trial),
-    the stepper restores it and resumes mid-flight instead of restarting; a
-    corrupt checkpoint falls back to a fresh start. The checkpoint
-    determinism contract (tests/test_checkpoint.py) makes the resumed run
-    bit-identical to an uninterrupted one, so resuming never changes
-    results — only saves work. Checkpoint writes are atomic, and the file
-    is removed on success so a finished trial leaves nothing behind.
-    """
-    from repro.simulator.engine import SimulationStepper
-
-    path = policy.path_for(key)
-    stepper = None
-    if path.exists():
-        try:
-            stepper = SimulationStepper.restore(path.read_bytes())
-        except Exception:
-            path.unlink(missing_ok=True)  # corrupt checkpoint: start fresh
-    if stepper is None:
-        stepper = simulation_for(config).stepper()
-        for sub in workload_for(config):
-            stepper.submit(sub)
-    crash_after = faults.crash_event_point(key, attempt)
-    last_saved = stepper.events_processed
-    while stepper.events:
-        stepper.step()
-        if stepper.events_processed - last_saved >= policy.every_events:
-            atomic_write_bytes(path, stepper.checkpoint())
-            last_saved = stepper.events_processed
-        if crash_after is not None and stepper.events_processed >= crash_after:
-            os._exit(faults.CRASH_EXIT_CODE)
-    result = stepper.result()
-    path.unlink(missing_ok=True)
-    return result
-
-
 def run_trial_to_record(
-    key: str,
-    campaign: str,
-    config,
-    attempt: int = 1,
-    checkpoint: CheckpointPolicy | None = None,
+    key: str, campaign: str, config, attempt: int = 1
 ) -> TrialRecord:
     """Execute one trial of any kind, capturing failure as an ``error``
-    record. Only scheduler trials checkpoint: the other kinds compose
-    several engines (federations) or keep their own cadence (services)."""
+    record."""
     kind = kind_of(config)
 
     def execute():
         # No-op unless a fault plan is active (tests, ``repro faults demo``).
         faults.maybe_inject_worker(key, attempt)
-        if checkpoint is not None and kind is SCHEDULER:
-            return execute_trial_checkpointed(
-                key, config, checkpoint, attempt=attempt
-            )
         return kind.run(config)
 
     return capture_trial_record(
@@ -206,20 +147,14 @@ def _pool_worker_init() -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _pool_worker(
-    payload: tuple[str, str, str, dict],
-    attempt: int = 1,
-    checkpoint: CheckpointPolicy | None = None,
-) -> TrialRecord:
+def _pool_worker(payload: tuple[str, str, str, dict], attempt: int = 1) -> TrialRecord:
     """Top-level (picklable) worker: rebuild the config, run, summarize.
 
     ``payload`` is ``(key, campaign, kind name, config dict)``.
     """
     key, campaign, kind_name, config_dict = payload
     config = config_from_dict(config_dict, KINDS[kind_name].config_type)
-    return run_trial_to_record(
-        key, campaign, config, attempt=attempt, checkpoint=checkpoint
-    )
+    return run_trial_to_record(key, campaign, config, attempt=attempt)
 
 
 @dataclass
@@ -269,9 +204,9 @@ class CampaignRunner:
     code_version:
         Folded into every trial key; defaults to ``repro.__version__``.
     supervisor:
-        Resilience policy (timeouts, attempt budget, backoff, checkpoints);
-        defaults to :class:`SupervisorConfig`'s defaults — two attempts,
-        no timeout, no checkpointing.
+        Resilience policy (per-attempt timeout, attempt budget); defaults
+        to :class:`SupervisorConfig`'s defaults — two attempts, no
+        timeout.
     """
 
     def __init__(
@@ -489,7 +424,6 @@ class CampaignRunner:
         """No-pool path: retries and quarantine apply, timeouts cannot (a
         hung trial would hang this very process)."""
         sup = self.supervisor
-        checkpoint = sup.checkpoint_policy()
         for index, (key, config) in enumerate(pending):
             if self._stop.is_set():
                 raise CampaignInterrupted(
@@ -499,14 +433,10 @@ class CampaignRunner:
             while state.attempt < sup.max_attempts:
                 if state.errors:  # a previous attempt failed: back off
                     self._count("campaign.retries")
-                    time.sleep(backoff_delay(sup, key, state.attempt))
+                    time.sleep(backoff_delay(key, state.attempt))
                 state.attempt += 1
                 record = run_trial_to_record(
-                    key,
-                    campaign,
-                    config,
-                    attempt=state.attempt,
-                    checkpoint=checkpoint,
+                    key, campaign, config, attempt=state.attempt
                 )
                 if record.ok:
                     break
@@ -537,7 +467,6 @@ class CampaignRunner:
         from concurrent.futures.process import BrokenProcessPool
 
         sup = self.supervisor
-        checkpoint = sup.checkpoint_policy()
         pool = ProcessPoolExecutor(
             max_workers=workers, initializer=_pool_worker_init
         )
@@ -553,7 +482,7 @@ class CampaignRunner:
                 kind_of(state.config).name,
                 config_to_dict(state.config),
             )
-            future = pool.submit(_pool_worker, payload, state.attempt, checkpoint)
+            future = pool.submit(_pool_worker, payload, state.attempt)
             deadline = (
                 time.monotonic() + sup.trial_timeout_s
                 if sup.trial_timeout_s is not None
@@ -580,7 +509,7 @@ class CampaignRunner:
             else:
                 self._count("campaign.retries")
                 state.not_before = time.monotonic() + backoff_delay(
-                    sup, state.key, state.attempt
+                    state.key, state.attempt
                 )
                 waiting.append(state)
 
@@ -701,7 +630,8 @@ def run_sweep(spec: CampaignSpec, parameter: str) -> list[SweepPoint]:
 
     The one way a normalized sweep runs: each policy against the spec's
     baseline on the identical workload and trace slice, averaged over the
-    other axes. Raises :class:`RuntimeError` naming every failed trial.
+    other axes. A trial is a pure function of its config, so a failed one
+    is not retried. Raises :class:`RuntimeError` naming every failed trial.
     """
     # Imported here: a campaign that is not a sweep never loads these.
     import tempfile
@@ -710,7 +640,11 @@ def run_sweep(spec: CampaignSpec, parameter: str) -> list[SweepPoint]:
     from repro.campaign.reports import sweep_points
 
     with tempfile.TemporaryDirectory() as scratch:
-        runner = CampaignRunner(ResultStore(Path(scratch) / "sweep.jsonl"), workers=0)
+        runner = CampaignRunner(
+            ResultStore(Path(scratch) / "sweep.jsonl"),
+            workers=0,
+            supervisor=SupervisorConfig(max_attempts=1),
+        )
         run = runner.run(spec)
     if run.failures:
         configs = dict(runner.keyed_trials(spec))

@@ -109,11 +109,6 @@ class TrialRecord:
             raise ValueError(f"trial {self.key} has no metrics (status={self.status})")
         return float(self.metrics[name])
 
-    @classmethod
-    def from_json(cls, line: str) -> "TrialRecord":
-        data = json.loads(line)
-        return cls(**{k: data[k] for k in cls.__dataclass_fields__ if k in data})
-
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
@@ -231,7 +226,7 @@ class ResultStore:
                 ).inc(len(corrupt))
         return parsed, corrupt
 
-    def records(self, campaign: str | None = None) -> list[TrialRecord]:
+    def records(self) -> list[TrialRecord]:
         """All stored records, deduped by key (last write wins).
 
         Lenient by design: lines that do not parse as complete records —
@@ -244,10 +239,7 @@ class ResultStore:
         by_key: dict[str, TrialRecord] = {}
         for _, record in parsed:
             by_key[record.key] = record
-        records = list(by_key.values())
-        if campaign is not None:
-            records = [r for r in records if r.campaign == campaign]
-        return records
+        return list(by_key.values())
 
     def completed(self) -> dict[str, TrialRecord]:
         """Successful records by key — the resume/cache lookup table.

@@ -1,40 +1,31 @@
 """Worker-supervision policy for campaign runs.
 
 The executor's pool loop consults one :class:`SupervisorConfig` for every
-resilience decision: how long a trial may run before its worker is presumed
-hung, how many attempts a trial key gets before it is quarantined, how long
-to back off between attempts, and whether workers checkpoint mid-trial so a
-retry resumes instead of restarting.
+resilience decision it lets a user set: how long a trial may run before its
+worker is presumed hung, and how many attempts a trial key gets before it
+is quarantined. Between two attempts of one key it waits
+:func:`backoff_delay`.
 
-Backoff is *seeded*: the jitter for ``(key, attempt)`` is a pure function
-of ``(backoff_seed, key, attempt)``, so a rerun of a flaky campaign replays
-the identical retry schedule — determinism extends to the failure path, not
-just the results.
+Backoff is *seeded*: the delay for ``(key, attempt)`` is a pure function of
+``(key, attempt)``, so a rerun of a flaky campaign replays the identical
+retry schedule — determinism extends to the failure path, not just the
+results.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from pathlib import Path
 
-
-@dataclass(frozen=True)
-class CheckpointPolicy:
-    """Where and how often a campaign worker checkpoints its stepper.
-
-    ``every_events`` counts engine events between checkpoint writes; each
-    write is atomic (temp + rename), so a worker killed mid-write leaves
-    the previous complete checkpoint, never a torn one.
-    """
-
-    directory: str
-    every_events: int = 200
-
-    def path_for(self, key: str) -> Path:
-        # Trial keys are hex digests, so they are filename-safe by
-        # construction.
-        return Path(self.directory) / f"{key}.ckpt"
+#: Seeded exponential backoff between attempts of one key:
+#: ``min(BACKOFF_MAX_S, BACKOFF_BASE_S * BACKOFF_FACTOR**(attempt-1))``
+#: scaled by a jitter in [0.5, 1.0) drawn from
+#: ``Random(f"{BACKOFF_SEED}:{key}:{attempt}")``. Read at call time, so a
+#: test that wants fast retries patches ``BACKOFF_BASE_S``.
+BACKOFF_BASE_S = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX_S = 2.0
+BACKOFF_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -54,55 +45,26 @@ class SupervisorConfig:
         that exhausts it is *quarantined*: recorded as a failed
         :class:`~repro.campaign.store.TrialRecord` carrying the attempt
         history, and never retried again this run.
-    backoff_base_s / backoff_factor / backoff_max_s / backoff_seed:
-        Seeded exponential backoff between attempts of the same key:
-        ``min(max, base * factor**(attempt-1))`` scaled by a jitter in
-        [0.5, 1.0) drawn from ``Random(f"{seed}:{key}:{attempt}")``.
-    checkpoint_dir / checkpoint_every_events:
-        When ``checkpoint_dir`` is set, single-cluster trials run through
-        a :class:`~repro.simulator.engine.SimulationStepper` that
-        checkpoints every N events; a retried attempt restores the last
-        checkpoint and resumes mid-flight. Fingerprint-neutral by the
-        checkpoint determinism contract (tests/test_checkpoint.py).
     """
 
     trial_timeout_s: float | None = None
     max_attempts: int = 2
-    backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 2.0
-    backoff_seed: int = 0
-    checkpoint_dir: str | None = None
-    checkpoint_every_events: int = 200
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if self.trial_timeout_s is not None and self.trial_timeout_s <= 0:
             raise ValueError("trial_timeout_s must be positive (or None)")
-        if self.checkpoint_every_events < 1:
-            raise ValueError("checkpoint_every_events must be >= 1")
-
-    def checkpoint_policy(self) -> CheckpointPolicy | None:
-        if self.checkpoint_dir is None:
-            return None
-        return CheckpointPolicy(
-            directory=str(self.checkpoint_dir),
-            every_events=self.checkpoint_every_events,
-        )
 
 
-def backoff_delay(config: SupervisorConfig, key: str, attempt: int) -> float:
+def backoff_delay(key: str, attempt: int) -> float:
     """Seconds to wait before re-running ``key`` after failed ``attempt``.
 
-    Deterministic: equal ``(backoff_seed, key, attempt)`` always yields the
-    equal delay, on any host, so chaos tests can assert exact schedules.
+    Deterministic: equal ``(key, attempt)`` always yields the equal delay,
+    on any host, so chaos tests can assert exact schedules.
     """
-    base = min(
-        config.backoff_max_s,
-        config.backoff_base_s * config.backoff_factor ** max(0, attempt - 1),
-    )
-    jitter = random.Random(f"{config.backoff_seed}:{key}:{attempt}").random()
+    base = min(BACKOFF_MAX_S, BACKOFF_BASE_S * BACKOFF_FACTOR ** max(0, attempt - 1))
+    jitter = random.Random(f"{BACKOFF_SEED}:{key}:{attempt}").random()
     return base * (0.5 + 0.5 * jitter)
 
 
@@ -126,7 +88,6 @@ class CampaignInterrupted(RuntimeError):
 
 __all__ = [
     "CampaignInterrupted",
-    "CheckpointPolicy",
     "SupervisorConfig",
     "backoff_delay",
 ]

@@ -8,19 +8,17 @@ Gives downstream users the paper's experiments without writing code:
 - ``repro sweep`` — a γ or B sweep on one grid;
 - ``repro grids`` — list the modelled grids and their statistics;
 - ``repro campaign`` — list/run/resume/report parallel experiment campaigns
-  (process-pool fan-out with content-addressed result caching);
+  of every kind (process-pool fan-out with content-addressed result
+  caching);
 - ``repro perf`` — engine throughput benchmark (events/s, tasks/s, select
   latency), written to ``BENCH_engine.json``;
 - ``repro geo`` — geo-distributed federation: run one multi-region trial,
-  compare routing policies on the identical workload, or sweep a geo
-  campaign preset against the result store;
+  or compare routing policies on the identical workload;
 - ``repro disrupt`` — disruption & resilience: run a federation trial
   under a seeded schedule of region outages / curtailments / carbon-signal
-  blackouts, compare failover on vs. off vs. undisrupted, or sweep the
-  ``disrupt-sweep`` campaign preset;
+  blackouts, or compare failover on vs. off vs. undisrupted;
 - ``repro stream`` — service mode: drive an open-ended arrival stream in
-  O(1) memory (``run``), re-render a saved report (``report``), or sweep a
-  streaming campaign preset (``sweep``);
+  O(1) memory (``run``), or re-render a saved report (``report``);
 - ``repro obs`` — render a collected metrics snapshot (``report``) or
   build the static HTML dashboard (``dashboard``).
 
@@ -163,13 +161,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.knob == "gamma":
         scheduler, field_name = "pcaps", "gamma"
         values = tuple(args.values or (0.1, 0.3, 0.5, 0.7, 0.9))
+        bad = [v for v in values if not 0.0 <= v <= 1.0]
+        bound = "in [0, 1]"
     else:
         scheduler, field_name = f"cap-{baseline}", "cap_min_quota"
-        values = tuple(int(v) for v in (args.values or (2, 4, 8, 12, 16)))
+        quotas = args.values or (2.0, 4.0, 8.0, 12.0, 16.0)
+        bad = [
+            v for v in quotas if not (v.is_integer() and 1 <= v <= args.executors)
+        ]
+        bound = f"whole numbers in [1, {args.executors}] (--executors)"
+        values = () if bad else tuple(int(v) for v in quotas)
     if not _known_schedulers([baseline, scheduler]):
         return 2
     if baseline == scheduler:
         _error(f"--baseline {baseline} is the swept scheduler; choose another")
+        return 2
+    if bad:
+        _error(
+            f"{args.knob} values must be {bound}; "
+            f"got {', '.join(f'{v:g}' for v in bad)}"
+        )
         return 2
     spec = CampaignSpec(
         f"sweep-{args.knob}",
@@ -200,36 +211,22 @@ GEO_ROUTING_CHOICES = (
 )
 
 
-#: The sweep commands run the campaign handler restricted to one trial kind.
-SWEEP_KINDS = {"geo": "federation", "disrupt": "federation", "stream": "stream"}
-
-
 def _campaign_spec(args: argparse.Namespace):
     from repro.campaign import campaign_presets
 
-    kind = SWEEP_KINDS.get(args.command)
-    presets = {
-        name: spec
-        for name, spec in campaign_presets().items()
-        if kind is None or spec.kind.name == kind
-    }
+    presets = campaign_presets()
     if args.name not in presets:
-        scope = f"{args.command} " if kind is not None else ""
-        _error(
-            f"unknown {scope}campaign {args.name!r}; choose from {sorted(presets)}"
-        )
+        _error(f"unknown campaign {args.name!r}; choose from {sorted(presets)}")
         return None
     spec = presets[args.name]
-    jobs = getattr(args, "jobs", None)
-    executors = getattr(args, "executors", None)
-    if jobs is not None or executors is not None:
+    if args.jobs is not None or args.executors is not None:
         if spec.kind.name != "scheduler":
             _error(
                 f"--jobs/--executors resize scheduler presets only; "
                 f"{spec.name!r} is a {spec.kind.name} campaign"
             )
             return None
-        spec = spec.scaled(num_jobs=jobs, num_executors=executors)
+        spec = spec.scaled(num_jobs=args.jobs, num_executors=args.executors)
     return spec
 
 
@@ -284,22 +281,19 @@ def _supervisor_from_args(args: argparse.Namespace):
     from repro.campaign import SupervisorConfig
 
     return SupervisorConfig(
-        trial_timeout_s=getattr(args, "trial_timeout", None),
-        max_attempts=getattr(args, "max_attempts", 2),
-        checkpoint_dir=getattr(args, "checkpoint_dir", None),
-        checkpoint_every_events=getattr(args, "checkpoint_every", 200),
+        trial_timeout_s=args.trial_timeout, max_attempts=args.max_attempts
     )
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
-    """``campaign run|resume`` and the ``geo``/``disrupt``/``stream sweep``
-    commands: one runner, one store, one report for every trial kind."""
+    """``campaign run|resume``: one runner, one store, one report for every
+    trial kind."""
     from repro.campaign import CampaignInterrupted, CampaignRunner, ResultStore
 
     spec = _campaign_spec(args)
     if spec is None:
         return 2
-    resume = not getattr(args, "no_resume", False)
+    resume = not args.no_resume
     if args.cmd == "resume" and not ResultStore(args.store).path.exists():
         _error(f"nothing to resume: store {args.store!r} does not exist")
         return 2
@@ -421,9 +415,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         axes={"scheduler": ("fifo", "pcaps")},
         description="fault-injection demo",
     )
-    supervisor = SupervisorConfig(
-        trial_timeout_s=2.0, max_attempts=4, backoff_base_s=0.05
-    )
+    supervisor = SupervisorConfig(trial_timeout_s=2.0, max_attempts=4)
     workdir = Path(args.store).parent if args.store else Path(tempfile.mkdtemp())
     store_path = Path(args.store) if args.store else workdir / "faults-demo.jsonl"
 
@@ -622,7 +614,6 @@ def _cmd_geo(args: argparse.Namespace) -> int:
     handlers = {
         "run": _cmd_geo_run,
         "compare": _cmd_geo_compare,
-        "sweep": _cmd_campaign_run,
     }
     return handlers[args.cmd](args)
 
@@ -712,7 +703,6 @@ def _cmd_disrupt(args: argparse.Namespace) -> int:
     handlers = {
         "run": _cmd_disrupt_run,
         "compare": _cmd_disrupt_compare,
-        "sweep": _cmd_campaign_run,
     }
     return handlers[args.cmd](args)
 
@@ -796,7 +786,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     handlers = {
         "run": _cmd_stream_run,
         "report": _cmd_stream_report,
-        "sweep": _cmd_campaign_run,
     }
     return handlers[args.cmd](args)
 
@@ -863,6 +852,20 @@ def _cmd_grids(args: argparse.Namespace) -> int:
             f"{spec.coeff_var:>6.3f}"
         )
     return 0
+
+
+def _positive(type_):
+    """An argparse ``type`` taking values of ``type_`` above zero, so a bad
+    supervisor value is a usage error, not a traceback."""
+
+    def parse(text: str):
+        value = type_(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    parse.__name__ = type_.__name__  # argparse's "invalid int value" message
+    return parse
 
 
 def _add_obs_args(parser: argparse.ArgumentParser) -> None:
@@ -992,22 +995,14 @@ def build_parser() -> argparse.ArgumentParser:
                 "--quiet", action="store_true", help="suppress per-trial lines"
             )
             c.add_argument(
-                "--trial-timeout", type=float, default=None, metavar="SECONDS",
+                "--trial-timeout", type=_positive(float), default=None,
+                metavar="SECONDS",
                 help="per-attempt wall-clock budget; a worker past it is "
                 "presumed hung and the trial is retried (default: none)",
             )
             c.add_argument(
-                "--max-attempts", type=int, default=2,
+                "--max-attempts", type=_positive(int), default=2,
                 help="attempt budget per trial before quarantine (default: 2)",
-            )
-            c.add_argument(
-                "--checkpoint-dir", default=None, metavar="DIR",
-                help="checkpoint trials mid-flight into DIR so retries "
-                "resume instead of restarting (default: off)",
-            )
-            c.add_argument(
-                "--checkpoint-every", type=int, default=200, metavar="EVENTS",
-                help="engine events between checkpoints (default: 200)",
             )
             _add_obs_args(c)
 
@@ -1025,7 +1020,7 @@ def build_parser() -> argparse.ArgumentParser:
         "resume", help="continue an interrupted campaign from its store"
     )
     _add_campaign_target(c, with_exec=True)
-    c.set_defaults(func=_cmd_campaign)
+    c.set_defaults(func=_cmd_campaign, no_resume=False)
 
     c = campaign_sub.add_parser(
         "report", help="aggregate a campaign's table from the store alone"
@@ -1115,19 +1110,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     g.set_defaults(func=_cmd_geo)
 
-    g = geo_sub.add_parser(
-        "sweep", help="run a geo campaign preset against the result store"
-    )
-    g.add_argument("name", help="geo campaign preset (geo-smoke, geo-sweep, ...)")
-    g.add_argument("--store", default=DEFAULT_CAMPAIGN_STORE)
-    g.add_argument(
-        "--workers", type=int, default=None,
-        help="process-pool size (default: CPU count; 0/1 = inline)",
-    )
-    g.add_argument("--quiet", action="store_true")
-    _add_obs_args(g)
-    g.set_defaults(func=_cmd_geo)
-
     p = sub.add_parser(
         "disrupt",
         help="disruption & resilience: outages, curtailment, failover routing",
@@ -1173,19 +1155,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_geo_federation_args(d)
     _add_disruption_args(d)
     d.set_defaults(func=_cmd_disrupt)
-
-    d = disrupt_sub.add_parser(
-        "sweep",
-        help="run the disrupt-sweep campaign preset against the result store",
-    )
-    d.add_argument("--store", default=DEFAULT_CAMPAIGN_STORE)
-    d.add_argument(
-        "--workers", type=int, default=None,
-        help="process-pool size (default: CPU count; 0/1 = inline)",
-    )
-    d.add_argument("--quiet", action="store_true")
-    _add_obs_args(d)
-    d.set_defaults(func=_cmd_disrupt, name="disrupt-sweep")
 
     p = sub.add_parser(
         "stream",
@@ -1251,21 +1220,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--input", default="stream-report.json",
         help="report JSON written by 'stream run --output'",
     )
-    s.set_defaults(func=_cmd_stream)
-
-    s = stream_sub.add_parser(
-        "sweep", help="run a streaming campaign preset against the store"
-    )
-    s.add_argument(
-        "name", help="stream campaign preset (stream-smoke, stream-steady)"
-    )
-    s.add_argument("--store", default=DEFAULT_CAMPAIGN_STORE)
-    s.add_argument(
-        "--workers", type=int, default=None,
-        help="process-pool size (default: CPU count; 0/1 = inline)",
-    )
-    s.add_argument("--quiet", action="store_true")
-    _add_obs_args(s)
     s.set_defaults(func=_cmd_stream)
 
     p = sub.add_parser(

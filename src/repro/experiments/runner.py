@@ -180,10 +180,10 @@ def simulation_for(
     """Materialize the :class:`Simulation` a config names, unrun.
 
     :func:`run_experiment` is exactly ``simulation_for(config).run(
-    workload_for(config))``; checkpointing campaign workers use this to
-    drive the same simulation through a :class:`~repro.simulator.engine.
-    SimulationStepper` instead, so both paths stay bit-identical by
-    construction.
+    workload_for(config))``; service mode, federations and disruption
+    injection use this to drive the same simulation through a
+    :class:`~repro.simulator.engine.SimulationStepper` instead, so every
+    path stays bit-identical by construction.
     """
     trace = carbon_trace if carbon_trace is not None else carbon_trace_for(config)
     scheduler, provisioner = build_scheduler(config, trace)

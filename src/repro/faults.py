@@ -11,10 +11,9 @@ same failure sequence.
 Fault kinds
 -----------
 
-- ``"crash"`` — the worker process dies mid-trial (``os._exit``), the way
-  an OOM kill or a segfault would. Exercises ``BrokenProcessPool``
-  recovery; with checkpointing on, a rule's ``at_event`` crashes *after*
-  that many engine events so the retry resumes from the last checkpoint.
+- ``"crash"`` — the worker process dies at trial entry (``os._exit``), the
+  way an OOM kill or a segfault would. Exercises ``BrokenProcessPool``
+  recovery; the retry runs the trial from scratch.
 - ``"hang"`` — the worker sleeps past the supervisor's per-trial timeout.
   Exercises timeout detection and pool rebuild. Pool mode only.
 - ``"error"`` — the trial raises :class:`InjectedFault`. Exercises the
@@ -68,9 +67,6 @@ class FaultRule:
     occasions: tuple[int, ...] = (1,)
     rate: float = 1.0
     hang_s: float = 60.0
-    #: For ``crash`` under a checkpointing worker: crash after this many
-    #: engine events instead of at worker entry (``None`` = at entry).
-    at_event: int | None = None
 
     KINDS = ("crash", "hang", "error", "torn-write")
 
@@ -187,15 +183,14 @@ def injecting(plan: FaultPlan) -> Iterator[FaultPlan]:
 def maybe_inject_worker(key: str, attempt: int) -> None:
     """Worker-entry injection: crash, hang, or raise per the active plan.
 
-    Rules with ``at_event`` set are skipped here — they belong to the
-    checkpointing execution loop (:func:`crash_event_point`). No-op
-    without an active plan, so the non-faulting path costs one env read.
+    No-op without an active plan, so the non-faulting path costs one env
+    read.
     """
     plan = active_plan()
     if plan is None:
         return
     rule = plan.decide(key, attempt, kinds=("crash", "hang", "error"))
-    if rule is None or rule.at_event is not None:
+    if rule is None:
         return
     if rule.kind == "crash":
         os._exit(CRASH_EXIT_CODE)
@@ -205,17 +200,6 @@ def maybe_inject_worker(key: str, attempt: int) -> None:
     raise InjectedFault(
         f"injected fault for trial {key} (attempt {attempt})"
     )
-
-
-def crash_event_point(key: str, attempt: int) -> int | None:
-    """The engine-event index a checkpointing worker should crash after."""
-    plan = active_plan()
-    if plan is None:
-        return None
-    rule = plan.decide(key, attempt, kinds=("crash",))
-    if rule is None:
-        return None
-    return rule.at_event
 
 
 def torn_line(key: str, line: str) -> str | None:
@@ -269,20 +253,6 @@ def torn_store_writes() -> Iterator[None]:
         ResultStore.append = original
 
 
-def demo_plan(seed: int = 0) -> FaultPlan:
-    """The plan ``repro faults demo`` (and the chaos CI job) runs:
-    one crash, one hang, one torn write — each on a first attempt, each
-    recovered by a different supervision path."""
-    return FaultPlan(
-        seed=seed,
-        rules=(
-            FaultRule(kind="crash", rate=0.34, occasions=(1,)),
-            FaultRule(kind="hang", rate=0.5, occasions=(1,), hang_s=30.0),
-            FaultRule(kind="torn-write", rate=0.5, occasions=(1,)),
-        ),
-    )
-
-
 __all__ = [
     "CRASH_EXIT_CODE",
     "ENV_VAR",
@@ -291,9 +261,7 @@ __all__ = [
     "InjectedFault",
     "activate",
     "active_plan",
-    "crash_event_point",
     "deactivate",
-    "demo_plan",
     "injecting",
     "maybe_inject_worker",
     "torn_line",

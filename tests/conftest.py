@@ -26,6 +26,14 @@ def make_trace(
 
 
 @pytest.fixture
+def fast_backoff(monkeypatch) -> None:
+    """Millisecond retry backoff, for tests that drive retries."""
+    from repro.campaign import supervise
+
+    monkeypatch.setattr(supervise, "BACKOFF_BASE_S", 0.001)
+
+
+@pytest.fixture
 def flat_trace() -> CarbonTrace:
     """Constant carbon intensity: carbon-aware logic should be a no-op."""
     return make_trace([100.0] * 500)

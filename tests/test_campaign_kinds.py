@@ -113,12 +113,12 @@ def test_pool_matches_inline(kind, tmp_path):
 
 
 @pytest.mark.parametrize("kind", list(TINY_SPECS))
-def test_error_fault_is_retried_to_ok(kind, tmp_path):
+def test_error_fault_is_retried_to_ok(kind, tmp_path, fast_backoff):
     plan = faults.FaultPlan(rules=(faults.FaultRule(kind="error", occasions=(1,)),))
     runner = CampaignRunner(
         ResultStore(tmp_path / "r.jsonl"),
         workers=0,
-        supervisor=SupervisorConfig(max_attempts=2, backoff_base_s=0.001),
+        supervisor=SupervisorConfig(max_attempts=2),
     )
     with faults.injecting(plan):
         run = runner.run(TINY_SPECS[kind])

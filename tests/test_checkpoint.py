@@ -3,11 +3,9 @@
 ``SimulationStepper.checkpoint()`` at an arbitrary cut point, restored and
 drained, must be byte-identical to the uninterrupted run — on all nine
 pinned fingerprint scenarios, under disruptions, and with obs collection
-on. That contract is what lets campaign workers resume a retried trial
-mid-flight without changing a single result bit.
+on. That contract is what lets service mode (``ServiceRunner``) restore a
+rolling checkpoint without changing a single result bit.
 """
-
-import pathlib
 
 import pytest
 
@@ -20,11 +18,8 @@ from test_fingerprints import (
     run_fingerprint,
 )
 
-from repro.campaign.executor import execute_trial, execute_trial_checkpointed
-from repro.campaign.supervise import CheckpointPolicy
 from repro.disrupt import DisruptionSchedule, install_disruptions
 from repro.experiments.runner import ExperimentConfig, workload_for
-from repro.ioutil import atomic_write_bytes
 from repro.obs.observer import collecting
 from repro.simulator.engine import SimulationStepper
 from repro.workloads.batch import WorkloadSpec
@@ -144,68 +139,3 @@ class TestRestoreIsFingerprintNeutral:
 
         with pytest.raises(TypeError, match="SimulationStepper"):
             SimulationStepper.restore(pickle.dumps({"not": "a stepper"}))
-
-
-class TestWorkerCheckpointing:
-    CONFIG = ExperimentConfig(
-        scheduler="pcaps", num_executors=5, seed=3,
-        workload=WorkloadSpec(num_jobs=5, mean_interarrival=10.0,
-                              tpch_scales=(2,)),
-    )
-
-    def test_checkpointed_execution_matches_plain(self, tmp_path):
-        policy = CheckpointPolicy(directory=str(tmp_path), every_events=25)
-        via_ckpt = execute_trial_checkpointed("k1", self.CONFIG, policy)
-        plain = execute_trial(self.CONFIG)
-        assert schedule_fingerprint(via_ckpt) == schedule_fingerprint(plain)
-        # A finished trial leaves no checkpoint behind.
-        assert not policy.path_for("k1").exists()
-
-    def test_resumes_from_existing_checkpoint(self, tmp_path, monkeypatch):
-        """A retried attempt restores the previous attempt's checkpoint and
-        resumes mid-flight — the fresh-build path is never taken."""
-        import repro.campaign.executor as executor_module
-
-        policy = CheckpointPolicy(directory=str(tmp_path), every_events=10)
-        stepper = stepper_with_workload(self.CONFIG)
-        step_n(stepper, 20)
-        atomic_write_bytes(policy.path_for("k2"), stepper.checkpoint())
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("resumed trial must not rebuild from scratch")
-
-        monkeypatch.setattr(executor_module, "simulation_for", refuse)
-        resumed = execute_trial_checkpointed("k2", self.CONFIG, policy)
-        assert schedule_fingerprint(resumed) == schedule_fingerprint(
-            execute_trial(self.CONFIG)
-        )
-
-    def test_corrupt_checkpoint_falls_back_to_fresh_start(self, tmp_path):
-        policy = CheckpointPolicy(directory=str(tmp_path), every_events=50)
-        path = policy.path_for("k3")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(b"\x80\x05 definitely not a stepper")
-        result = execute_trial_checkpointed("k3", self.CONFIG, policy)
-        assert schedule_fingerprint(result) == schedule_fingerprint(
-            execute_trial(self.CONFIG)
-        )
-
-    def test_checkpoints_written_periodically(self, tmp_path):
-        """With a tiny interval the checkpoint file appears during the run
-        (observed via mtime-free existence check against a long trial)."""
-        policy = CheckpointPolicy(directory=str(tmp_path), every_events=5)
-        stepper = stepper_with_workload(self.CONFIG)
-        written = []
-        # Drive the same loop the worker uses, recording file appearances.
-        last_saved = stepper.events_processed
-        while stepper.events:
-            stepper.step()
-            if stepper.events_processed - last_saved >= policy.every_events:
-                atomic_write_bytes(policy.path_for("k4"), stepper.checkpoint())
-                written.append(stepper.events_processed)
-                last_saved = stepper.events_processed
-        assert len(written) > 2
-        restored = SimulationStepper.restore(
-            pathlib.Path(policy.path_for("k4")).read_bytes()
-        )
-        assert drain(restored) == schedule_fingerprint(stepper.result())

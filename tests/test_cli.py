@@ -29,6 +29,59 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "fifo", "--grid", "MARS"])
 
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            (["campaign", "run", "smoke", "--checkpoint-dir", "x"],
+             "unrecognized arguments: --checkpoint-dir x"),
+            (["campaign", "resume", "smoke", "--checkpoint-every", "5"],
+             "unrecognized arguments: --checkpoint-every 5"),
+            (["geo", "sweep", "geo-smoke"], "invalid choice: 'sweep'"),
+            (["disrupt", "sweep"], "invalid choice: 'sweep'"),
+            (["stream", "sweep", "stream-smoke"], "invalid choice: 'sweep'"),
+        ],
+        ids=["checkpoint-dir", "checkpoint-every", "geo-sweep",
+             "disrupt-sweep", "stream-sweep"],
+    )
+    def test_removed_options_and_aliases_are_usage_errors(
+        self, argv, error, capsys, tmp_path, monkeypatch
+    ):
+        """Campaign presets of every kind run through ``campaign run``."""
+        monkeypatch.chdir(tmp_path)  # a parse that succeeds writes a store
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro") and error in err
+
+    @pytest.mark.parametrize("cmd", ["run", "resume"])
+    @pytest.mark.parametrize(
+        "option,value",
+        [("--max-attempts", "0"), ("--max-attempts", "-2"),
+         ("--trial-timeout", "0"), ("--trial-timeout", "-1"),
+         ("--trial-timeout", "nan")],
+    )
+    def test_supervisor_values_are_checked_by_the_parser(
+        self, cmd, option, value, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)  # a parse that succeeds writes a store
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", cmd, "smoke", option, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro campaign")
+        assert f"argument {option}: must be positive, got {value}" in err
+
+    def test_supervisor_values_parse(self):
+        args = build_parser().parse_args(
+            ["campaign", "run", "smoke", "--max-attempts", "1",
+             "--trial-timeout", "0.5"]
+        )
+        assert (args.max_attempts, args.trial_timeout) == (1, 0.5)
+        args = build_parser().parse_args(["campaign", "resume", "smoke"])
+        assert (args.max_attempts, args.trial_timeout) == (2, None)
+        assert args.no_resume is False
+
 
 class TestCommands:
     def test_grids(self, capsys):
@@ -80,6 +133,33 @@ class TestCommands:
         assert main(argv + ["--jobs", "2", "--executors", "4"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"unknown schedulers: {unknown}; choose from")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            (["gamma", "--values", "0.5", "1.5"],
+             "gamma values must be in [0, 1]; got 1.5"),
+            (["gamma", "--values", "-0.1"],
+             "gamma values must be in [0, 1]; got -0.1"),
+            (["B", "--values", "0"],
+             "B values must be whole numbers in [1, 4] (--executors); got 0"),
+            (["B", "--values", "2", "9"],
+             "B values must be whole numbers in [1, 4] (--executors); got 9"),
+            (["B", "--values", "2.5"],
+             "B values must be whole numbers in [1, 4] (--executors); got 2.5"),
+            (["B"],
+             "B values must be whole numbers in [1, 4] (--executors); "
+             "got 8, 12, 16"),
+        ],
+        ids=["gamma-above-1", "gamma-below-0", "b-zero", "b-above-executors",
+             "b-fraction", "b-defaults-above-executors"],
+    )
+    def test_sweep_values_are_checked_before_running(self, argv, error, capsys):
+        code = main(["sweep", *argv, "--jobs", "2", "--executors", "4"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == error + "\n"
         assert captured.out == ""
 
     def test_sweep_gamma_rejects_pcaps_as_its_own_baseline(self, capsys):
@@ -180,11 +260,9 @@ class TestCampaignCommands:
         "argv",
         [
             ["campaign", "run", "smoke"],
-            ["geo", "sweep", "geo-smoke"],
-            ["disrupt", "sweep"],
-            ["stream", "sweep", "stream-smoke"],
+            ["campaign", "resume", "smoke"],
         ],
-        ids=["campaign-run", "geo-sweep", "disrupt-sweep", "stream-sweep"],
+        ids=["campaign-run", "campaign-resume"],
     )
     def test_interrupt_exits_130(self, argv, tmp_path, monkeypatch, capsys):
         """Ctrl-C during any campaign entry point: the drained store is
@@ -195,8 +273,9 @@ class TestCampaignCommands:
             raise CampaignInterrupted(completed=1, pending=1)
 
         monkeypatch.setattr(CampaignRunner, "run", interrupted)
-        store = str(tmp_path / "s.jsonl")
-        assert main([*argv, "--store", store, "--workers", "0"]) == 130
+        store = tmp_path / "s.jsonl"
+        store.touch()  # resume needs a store to continue from
+        assert main([*argv, "--store", str(store), "--workers", "0"]) == 130
         assert "interrupted: campaign interrupted" in capsys.readouterr().out
 
     def test_campaign_commands_take_every_kind(self, tmp_path, capsys):
@@ -205,7 +284,9 @@ class TestCampaignCommands:
         assert "geo-sweep       federation" in listing
         assert "stream-steady   stream" in listing
         store = str(tmp_path / "geo.jsonl")
-        assert main(["geo", "sweep", "geo-smoke", "--store", store, "--quiet"]) == 0
+        assert main(
+            ["campaign", "run", "geo-smoke", "--store", store, "--quiet"]
+        ) == 0
         swept = capsys.readouterr().out
         assert main(["campaign", "report", "geo-smoke", "--store", store]) == 0
         report = capsys.readouterr().out

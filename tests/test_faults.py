@@ -60,7 +60,7 @@ class TestFaultPlanDeterminism:
             seed=9,
             rules=(
                 faults.FaultRule(kind="hang", occasions=(1, 3), hang_s=5.0),
-                faults.FaultRule(kind="crash", at_event=120, rate=0.25),
+                faults.FaultRule(kind="crash", key_prefix="ab", rate=0.25),
             ),
         )
         assert faults.FaultPlan.from_json(plan.to_json()) == plan
@@ -101,13 +101,13 @@ class TestFaultPlanDeterminism:
 class TestInlineChaos:
     """Inline-safe kinds: error faults and torn store writes."""
 
-    def test_error_fault_retried_then_clean(self, tmp_path):
+    def test_error_fault_retried_then_clean(self, tmp_path, fast_backoff):
         plan = faults.FaultPlan(
             rules=(faults.FaultRule(kind="error", occasions=(1,)),)
         )
         runner = CampaignRunner(
             ResultStore(tmp_path / "r.jsonl"), workers=0,
-            supervisor=SupervisorConfig(max_attempts=2, backoff_base_s=0.001),
+            supervisor=SupervisorConfig(max_attempts=2),
         )
         with faults.injecting(plan):
             run = runner.run(tiny_spec())
@@ -117,13 +117,13 @@ class TestInlineChaos:
             "injected fault" in r.attempt_errors[0] for r in run.records
         )
 
-    def test_persistent_error_fault_quarantines(self, tmp_path):
+    def test_persistent_error_fault_quarantines(self, tmp_path, fast_backoff):
         plan = faults.FaultPlan(
             rules=(faults.FaultRule(kind="error", occasions=()),)  # every attempt
         )
         runner = CampaignRunner(
             ResultStore(tmp_path / "r.jsonl"), workers=0,
-            supervisor=SupervisorConfig(max_attempts=2, backoff_base_s=0.001),
+            supervisor=SupervisorConfig(max_attempts=2),
         )
         with faults.injecting(plan):
             run = runner.run(tiny_spec())
@@ -179,14 +179,12 @@ class TestInlineChaos:
         assert len(store.completed()) == 4
 
 
+@pytest.mark.usefixtures("fast_backoff")
 class TestPoolChaos:
     """Process-level faults against the real supervised pool."""
 
     def supervisor(self, tmp_path=None, **overrides):
-        params = dict(
-            trial_timeout_s=5.0, max_attempts=3, backoff_base_s=0.01,
-            backoff_max_s=0.05,
-        )
+        params = dict(trial_timeout_s=5.0, max_attempts=3)
         params.update(overrides)
         return SupervisorConfig(**params)
 
@@ -227,36 +225,6 @@ class TestPoolChaos:
             assert observer.registry.value("campaign.pool_rebuilds") >= 1
         assert not run.failures
         assert len(store.completed()) == 4
-
-    def test_mid_trial_crash_resumes_from_checkpoint(self, tmp_path):
-        """A crash 40 engine-events in, with checkpoints every 10 events:
-        the retry restores the last checkpoint and the final metrics are
-        byte-identical to a fault-free run."""
-        spec = tiny_spec()
-        reference = {
-            r.key: r.metrics
-            for r in CampaignRunner(
-                ResultStore(tmp_path / "ref.jsonl"), workers=0
-            ).run(spec).records
-        }
-        plan = faults.FaultPlan(
-            rules=(
-                faults.FaultRule(kind="crash", occasions=(1,), at_event=40),
-            )
-        )
-        ckpt_dir = tmp_path / "ckpt"
-        run = None
-        with faults.injecting(plan):
-            run = CampaignRunner(
-                ResultStore(tmp_path / "r.jsonl"), workers=2,
-                supervisor=self.supervisor(
-                    checkpoint_dir=str(ckpt_dir), checkpoint_every_events=10
-                ),
-            ).run(spec)
-        assert not run.failures
-        assert {r.key: r.metrics for r in run.records} == reference
-        # Finished trials clean up their checkpoints.
-        assert list(ckpt_dir.glob("*.ckpt")) == []
 
 
 class TestFaultsDemoCli:

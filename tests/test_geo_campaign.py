@@ -262,15 +262,7 @@ class TestCLI:
     def test_geo_sweep(self, tmp_path, capsys):
         store = str(tmp_path / "geo.jsonl")
         assert main(
-            ["geo", "sweep", "geo-smoke", "--store", store, "--workers", "0"]
+            ["campaign", "run", "geo-smoke", "--store", store, "--workers", "0"]
         ) == 0
         out = capsys.readouterr().out
         assert "2 trials" in out and "0 failed" in out
-
-    def test_geo_sweep_unknown_preset(self, capsys):
-        assert main(["geo", "sweep", "nope"]) == 2
-        assert "unknown geo campaign" in capsys.readouterr().err
-
-    def test_geo_sweep_rejects_stream_preset(self, capsys):
-        assert main(["geo", "sweep", "stream-smoke"]) == 2
-        assert "unknown geo campaign" in capsys.readouterr().err

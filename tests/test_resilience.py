@@ -7,12 +7,14 @@ graceful shutdown draining, and the atomic artifact writers.
 """
 
 import json
-from dataclasses import replace
+import random
+from dataclasses import fields, replace
 
 import pytest
 
 from test_campaign import tiny_config, tiny_spec
 
+from repro.campaign import supervise
 from repro.campaign.executor import CampaignRunner
 from repro.campaign.spec import config_to_dict
 from repro.campaign.store import (
@@ -197,20 +199,38 @@ class TestResumeFromDamagedStore:
 
 
 class TestSupervision:
-    def test_backoff_is_seeded_and_bounded(self):
-        sup = SupervisorConfig(
-            backoff_base_s=0.1, backoff_factor=2.0, backoff_max_s=0.3,
-            backoff_seed=7,
-        )
-        first = backoff_delay(sup, "k", 1)
-        assert first == backoff_delay(sup, "k", 1)  # pure function
-        assert backoff_delay(sup, "k", 2) != first  # attempt changes jitter
-        assert backoff_delay(sup, "other", 1) != first  # key changes jitter
+    def test_backoff_is_seeded_and_bounded(self, monkeypatch):
+        monkeypatch.setattr(supervise, "BACKOFF_BASE_S", 0.1)
+        monkeypatch.setattr(supervise, "BACKOFF_FACTOR", 2.0)
+        monkeypatch.setattr(supervise, "BACKOFF_MAX_S", 0.3)
+        monkeypatch.setattr(supervise, "BACKOFF_SEED", 7)
+        first = backoff_delay("k", 1)
+        assert first == backoff_delay("k", 1)  # pure function
+        assert backoff_delay("k", 2) != first  # attempt changes jitter
+        assert backoff_delay("other", 1) != first  # key changes jitter
         for attempt in range(1, 6):
-            delay = backoff_delay(sup, "k", attempt)
+            delay = backoff_delay("k", attempt)
             assert 0.05 <= delay <= 0.3  # within [base/2, max]
 
-    def test_flaky_trial_retries_to_success_inline(self, tmp_path, monkeypatch):
+    def test_default_backoff_schedule(self):
+        """0.05 s doubling per attempt, capped at 2 s, with a jitter in
+        [0.5, 1) seeded by the key and attempt."""
+        bounds = {1: (0.025, 0.05), 2: (0.05, 0.1), 3: (0.1, 0.2), 7: (1.0, 2.0)}
+        for attempt, (low, high) in bounds.items():
+            assert low <= backoff_delay("k", attempt) < high
+        jitter = random.Random("0:k:1").random()
+        assert backoff_delay("k", 1) == 0.05 * (0.5 + 0.5 * jitter)
+
+    def test_supervisor_config_has_only_the_cli_knobs(self):
+        assert [f.name for f in fields(SupervisorConfig)] == [
+            "trial_timeout_s",
+            "max_attempts",
+        ]
+        assert SupervisorConfig() == SupervisorConfig(None, 2)
+
+    def test_flaky_trial_retries_to_success_inline(
+        self, tmp_path, monkeypatch, fast_backoff
+    ):
         import repro.campaign.executor as executor_module
 
         real = executor_module.run_experiment
@@ -226,7 +246,7 @@ class TestSupervision:
         monkeypatch.setattr(executor_module, "run_experiment", flaky_once)
         runner = CampaignRunner(
             ResultStore(tmp_path / "r.jsonl"), workers=0,
-            supervisor=SupervisorConfig(max_attempts=3, backoff_base_s=0.001),
+            supervisor=SupervisorConfig(max_attempts=3),
         )
         run = runner.run(tiny_spec())
         assert not run.failures
@@ -238,7 +258,9 @@ class TestSupervision:
         )
         assert len(flaky) == 2  # both pcaps trials recovered
 
-    def test_quarantine_after_attempt_budget(self, tmp_path, monkeypatch):
+    def test_quarantine_after_attempt_budget(
+        self, tmp_path, monkeypatch, fast_backoff
+    ):
         import repro.campaign.executor as executor_module
 
         def always_explode(config, carbon_trace=None):
@@ -249,7 +271,7 @@ class TestSupervision:
         with collecting("quarantine") as observer:
             runner = CampaignRunner(
                 store, workers=0,
-                supervisor=SupervisorConfig(max_attempts=3, backoff_base_s=0.001),
+                supervisor=SupervisorConfig(max_attempts=3),
             )
             run = runner.run(tiny_spec())
             assert observer.registry.value("campaign.quarantines") == 4
@@ -308,8 +330,6 @@ class TestSupervision:
             SupervisorConfig(max_attempts=0)
         with pytest.raises(ValueError):
             SupervisorConfig(trial_timeout_s=-1.0)
-        with pytest.raises(ValueError):
-            SupervisorConfig(checkpoint_every_events=0)
 
 
 class TestAtomicArtifacts:

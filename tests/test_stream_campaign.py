@@ -180,7 +180,7 @@ class TestCampaignExecution:
 
         store = tmp_path / "stream.jsonl"
         args = [
-            "stream", "sweep", "stream-smoke", "--store", str(store),
+            "campaign", "run", "stream-smoke", "--store", str(store),
             "--workers", "0", "--quiet",
         ]
         assert main(args) == 0

@@ -193,6 +193,25 @@ class TestRunSweepFailures:
         assert "'fails'" in message and "gamma=0.9: ValueError: boom" in message
         assert "gamma=0.1" not in message
 
+    def test_a_failed_trial_runs_once(self, monkeypatch):
+        """A trial is a pure function of its config, so a second attempt
+        would fail the same way after a backoff: each trial runs once."""
+        calls = []
+
+        def execute_trial(config, carbon_trace=None):
+            calls.append((config.scheduler, config.gamma))
+            raise ValueError("boom")
+
+        monkeypatch.setattr(executor, "execute_trial", execute_trial)
+        spec = CampaignSpec(
+            "fails", small_config(),
+            axes={"scheduler": ("pcaps",), "gamma": (0.1, 0.9)},
+            baseline="fifo",
+        )
+        with pytest.raises(RuntimeError):
+            run_sweep(spec, "gamma")
+        assert calls and len(calls) == len(set(calls))
+
 
 class TestRunTable:
     def test_table_spec_drops_only_the_trace_offset_axis(self):
